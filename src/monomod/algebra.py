@@ -164,9 +164,6 @@ class Algebra:
     def one(self):
         return Element(self, list(self.unit))
 
-    def zero_element(self):
-        return Element(self, [self.field.zero] * self.dim)
-
     def element_by_label(self, label):
         return self.basis_element(self.basis_labels.index(label))
 
@@ -202,14 +199,6 @@ class Algebra:
         for i, a in enumerate(vec):
             if a:
                 term = self.left_matrix(i).scale(a)
-                out = term if out is None else out + term
-        return out if out is not None else Matrix.zero(self.field, self.dim, self.dim)
-
-    def right_multiplication(self, vec):
-        out = None
-        for i, a in enumerate(vec):
-            if a:
-                term = self.right_matrix(i).scale(a)
                 out = term if out is None else out + term
         return out if out is not None else Matrix.zero(self.field, self.dim, self.dim)
 

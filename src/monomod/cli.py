@@ -81,8 +81,16 @@ def _parse_scalar(field, text):
     return field.of(Fraction(text) if field.kind == "Q" else text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports bad arguments as a MonomodError, so they exit 3 with a JSON
+    error like every other usage error; subparsers inherit the class."""
+
+    def error(self, message):
+        raise MonomodError(f"{self.prog}: {message}")
+
+
 def main(argv=None):
-    ap = argparse.ArgumentParser(prog="monomod")
+    ap = _Parser(prog="monomod")
     ap.add_argument("--output", choices=["json", "text"], default=None)
     ap.add_argument("--cap", type=int, default=None, help="matrix dimension cap")
     sub = ap.add_subparsers(dest="cmd")
@@ -153,8 +161,8 @@ def main(argv=None):
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--algebra", default=None)
 
-    args = ap.parse_args(argv)
     try:
+        args = ap.parse_args(argv)
         ws = _load_workspace()
         fmt = args.output or ws["output"]
         _config.set_dimension_cap(args.cap if args.cap is not None else ws["cap"])

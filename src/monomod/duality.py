@@ -120,11 +120,6 @@ def dual_map(f):
     return ModuleMap(dn.dual, dm.dual, mat, check=False)
 
 
-def double_dual(m):
-    """(DualData of M*, i.e. M** = its .dual)"""
-    return a_dual(a_dual(m).dual)
-
-
 def canonical_map(m):
     """phi_M: M -> M**, phi(v)(f) = f(v), as an explicit ModuleMap."""
     got = m._cache.get("canonical_map")

@@ -2,9 +2,14 @@
 Gorenstein-projectivity.
 
 Resolutions are built from idempotent-column projectives Ae (or eA on the
-right).  That makes Hom(P, N) = eN and u (x) P = ue concrete coordinate
-spaces, so Ext and Tor complexes never solve intertwiner systems: all
-differentials act by multiplication with stored algebra elements.
+right), one slot per generator: P_i is assembled from the slot blocks, with
+block-diagonal actions, and each differential is stored as the algebra
+elements it sends each slot generator to, one per slot of P_{i-1}.  That
+makes Hom(P, N) = eN and u (x) P = ue concrete coordinate spaces, so Ext and
+Tor complexes never solve intertwiner systems: every differential is one
+slot-block matrix of multiplications by stored algebra elements
+(_slot_block_matrix).  A cover is minimal exactly when each of its slots has
+a one-dimensional top, a fact computed once per slot type.
 """
 
 import threading
@@ -17,7 +22,6 @@ from .modules import (
     ModuleMap,
     Verdict,
     _basis_vec,
-    direct_sum,
     is_isomorphic,
     module_on_invariant_columns,
     submodule_generated,
@@ -32,9 +36,10 @@ _resolution_lock = threading.RLock()
 
 
 class SlotType:
-    """One indecomposable-projective shape Ae (left) or eA (right)."""
+    """One indecomposable-projective shape Ae (left) or eA (right): the block
+    that every slot of this shape contributes to a projective P_i."""
 
-    __slots__ = ("e_index", "e_vec", "module", "basis_in_A", "gen_coord")
+    __slots__ = ("e_index", "e_vec", "module", "basis_in_A", "gen_coord", "_top_dim")
 
     def __init__(self, e_index, e_vec, module, basis_in_A, gen_coord):
         self.e_index = e_index        # idempotent index, None = unit (free slot)
@@ -42,10 +47,21 @@ class SlotType:
         self.module = module
         self.basis_in_A = basis_in_A  # columns: the slot basis as elements of A
         self.gen_coord = gen_coord    # coordinates of e in the slot basis
+        self._top_dim = None
 
     @property
     def dim(self):
         return self.module.dim
+
+    @property
+    def top_dim(self):
+        """dim slot - dim J.slot; a cover is minimal iff this is 1 for every slot."""
+        if self._top_dim is None:
+            acc = SpanAccumulator(self.module.field, self.dim)
+            for jv in self.module.algebra.radical_basis():
+                acc.add_columns(self.module.action_of_vector(jv))
+            self._top_dim = self.dim - acc.dim
+        return self._top_dim
 
 
 def _slot_cache(algebra):
@@ -110,22 +126,88 @@ def _e_coords(n, e_index, vec):
     return sol
 
 
+def _e_dim(n, st):
+    return _e_part_of_module(n, st.e_index)[0].ncols
+
+
+def _slot_block_matrix(n, src_slots, tgt_slots, lam):
+    """Matrix of (+)_s e_s N -> (+)_t e_t N whose block from source slot s to
+    target slot t is v -> lam(s, t) . v.  Columns run over (source slot, basis
+    vector of its e-part), rows over the e-coordinates of each target slot."""
+    field = n.field
+    cols = []
+    for s, st in enumerate(src_slots):
+        basis, _ = _e_part_of_module(n, st.e_index)
+        vecs = [list(basis.column(b)) for b in range(basis.ncols)]
+        outs = [[] for _ in vecs]
+        for t, tt in enumerate(tgt_slots):
+            elem = lam(s, t)
+            if any(elem):
+                act = n.action_of_vector(elem)
+                for out, v in zip(outs, vecs):
+                    out.extend(_e_coords(n, tt.e_index, act.apply(v)))
+            else:
+                zeros = [field.zero] * _e_dim(n, tt)
+                for out in outs:
+                    out.extend(zeros)
+        cols.extend(outs)
+    return Matrix.from_columns(field, cols, sum(_e_dim(n, tt) for tt in tgt_slots))
+
+
+def _slot_image_columns(x, p, st):
+    """Columns a_l . p in x over the basis a_l of slot st: the images of the
+    slot basis under the map slot -> x sending its generator to p."""
+    field = x.field
+    applied = [x.actions[i].apply(p) for i in range(x.algebra.dim)]
+    cols = []
+    for l in range(st.dim):
+        a_l = st.basis_in_A.column(l)
+        col = [field.zero] * x.dim
+        for i, c in enumerate(a_l):
+            if c:
+                w = applied[i]
+                for r in range(x.dim):
+                    if w[r]:
+                        col[r] = field.add(col[r], field.mul(c, w[r]))
+        cols.append(col)
+    return cols
+
+
+def _homology_dim(dims, maps, i):
+    """dims[i] - rank of the map between degrees i and i+1 - rank of the map
+    between i-1 and i; maps[k] joins degrees k and k+1 in either direction,
+    and a map missing past the end counts as zero."""
+    out = dims[i] - (maps[i].rank() if i < len(maps) else 0)
+    return out - maps[i - 1].rank() if i else out
+
+
 # ---------------------------------------------------------------------------
 # resolutions
 
 
 class _Step:
+    """One term P_i = (+) slots, assembled block-diagonally from the slot
+    modules, with its differential."""
+
     __slots__ = ("slot_types", "offsets", "proj", "d_matrix", "d_elems",
                  "kernel", "kernel_incl")
 
-    def __init__(self, slot_types, offsets, proj, d_matrix, d_elems):
+    def __init__(self, slot_types, offsets, proj, d_matrix):
         self.slot_types = slot_types
-        self.offsets = offsets
+        self.offsets = offsets        # first coordinate of each slot block in P_i
         self.proj = proj
         self.d_matrix = d_matrix      # P_i -> P_{i-1} (or -> target for i = 0)
-        self.d_elems = d_elems        # grid of A-vectors, None at step 0
+        self.d_elems = None           # [slot of P_i][slot of P_{i-1}] A-vectors; None at step 0
         self.kernel = None            # filled when the next step is built
         self.kernel_incl = None
+
+    def gen_vector(self, j):
+        """The generator of slot j as a vector of P_i."""
+        v = [self.proj.field.zero] * self.proj.dim
+        off = self.offsets[j]
+        for l, c in enumerate(self.slot_types[j].gen_coord):
+            v[off + l] = c
+        return v
 
 
 class Resolution:
@@ -152,9 +234,8 @@ class Resolution:
         if self.steps:
             prev = self.steps[-1]
             # d_i = (kernel inclusion) o (cover of the kernel)
-            full = prev.kernel_incl.matrix * step.d_matrix
-            step = _Step(step.slot_types, step.offsets, step.proj, full, None)
-            step.d_elems = _elem_grid(step, prev)
+            step.d_matrix = prev.kernel_incl.matrix * step.d_matrix
+            step.d_elems = _elem_grid(step.d_matrix, step, prev)
             # exactness bookkeeping: im(d_i) = ker(d_{i-1}) by construction
             assert (prev.d_matrix * step.d_matrix).is_zero()
         self.steps.append(step)
@@ -186,37 +267,30 @@ def _build_cover_step(m, minimal):
         except ValidationError:
             gens = [(None, _basis_vec(field, m.dim, j)) for j in range(m.dim)]
     if not gens:
-        proj = zero_module(algebra, m.side)
-        dmat = Matrix(field, [tuple() for _ in range(m.dim)], 0)
-        return _Step([], [], proj, dmat, None)
+        return _Step([], [], zero_module(algebra, m.side), Matrix.from_columns(field, [], m.dim))
     slot_types = [slot_type(algebra, m.side, e_idx) for (e_idx, _) in gens]
-    mods = [st.module for st in slot_types]
-    proj, _incs, _prs = direct_sum(mods, label="P")
+    # The cover sends J.P onto J.m and the generators lift a basis of top(m),
+    # so its kernel lies in rad(P) exactly when every slot has a 1-dim top.
+    if minimal and any(st.top_dim != 1 for st in slot_types):
+        raise ValidationError("minimal-unavailable: kernel escapes rad(P)")
+    acts = [
+        Matrix.block_diag(field, [st.module.actions[i] for st in slot_types])
+        for i in range(algebra.dim)
+    ]
+    proj = Module(algebra, m.side, sum(st.dim for st in slot_types), acts, label="P",
+                  _validated=True)
     offsets = []
     off = 0
     for st in slot_types:
         offsets.append(off)
         off += st.dim
     cols = []
-    for (e_idx, g), st in zip(gens, slot_types):
-        applied = [m.actions[i].apply(g) for i in range(algebra.dim)]
-        for l in range(st.dim):
-            a_l = st.basis_in_A.column(l)
-            col = [field.zero] * m.dim
-            for i, c in enumerate(a_l):
-                if c:
-                    w = applied[i]
-                    for r in range(m.dim):
-                        if w[r]:
-                            col[r] = field.add(col[r], field.mul(c, w[r]))
-            cols.append(col)
+    for (_e, g), st in zip(gens, slot_types):
+        cols.extend(_slot_image_columns(m, g, st))
     dmat = Matrix.from_columns(field, cols, m.dim)
     if dmat.rank() != m.dim:
         raise ValidationError("cover is not surjective")  # cannot happen
-    step = _Step(slot_types, offsets, proj, dmat, None)
-    if minimal:
-        _check_minimality(m, step)
-    return step
+    return _Step(slot_types, offsets, proj, dmat)
 
 
 def _minimal_generators(m):
@@ -247,38 +321,16 @@ def _minimal_generators(m):
     return gens
 
 
-def _check_minimality(m, step):
-    # the kernel of a projective cover must lie in rad(P); fails only for
-    # idempotents that are not primitive (non-basic decompositions)
-    algebra = m.algebra
-    rad = algebra.radical_basis()
-    P = step.proj
-    if P.dim == 0:
-        return
-    acc = SpanAccumulator(P.field, P.dim)
-    for jv in rad:
-        acc.add_columns(P.action_of_vector(jv))
-    K = step.d_matrix.kernel_matrix()
-    for j in range(K.ncols):
-        if not acc.contains(K.column(j)):
-            raise ValidationError("minimal-unavailable: kernel escapes rad(P)")
-
-
-def _elem_grid(step, prev_step):
-    """d_i(gen_j) decomposed as algebra elements per slot of P_{i-1}."""
-    field = step.proj.field
+def _elem_grid(matrix, src, tgt):
+    """grid[j][j2]: the image under matrix (P(src) -> P(tgt)) of the generator
+    of slot j, as an algebra element in slot j2."""
     grid = []
-    for j, (st, off) in enumerate(zip(step.slot_types, step.offsets)):
-        gvec = [field.zero] * step.proj.dim
-        for l, c in enumerate(st.gen_coord):
-            gvec[off + l] = c
-        w = step.d_matrix.apply(gvec)
-        row = []
-        for st2, off2 in zip(prev_step.slot_types, prev_step.offsets):
-            block = w[off2: off2 + st2.dim]
-            lam = st2.basis_in_A.apply(block)
-            row.append(lam)
-        grid.append(row)
+    for j in range(len(src.slot_types)):
+        w = matrix.apply(src.gen_vector(j))
+        grid.append([
+            st2.basis_in_A.apply(w[off2: off2 + st2.dim])
+            for st2, off2 in zip(tgt.slot_types, tgt.offsets)
+        ])
     return grid
 
 
@@ -378,7 +430,6 @@ class HomComplex:
         self.n = n
         self.upto = -1
         self.space_dims = []
-        self.slot_data = []  # per step: list of (e_index, dim eN)
         self.deltas = []
         self.ensure(upto)
 
@@ -387,47 +438,19 @@ class HomComplex:
         if upto <= self.upto:
             return self
         self.res.extend_to(upto)
+        steps = self.res.steps
         for i in range(self.upto + 1, upto + 1):
-            data = []
-            for st in self.res.steps[i].slot_types:
-                basis, _solver = _e_part_of_module(self.n, st.e_index)
-                data.append((st.e_index, basis.ncols))
-            self.slot_data.append(data)
-            self.space_dims.append(sum(d for (_e, d) in data))
+            self.space_dims.append(sum(_e_dim(self.n, st) for st in steps[i].slot_types))
             if i >= 1:
-                self.deltas.append(self._delta(i))
+                self.deltas.append(_slot_block_matrix(
+                    self.n, steps[i - 1].slot_types, steps[i].slot_types,
+                    lambda j2, j: steps[i].d_elems[j][j2]))
         self.upto = upto
         return self
 
-    def _delta(self, i):
-        n = self.n
-        field = n.field
-        step = self.res.steps[i]
-        cols = []
-        for j2, (e2, d2) in enumerate(self.slot_data[i - 1]):
-            basis2, _solver2 = _e_part_of_module(n, e2)
-            for b in range(d2):
-                nvec = list(basis2.column(b))
-                out_coords = []
-                for j, st in enumerate(step.slot_types):
-                    lam = step.d_elems[j][j2]
-                    if any(lam):
-                        v = n.action_of_vector(lam).apply(nvec)
-                    else:
-                        v = [field.zero] * n.dim
-                    out_coords.extend(_e_coords(n, st.e_index, v))
-                cols.append(out_coords)
-        tgt_dim = self.space_dims[i]
-        return Matrix.from_columns(field, cols, tgt_dim) if cols else Matrix(
-            field, [tuple() for _ in range(tgt_dim)], 0
-        )
-
     def ext_dim(self, i):
         """dim Ext^i(m, n), valid for 0 <= i <= upto - 1."""
-        if i == 0:
-            return self.space_dims[0] - (self.deltas[0].rank() if self.deltas else 0)
-        ker = self.space_dims[i] - self.deltas[i].rank()
-        return ker - self.deltas[i - 1].rank()
+        return _homology_dim(self.space_dims, self.deltas, i)
 
     def cohomology(self, i):
         """(representative basis in C_i coords, coordinate projector) at degree i."""
@@ -436,7 +459,7 @@ class HomComplex:
         )
         # image of delta_{i-1} expressed inside the kernel
         if i == 0:
-            img_in_K = Matrix(self.n.field, [tuple() for _ in range(K.ncols)], 0)
+            img_in_K = Matrix.from_columns(self.n.field, [], K.ncols)
         else:
             ksolver = Eliminator(K)
             img = self.deltas[i - 1]
@@ -498,28 +521,11 @@ def hom_space_via_presentation(m, n):
         # f : P_0 -> n from per-slot eN coordinates
         fcols = []
         pos = 0
-        for st, (e_idx, edim) in zip(step0.slot_types, C.slot_data[0]):
-            basis, _ = _e_part_of_module(n, e_idx)
-            nvec = [field.zero] * n.dim
-            for b in range(edim):
-                c = coords[pos + b]
-                if c:
-                    bc = basis.column(b)
-                    for r in range(n.dim):
-                        if bc[r]:
-                            nvec[r] = field.add(nvec[r], field.mul(c, bc[r]))
-            pos += edim
-            applied = [n.actions[i].apply(nvec) for i in range(n.algebra.dim)]
-            for l in range(st.dim):
-                a_l = st.basis_in_A.column(l)
-                col = [field.zero] * n.dim
-                for i, cc in enumerate(a_l):
-                    if cc:
-                        w = applied[i]
-                        for r in range(n.dim):
-                            if w[r]:
-                                col[r] = field.add(col[r], field.mul(cc, w[r]))
-                fcols.append(col)
+        for st in step0.slot_types:
+            basis, _ = _e_part_of_module(n, st.e_index)
+            nvec = basis.apply(coords[pos: pos + basis.ncols])
+            pos += basis.ncols
+            fcols.extend(_slot_image_columns(n, nvec, st))
         fmat = Matrix.from_columns(field, fcols, n.dim)
         mats.append(fmat * pre)
     return mats
@@ -545,49 +551,15 @@ def tor_dims(u, x, bound, minimal=None):
         return [0] * (bound + 1)
     if minimal is None:
         minimal = x.algebra.idempotents is not None and x.algebra.has_radical()
-    res = resolution(x, minimal, bound + 1)
-    field = u.field
-    space_dims = []
-    slot_data = []
-    for i in range(bound + 2):
-        data = []
-        for st in res.steps[i].slot_types:
-            basis, _ = _e_part_of_module(u, st.e_index)
-            data.append((st.e_index, basis.ncols))
-        slot_data.append(data)
-        space_dims.append(sum(d for (_e, d) in data))
+    steps = resolution(x, minimal, bound + 1).steps
+    space_dims = [sum(_e_dim(u, st) for st in steps[i].slot_types) for i in range(bound + 2)]
     # t_i : T_i -> T_{i-1}
-    ts = []
-    for i in range(1, bound + 2):
-        step = res.steps[i]
-        cols = []
-        for j, st in enumerate(step.slot_types):
-            basis, _ = _e_part_of_module(u, st.e_index)
-            for b in range(basis.ncols):
-                wvec = list(basis.column(b))
-                out = []
-                for j2, (e2, _d2) in enumerate(slot_data[i - 1]):
-                    lam = step.d_elems[j][j2]
-                    if any(lam):
-                        v = u.action_of_vector(lam).apply(wvec)
-                    else:
-                        v = [field.zero] * u.dim
-                    out.extend(_e_coords(u, e2, v))
-                cols.append(out)
-        tdim = space_dims[i - 1]
-        ts.append(
-            Matrix.from_columns(field, cols, tdim)
-            if cols
-            else Matrix(field, [tuple() for _ in range(tdim)], 0)
-        )
-    dims = []
-    for i in range(bound + 1):
-        if i == 0:
-            dims.append(space_dims[0] - ts[0].rank())
-        else:
-            ker = space_dims[i] - ts[i - 1].rank()
-            dims.append(ker - ts[i].rank())
-    return dims
+    ts = [
+        _slot_block_matrix(u, steps[i].slot_types, steps[i - 1].slot_types,
+                           lambda j, j2: steps[i].d_elems[j][j2])
+        for i in range(1, bound + 2)
+    ]
+    return [_homology_dim(space_dims, ts, i) for i in range(bound + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -616,70 +588,33 @@ def lift_chain_map(f, bound, minimal_src=None, minimal_tgt=None):
         else:
             need = prev * step_s.d_matrix              # P_i(m) -> P_{i-1}(m')
             through = step_t.d_matrix                  # P_i(m') -> P_{i-1}(m')
-        cols = [None] * step_s.proj.dim
-        for j, (st, off) in enumerate(zip(step_s.slot_types, step_s.offsets)):
-            gvec = [field.zero] * step_s.proj.dim
-            for l, c in enumerate(st.gen_coord):
-                gvec[off + l] = c
-            t = need.apply(gvec)
+        cols = []
+        for j, st in enumerate(step_s.slot_types):
+            t = need.apply(step_s.gen_vector(j))
             # solve within the e-part of P_i(m')
             if st.e_index is None:
-                restricted = through
-                sol = Eliminator(restricted).solve(t)
-                if sol is None:
-                    raise ValidationError("chain lift failed (inexact complex?)")
-                p = sol
+                E, restricted = None, through
             else:
                 E = step_t.proj.action_of_vector(list(step_s.proj.algebra.idempotents[st.e_index]))
                 restricted = through * E
-                sol = Eliminator(restricted).solve(t)
-                if sol is None:
-                    raise ValidationError("chain lift failed (inexact complex?)")
-                p = E.apply(sol)
-            applied = [step_t.proj.actions[k].apply(p) for k in range(m.algebra.dim)]
-            for l in range(st.dim):
-                a_l = st.basis_in_A.column(l)
-                col = [field.zero] * step_t.proj.dim
-                for k, cc in enumerate(a_l):
-                    if cc:
-                        w = applied[k]
-                        for r in range(step_t.proj.dim):
-                            if w[r]:
-                                col[r] = field.add(col[r], field.mul(cc, w[r]))
-                cols[off + l] = col
+            sol = Eliminator(restricted).solve(t)
+            if sol is None:
+                raise ValidationError("chain lift failed (inexact complex?)")
+            p = sol if E is None else E.apply(sol)
+            cols.extend(_slot_image_columns(step_t.proj, p, st))
         F = Matrix.from_columns(field, cols, step_t.proj.dim)
         lifts.append(F)
         prev = F
     return lifts, res_s, res_t
 
 
-def _cochain_map(res_s, res_t, F, n_mod, i, Cs):
+def _cochain_map(res_s, res_t, F, n_mod, i):
     """G_i: C_i(target complex) -> C_i(source complex), h -> h o F_i."""
-    field = n_mod.field
     step_s = res_s.steps[i]
     step_t = res_t.steps[i]
-    cols = []
-    for j2, st2 in enumerate(step_t.slot_types):
-        basis2, _ = _e_part_of_module(n_mod, st2.e_index)
-        off2 = step_t.offsets[j2]
-        for b in range(basis2.ncols):
-            nvec = list(basis2.column(b))
-            out = []
-            for j, (st, off) in enumerate(zip(step_s.slot_types, step_s.offsets)):
-                gvec = [field.zero] * step_s.proj.dim
-                for l, c in enumerate(st.gen_coord):
-                    gvec[off + l] = c
-                w = F.apply(gvec)
-                lam = st2.basis_in_A.apply(w[off2: off2 + st2.dim])
-                if any(lam):
-                    v = n_mod.action_of_vector(lam).apply(nvec)
-                else:
-                    v = [field.zero] * n_mod.dim
-                out.extend(_e_coords(n_mod, st.e_index, v))
-            cols.append(out)
-    return Matrix.from_columns(field, cols, Cs.space_dims[i]) if cols else Matrix(
-        field, [tuple() for _ in range(Cs.space_dims[i])], 0
-    )
+    grid = _elem_grid(F, step_s, step_t)
+    return _slot_block_matrix(n_mod, step_t.slot_types, step_s.slot_types,
+                              lambda j2, j: grid[j][j2])
 
 
 def _cohomology_descent(Cs, Ct, G, i):
@@ -696,10 +631,7 @@ def _cohomology_descent(Cs, Ct, G, i):
         if in_k is None:
             raise ValidationError("induced cochain map does not preserve cocycles")
         cols.append(echs.project(in_k))
-    M = Matrix.from_columns(field, cols, echs.dim) if cols else Matrix(
-        field, [tuple() for _ in range(echs.dim)], 0
-    )
-    return M, echt.dim, echs.dim
+    return Matrix.from_columns(field, cols, echs.dim), echt.dim, echs.dim
 
 
 def ext_induced_map(f, n, degree, lifts=None, res_s=None, res_t=None):
@@ -712,7 +644,7 @@ def ext_induced_map(f, n, degree, lifts=None, res_s=None, res_t=None):
         lifts, res_s, res_t = lift_chain_map(f, degree + 1)
     Cs = HomComplex(res_s, n, degree + 1)
     Ct = HomComplex(res_t, n, degree + 1)
-    G = _cochain_map(res_s, res_t, lifts[degree], n, degree, Cs)
+    G = _cochain_map(res_s, res_t, lifts[degree], n, degree)
     return _cohomology_descent(Cs, Ct, G, degree)
 
 
@@ -724,7 +656,7 @@ def ext_comparison_table(f, n, bound):
     Ct = HomComplex(res_t, n, bound + 1)
     out = []
     for i in range(1, bound + 1):
-        G = _cochain_map(res_s, res_t, lifts[i], n, i, Cs)
+        G = _cochain_map(res_s, res_t, lifts[i], n, i)
         M, tdim, sdim = _cohomology_descent(Cs, Ct, G, i)
         out.append(
             {

@@ -64,11 +64,15 @@ _algebra_cache = {}
 
 
 def load_algebra(path):
-    """Validated Algebra from a file (cached per absolute path)."""
+    """Validated Algebra from a file (cached per absolute path while the
+    file's bytes stay the same)."""
     key = os.path.abspath(path)
-    if key in _algebra_cache:
-        return _algebra_cache[key]
-    data = _read(path)
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    got = _algebra_cache.get(key)
+    if got is not None and got[0] == raw:
+        return got[1]
+    data = json.loads(raw.decode("utf-8"))
     field = Field.parse_spec(data["field"])
     consts = [(i, j, k, field.of(v)) for (i, j, k, v) in data["struct_consts"]]
     pres = AlgebraPresentation(
@@ -85,7 +89,7 @@ def load_algebra(path):
         else None,
     )
     A = validate_algebra(pres, label=os.path.basename(path))
-    _algebra_cache[key] = A
+    _algebra_cache[key] = (raw, A)
     return A
 
 

@@ -571,9 +571,6 @@ class Eliminator:
             cols.append(x)
         return Matrix.from_columns(self.field, cols, self.A.ncols)
 
-    def in_column_space(self, b):
-        return self.solve(b) is not None
-
 
 class SpanAccumulator:
     """Incremental row-echelon span of vectors of a fixed length.
@@ -640,9 +637,6 @@ class SpanAccumulator:
     def basis_columns_matrix(self):
         """Basis vectors as columns (echelon rows transposed)."""
         return Matrix.from_columns(self.field, [list(r) for r in self.rows], self.length)
-
-    def row_matrix(self):
-        return Matrix(self.field, [tuple(r) for r in self.rows], self.length)
 
 
 def kernel_intersection(field, dim, matrices):

@@ -137,11 +137,6 @@ class Module:
                 out = t if out is None else out + t
         return out if out is not None else Matrix.zero(self.field, self.dim, self.dim)
 
-    def action_of_element(self, elem):
-        if elem.algebra is not self.algebra:
-            raise DimensionMismatch("element of a different algebra")
-        return self.action_of_vector(elem.coeffs)
-
     def left_view(self):
         """The same action matrices seen as a left module (over A^op if self
         is a right module).  Right-module computations route through this."""
@@ -553,10 +548,6 @@ def _canonical_map_basis(m, n, mats):
         v = R.rows[i]
         out.append(Matrix(field, [tuple(v[r * dm + c] for c in range(dm)) for r in range(dn)], dm))
     return out
-
-
-def hom_dim(m, n):
-    return len(hom_space(m, n))
 
 
 # ---------------------------------------------------------------------------

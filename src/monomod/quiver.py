@@ -428,6 +428,8 @@ def _slice_complex_homology(parent, rep, res, length):
     """Homology of (vertex slices of rep) against a right-B resolution:
     T_i = (+) X_{v(slot)} with maps given by the resolution elements acting
     through the representation."""
+    from .homology import _homology_dim
+
     q = parent.quiver
     field = parent.flat.field
     B = parent.B
@@ -466,21 +468,9 @@ def _slice_complex_homology(parent, rep, res, length):
                                     block[r] = field.add(block[r], field.mul(c, x))
                     out.extend(block)
                 cols.append(out)
-        mats.append(
-            Matrix.from_columns(field, cols, tgt_dim)
-            if cols
-            else Matrix(field, [tuple() for _ in range(tgt_dim)], 0)
-        )
+        mats.append(Matrix.from_columns(field, cols, tgt_dim))
     dims = [sum(rep.vertex_modules[v].dim for v in sp) for sp in spaces]
-    homology = []
-    for i in range(length + 1):
-        if i == 0:
-            homology.append(dims[0] - (mats[0].rank() if mats else 0))
-        else:
-            ker = dims[i] - mats[i - 1].rank()
-            img = mats[i].rank() if i < len(mats) else 0
-            homology.append(ker - img)
-    return homology
+    return [_homology_dim(dims, mats, i) for i in range(length + 1)]
 
 
 def gathered_arrow_kernels(rep):

@@ -202,6 +202,31 @@ def test_usage_error_exit3(files):
     assert r.returncode == 3
 
 
+def test_argument_errors_exit3_with_json(files):
+    for args in (["verify", "no-such-scenario"], ["module", "validate", "--bogus", "x.json"]):
+        r = run_cli(args, files)
+        assert r.returncode == 3
+        assert "error" in json.loads(r.stdout)
+    r = run_cli(["--help"], files)
+    assert r.returncode == 0
+    assert r.stdout.startswith("usage: monomod")
+
+
+def test_algebra_cache_follows_file_bytes(tmp_path):
+    import monomod.io as mio
+    from monomod.gallery import lambda_q, lsgp_example
+
+    path = tmp_path / "alg.json"
+    mio.dump_algebra(lambda_q(), path)
+    first = mio.load_algebra(str(path))
+    assert first.dim == 6
+    assert mio.load_algebra(str(path)) is first
+    entries = len(mio._algebra_cache)
+    mio.dump_algebra(lsgp_example()["algebra"], path)
+    assert mio.load_algebra(str(path)).dim == 4
+    assert len(mio._algebra_cache) == entries  # one entry per path
+
+
 def test_load_triple_with_bimodule_file(tmp_path):
     # a general-bimodule triple file: [[A, P(2)], [0, k]] with phi given on
     # pure-tensor coordinates

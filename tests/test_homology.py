@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from monomod.algebra import regular_modules
-from monomod.gallery import ideal_A_w_A, lambda_element, module_M1qc
+from monomod.algebra import AlgebraPresentation, regular_modules, validate_algebra
+from monomod.errors import ValidationError
+from monomod.gallery import ideal_A_w_A, lambda_element, lambda_q, module_M1qc
 from monomod.homology import (
     ext_dims,
     ext_induced_map,
@@ -14,7 +15,7 @@ from monomod.homology import (
     resolve,
     tor_dims,
 )
-from monomod.linalg import QQ
+from monomod.linalg import GF, QQ, Matrix
 from monomod.modules import (
     ModuleMap,
     Verdict,
@@ -23,6 +24,7 @@ from monomod.modules import (
     k_dual,
     simples_and_projectives,
     tensor_over,
+    validate_module,
 )
 from monomod.sampling import random_map, random_module
 
@@ -196,3 +198,35 @@ def test_ext_induced_split_projection(kx2, rng):
     M, tdim, sdim = ext_induced_map(f, reg, 1)
     assert sdim == 0  # Ext^1(A, A) = 0
     assert tdim == ext_dims(total, reg, 1).dims[1]
+
+
+def test_minimality_needs_one_dimensional_slot_tops():
+    # k x k with the single idempotent 1 = e1 + e2, which is not primitive:
+    # its slot A has a 2-dimensional top, so no cover built from it is minimal
+    pres = AlgebraPresentation(
+        QQ, 2, ["e1", "e2"], [1, 1], [(0, 0, 0, 1), (1, 1, 1, 1)],
+        idempotents=[[1, 1]],
+    )
+    A = validate_algebra(pres, label="k x k")
+    S1 = validate_module(
+        [Matrix.from_rows(QQ, [[1]]), Matrix.from_rows(QQ, [[0]])], "left", A
+    )
+    for m in (S1, regular_modules(A)[0]):
+        with pytest.raises(ValidationError, match="minimal-unavailable: kernel escapes rad"):
+            resolve(m, 2, minimal=True)
+    assert resolve(S1, 2, minimal=False).check_certificates()
+
+
+def test_ext_matches_tor_against_dual(loop_arrow):
+    # Ext^i(m, n) = D Tor_i(D(n), m): the slot-block matrices of Hom(P, n)
+    # and of D(n) (x) P, built in opposite directions, have equal homology
+    cases = [(list(loop_arrow["modules"]) + [regular_modules(loop_arrow["algebra"])[0]], 4)]
+    L = lambda_q(QQ, 2)
+    cases.append(([simples_and_projectives(L)["simples"][0], regular_modules(L)[0],
+                   module_M1qc(L, Fraction(3, 2))], 2))
+    L5 = lambda_q(GF(5), 2)
+    cases.append(([simples_and_projectives(L5)["simples"][0], regular_modules(L5)[0]], 2))
+    for mods, b in cases:
+        for m in mods:
+            for n in mods:
+                assert ext_dims(m, n, b).dims == tor_dims(k_dual(n), m, b)
