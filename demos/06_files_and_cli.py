@@ -2,7 +2,7 @@
 
 Writes an algebra and two module files into a temp directory, then drives
 `monomod` subcommands over them, including a full scenario run with the
-tri-state exit code.
+tri-state exit code.  The directory is removed when the demo ends.
 """
 
 import json
@@ -13,33 +13,10 @@ import tempfile
 
 import monomod
 
-workdir = tempfile.mkdtemp(prefix="monomod-demo-")
-print("working in", workdir)
-
 
 def dump(name, obj):
     with open(os.path.join(workdir, name), "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=1)
-
-
-dump("kx2.json", {
-    "field": "Q", "dim": 2, "labels": ["1", "x"], "unit": ["1", "0"],
-    "struct_consts": [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"]],
-    "idempotents": [["1", "0"]],
-})
-dump("simple.json", {
-    "algebra_ref": "kx2.json", "side": "left", "dim": 1,
-    "actions": {"1": [[0, 0, "1"]]},
-})
-dump("regular.json", {
-    "algebra_ref": "kx2.json", "side": "left", "dim": 2,
-    "actions": {"1": [[0, 0, "1"], [1, 1, "1"]], "x": [[1, 0, "1"]]},
-})
-dump("triple.json", {
-    "A_ref": "kx2.json", "B_ref": "kx2.json",
-    "X_ref": "regular.json", "Y_ref": "simple.json",
-    "phi": [[1, 0, "1"]],
-})
 
 
 # The child runs in workdir, where a relative PYTHONPATH entry such as `src`
@@ -62,9 +39,30 @@ def cli(*args):
     return r
 
 
-cli("algebra", "validate", "kx2.json")
-cli("module", "classify", "regular.json", "--bound", "4")
-cli("ext", "simple.json", "regular.json", "--bound", "4")
-cli("t2", "dual", "triple.json")
-cli("--output", "text", "gallery", "lambda-q", "--q", "2")
-cli("verify", "dual-iso-family", "--c", "0")
+with tempfile.TemporaryDirectory(prefix="monomod-demo-") as workdir:
+    print("working in", workdir)
+    dump("kx2.json", {
+        "field": "Q", "dim": 2, "labels": ["1", "x"], "unit": ["1", "0"],
+        "struct_consts": [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"]],
+        "idempotents": [["1", "0"]],
+    })
+    dump("simple.json", {
+        "algebra_ref": "kx2.json", "side": "left", "dim": 1,
+        "actions": {"1": [[0, 0, "1"]]},
+    })
+    dump("regular.json", {
+        "algebra_ref": "kx2.json", "side": "left", "dim": 2,
+        "actions": {"1": [[0, 0, "1"], [1, 1, "1"]], "x": [[1, 0, "1"]]},
+    })
+    dump("triple.json", {
+        "A_ref": "kx2.json", "B_ref": "kx2.json",
+        "X_ref": "regular.json", "Y_ref": "simple.json",
+        "phi": [[1, 0, "1"]],
+    })
+
+    cli("algebra", "validate", "kx2.json")
+    cli("module", "classify", "regular.json", "--bound", "4")
+    cli("ext", "simple.json", "regular.json", "--bound", "4")
+    cli("t2", "dual", "triple.json")
+    cli("--output", "text", "gallery", "lambda-q", "--q", "2")
+    cli("verify", "dual-iso-family", "--c", "0")

@@ -526,50 +526,51 @@ def _rref_fp(rows, ncols, p):
 class Eliminator:
     """Reusable exact solver for A x = b with a fixed A.
 
-    Row-reduces [A | I] once; solve() then costs one row transform per call.
-    Used wherever many systems share a coefficient matrix (coordinate
-    solvers for stored bases, induced actions on subquotients, ...).
+    Takes the pivot columns C of A (r = rank) and r independent rows I of
+    A[:, C], and inverts the r x r block S = A[I, C] once.  A solution
+    supported on C, if there is one, is unique and has x_C = S^-1 b_I, so
+    solve() computes that candidate and keeps it only when A x == b holds
+    exactly.  Apart from pieces of A, the only scratch matrix is the r x 2r
+    [S | I] that inverts S.  Used wherever many systems share a coefficient
+    matrix (coordinate solvers for stored bases, induced actions on
+    subquotients, ...).
     """
 
     def __init__(self, A):
         self.A = A
         self.field = A.field
-        aug = A.hstack(Matrix.identity(A.field, A.nrows)) if A.nrows else A
-        R = aug.rref() if A.nrows else A
-        pivots = [c for c in (R.pivot_columns() if A.nrows else ()) if c < A.ncols]
-        self.rank = len(pivots)
-        self.pivots = pivots
-        self.R = R.submatrix(range(A.nrows), range(A.ncols)) if A.nrows else A
-        self.E = (
-            R.submatrix(range(A.nrows), range(A.ncols, A.ncols + A.nrows))
-            if A.nrows
-            else Matrix(A.field, [], 0)
-        )
+        self.pivots = list(A.pivot_columns())
+        self.rank = len(self.pivots)
+        self._AC = A.submatrix(range(A.nrows), self.pivots)
+        self._rows = list(self._AC.transpose().pivot_columns())
+        self._Sinv = A.submatrix(self._rows, self.pivots).inverse()
 
     def solve(self, b):
-        """A particular solution of A x = b, or None if inconsistent."""
+        """The solution of A x = b supported on the pivot columns, or None
+        if the system is inconsistent."""
         if len(b) != self.A.nrows:
             raise DimensionMismatch("rhs length mismatch")
-        if self.A.nrows == 0:
-            return [self.field.zero] * self.A.ncols
-        t = self.E.apply(b)
-        for r in range(self.rank, self.A.nrows):
-            if t[r]:
-                return None
+        y = self._Sinv.apply([b[i] for i in self._rows])
+        if self._AC.apply(y) != list(b):
+            return None
         x = [self.field.zero] * self.A.ncols
-        for r, c in enumerate(self.pivots):
-            x[c] = t[r]
+        for c, v in zip(self.pivots, y):
+            x[c] = v
         return x
 
     def solve_matrix(self, B):
-        """X with A X = B, or None if some column is inconsistent."""
-        cols = []
-        for j in range(B.ncols):
-            x = self.solve(list(B.column(j)))
-            if x is None:
-                return None
-            cols.append(x)
-        return Matrix.from_columns(self.field, cols, self.A.ncols)
+        """X with A X = B (columns as solve() gives them), or None if some
+        column is inconsistent."""
+        if B.nrows != self.A.nrows:
+            raise DimensionMismatch("rhs height mismatch")
+        Y = self._Sinv * B.submatrix(self._rows, range(B.ncols))
+        if (self._AC * Y).rows != B.rows:
+            return None
+        zero_row = (self.field.zero,) * B.ncols
+        rows = [zero_row] * self.A.ncols
+        for c, row in zip(self.pivots, Y.rows):
+            rows[c] = row
+        return Matrix(self.field, rows, B.ncols)
 
 
 class SpanAccumulator:

@@ -130,12 +130,17 @@ class Module:
         return self.actions[i]
 
     def action_of_vector(self, vec):
-        out = None
-        for i, c in enumerate(vec):
+        """Sum of c * action over the nonzero coordinates c of vec."""
+        field = self.field
+        add, mul = field.add, field.mul
+        acc = [[field.zero] * self.dim for _ in range(self.dim)]
+        for c, act in zip(vec, self.actions):
             if c:
-                t = self.actions[i].scale(c)
-                out = t if out is None else out + t
-        return out if out is not None else Matrix.zero(self.field, self.dim, self.dim)
+                for arow, row in zip(acc, act.rows):
+                    for j, x in enumerate(row):
+                        if x:
+                            arow[j] = add(arow[j], mul(c, x))
+        return Matrix(field, acc, self.dim)
 
     def left_view(self):
         """The same action matrices seen as a left module (over A^op if self

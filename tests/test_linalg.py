@@ -136,6 +136,79 @@ def test_eliminator_reusable_solver():
     assert el.rank == m.rank()
 
 
+def _reference_solve(A, b):
+    """Oracle: row-reduce the scratch matrix [A | I] and apply its transform.
+
+    The solution it returns is the one supported on the pivot columns of A.
+    """
+    field, n, m = A.field, A.nrows, A.ncols
+    if n == 0:
+        return [field.zero] * m
+    R = A.hstack(Matrix.identity(field, n)).rref()
+    pivots = [c for c in R.pivot_columns() if c < m]
+    t = R.submatrix(range(n), range(m, m + n)).apply(b)
+    if any(t[len(pivots):]):
+        return None
+    x = [field.zero] * m
+    for r, c in enumerate(pivots):
+        x[c] = t[r]
+    return x
+
+
+def _solver_cases(field, rng):
+    """(A, right-hand sides) over field: full and deficient rank, empty shapes."""
+    def vector(length):
+        return list(_random_matrix(field, rng, 1, length).rows[0])
+
+    shapes = [(0, 0), (0, 3), (3, 0), (1, 1), (4, 4), (6, 3), (3, 6), (7, 5)]
+    for n, m in shapes:
+        for k in sorted({0, min(n, m) // 2, min(n, m)}):
+            A = _random_matrix(field, rng, n, k) * _random_matrix(field, rng, k, m)
+            yield A, [A.apply(vector(m)) for _ in range(3)] + [vector(n) for _ in range(3)]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)])
+def test_eliminator_matches_row_reduction_oracle(field):
+    rng = random.Random(29)
+    verdicts = set()
+    for A, rhs in _solver_cases(field, rng):
+        el = Eliminator(A)
+        assert el.rank == A.rank()
+        sols = []
+        for b in rhs:
+            x = el.solve(b)
+            assert x == _reference_solve(A, b)
+            verdicts.add((A.rank() < A.nrows, x is None))
+            sols.append(x)
+        good = [(b, x) for b, x in zip(rhs, sols) if x is not None]
+        bad = [b for b, x in zip(rhs, sols) if x is None]
+        B = Matrix.from_columns(field, [b for b, _ in good], A.nrows)
+        X = el.solve_matrix(B)
+        assert X == Matrix.from_columns(field, [x for _, x in good], A.ncols)
+        if bad:
+            # one inconsistent column among consistent ones spoils the lot
+            B = Matrix.from_columns(field, [b for b, _ in good] + bad[:1], A.nrows)
+            assert el.solve_matrix(B) is None
+    # both consistent and inconsistent systems were met with deficient rank
+    assert {(True, True), (True, False)} <= verdicts
+
+
+def test_eliminator_stays_within_dimension_cap():
+    # an 8x4 matrix of rank 4: [A | I] would be 8x12, the pivot block is 4x4
+    A = Matrix.from_rows(QQ, [[1 if j == i % 4 else i for j in range(4)] for i in range(8)])
+    assert A.rank() == 4
+    x = [QQ.of(v) for v in (3, -1, 0, 2)]
+    set_dimension_cap(8)
+    try:
+        with pytest.raises(DimensionCapExceeded):
+            _reference_solve(A, A.apply(x))
+        el = Eliminator(A)
+        assert el.solve(A.apply(x)) == x
+        assert el.solve([QQ.one] + [QQ.zero] * 7) is None
+    finally:
+        set_dimension_cap(512)
+
+
 def test_inverse_and_kron():
     a = Matrix.from_rows(QQ, [[1, 2], [3, 5]])
     assert (a.inverse() * a).is_identity()

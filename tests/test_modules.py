@@ -60,6 +60,27 @@ def test_action_law_violation_witness(kx2):
     assert ei.value.witness is not None
 
 
+def test_action_of_vector_matches_scale_and_add(lambda2, kx2):
+    from monomod.gallery import lambda_q
+
+    def scale_and_add(m, vec):
+        out = Matrix.zero(m.field, m.dim, m.dim)
+        for c, act in zip(vec, m.actions):
+            out = out + act.scale(c)
+        return out
+
+    rng = random.Random(5)
+    modules = [module_M1qc(lambda2, Fraction(1)), regular_modules(lambda2)[0],
+               regular_modules(lambda_q(GF(5), 2))[0], zero_module(kx2)]
+    for m in modules:
+        field, n = m.field, m.algebra.dim
+        zero = [field.zero] * n
+        assert m.action_of_vector(zero) == Matrix.zero(field, m.dim, m.dim)
+        for _ in range(6):
+            vec = [field.of(rng.choice([0, 0, 1, -1, 2, 3])) for _ in range(n)]
+            assert m.action_of_vector(vec) == scale_and_add(m, vec)
+
+
 def test_hom_space_M_to_regular(lambda2):
     M = module_M1qc(lambda2, Fraction(0))
     reg = regular_modules(lambda2)[0]
