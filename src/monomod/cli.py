@@ -77,10 +77,6 @@ def _verdict_exit(statuses):
     return 0
 
 
-def _parse_scalar(field, text):
-    return field.of(Fraction(text) if field.kind == "Q" else text)
-
-
 class _Parser(argparse.ArgumentParser):
     """Reports bad arguments as a MonomodError, so they exit 3 with a JSON
     error like every other usage error; subparsers inherit the class."""
@@ -315,7 +311,7 @@ def _dispatch(args, ws, fmt):
 
     if args.cmd == "gallery" and args.sub == "lambda-q":
         field = Field.parse_spec(args.field) if args.field else Field.parse_spec(ws["field"])
-        A = lambda_q(field, _parse_scalar(field, args.q))
+        A = lambda_q(field, field.of(args.q))
         _emit({
             "dim": A.dim,
             "field": field.spec_string(),

@@ -66,9 +66,8 @@ def _unit_vec(field, n, i):
 
 
 def _has_finite_order(field, q):
-    if field.kind == "Fp":
-        return True
-    return q == 1 or q == -1
+    # every nonzero element of a finite field has finite order
+    return field.elements is not None or q == 1 or q == -1
 
 
 def _check_lambda_structure(A):

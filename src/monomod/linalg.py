@@ -3,6 +3,12 @@
 Everything downstream (Hom spaces, resolutions, Ext/Tor) reduces to ranks,
 kernels and exact solves of the matrices built here.  No floating point:
 Q entries are `fractions.Fraction`, F_p entries are ints in [0, p).
+
+The two fields differ only in their scalars, so every matrix kernel
+(product, matrix-vector product, elimination) is written once: it adds and
+multiplies raw entries with Python's operators and then calls the field's
+`reduce` hook on the positions it wrote, which is a no-op over Q and takes
+residues mod p over F_p.
 """
 
 from fractions import Fraction
@@ -25,103 +31,33 @@ def _is_prime(p):
 
 
 class Field:
-    """The ground field: rationals ('Q') or a prime field ('Fp', p prime).
+    """The ground field: `QQ` (the rationals) or `GF(p)` (p prime).
 
-    Elements are raw Fractions / ints; the Field object supplies the
-    arithmetic, canonicalization and string form.
+    Elements are raw values, Fractions over Q and ints in [0, p) over F_p.
+    A subclass supplies the scalar operations (`of`, `add`, `sub`, `mul`,
+    `neg`, `inv`, `render`, `spec_string`), the constants `zero` and `one`,
+    `random_element(rng)` for randomized searches, and `reduce(row,
+    positions)`, which brings sums of products of elements at those
+    positions of a list back to canonical elements in place.
+
+    `kind` ('Q' or 'Fp'), `p` (None over Q), `characteristic` and
+    `elements` (None over Q, range(p) over F_p) are plain data.
     """
 
-    __slots__ = ("kind", "p")
-
-    def __init__(self, kind, p=None):
-        if kind == "Q":
-            self.p = None
-        elif kind == "Fp":
-            if p is None or not _is_prime(p):
-                raise ValueError(f"PrimeField needs a prime, got {p!r}")
-            self.p = p
-        else:
-            raise ValueError(f"unknown field kind {kind!r}")
-        self.kind = kind
-
-    @classmethod
-    def rationals(cls):
-        return _QQ
-
-    @classmethod
-    def prime(cls, p):
-        return cls("Fp", p)
+    __slots__ = ()
 
     @classmethod
     def parse_spec(cls, text):
         """'Q' or 'F<p>', e.g. 'F7'."""
         text = text.strip()
         if text in ("Q", "QQ", "rationals"):
-            return _QQ
-        if text.startswith("F"):
-            return cls("Fp", int(text[1:]))
+            return QQ
+        if text.startswith("F") and text[1:].isdecimal():
+            return GF(int(text[1:]))
         raise ValueError(f"cannot parse field spec {text!r}")
 
-    def spec_string(self):
-        return "Q" if self.kind == "Q" else f"F{self.p}"
-
-    @property
-    def characteristic(self):
-        return 0 if self.kind == "Q" else self.p
-
-    @property
-    def zero(self):
-        return Fraction(0) if self.kind == "Q" else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.kind == "Q" else 1
-
-    def of(self, n):
-        """Canonical element from an int / Fraction / string."""
-        if self.kind == "Q":
-            if isinstance(n, Fraction):
-                return n
-            if isinstance(n, int):
-                return Fraction(n)
-            if isinstance(n, str):
-                return Fraction(n)
-            raise TypeError(f"cannot coerce {n!r} into Q")
-        if isinstance(n, str):
-            if "/" in n:
-                num, den = n.split("/")
-                return int(num) * pow(int(den), self.p - 2, self.p) % self.p
-            n = int(n)
-        if isinstance(n, Fraction):
-            if n.denominator % self.p == 0:
-                raise ZeroDivisionError(f"{n} has no image in F_{self.p}")
-            return n.numerator * pow(n.denominator, self.p - 2, self.p) % self.p
-        return n % self.p
-
-    def add(self, a, b):
-        return a + b if self.kind == "Q" else (a + b) % self.p
-
-    def sub(self, a, b):
-        return a - b if self.kind == "Q" else (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b if self.kind == "Q" else (a * b) % self.p
-
-    def neg(self, a):
-        return -a if self.kind == "Q" else (-a) % self.p
-
-    def inv(self, a):
-        if not a:
-            raise ZeroDivisionError("inverse of zero")
-        return 1 / a if self.kind == "Q" else pow(a, self.p - 2, self.p)
-
-    def render(self, a):
-        if self.kind == "Q":
-            return str(a.numerator) if a.denominator == 1 else f"{a.numerator}/{a.denominator}"
-        return str(a)
-
     def __eq__(self, other):
-        return isinstance(other, Field) and self.kind == other.kind and self.p == other.p
+        return type(self) is type(other) and self.p == other.p
 
     def __hash__(self):
         return hash((self.kind, self.p))
@@ -130,13 +66,120 @@ class Field:
         return self.spec_string()
 
 
-_QQ = Field("Q")
+class Rationals(Field):
+    __slots__ = ()
 
-QQ = _QQ
+    kind = "Q"
+    p = None
+    characteristic = 0
+    elements = None
+    zero = Fraction(0)
+    one = Fraction(1)
+
+    def of(self, n):
+        """Canonical element from an int / Fraction / string."""
+        if isinstance(n, Fraction):
+            return n
+        if isinstance(n, (int, str)):
+            return Fraction(n)
+        raise TypeError(f"cannot coerce {n!r} into Q")
+
+    def add(self, a, b):
+        return a + b
+
+    def sub(self, a, b):
+        return a - b
+
+    def mul(self, a, b):
+        return a * b
+
+    def neg(self, a):
+        return -a
+
+    def inv(self, a):
+        if not a:
+            raise ZeroDivisionError("inverse of zero")
+        return 1 / a
+
+    def reduce(self, row, positions):
+        pass
+
+    def render(self, a):
+        return str(a.numerator) if a.denominator == 1 else f"{a.numerator}/{a.denominator}"
+
+    def spec_string(self):
+        return "Q"
+
+    def random_element(self, rng):
+        """A small integer in [-5, 5]."""
+        return Fraction(rng.randint(-5, 5))
+
+
+class PrimeField(Field):
+    __slots__ = ("p", "characteristic", "elements")
+
+    kind = "Fp"
+    zero = 0
+    one = 1
+
+    def __init__(self, p):
+        if not _is_prime(p):
+            raise ValueError(f"PrimeField needs a prime, got {p!r}")
+        self.p = self.characteristic = p
+        self.elements = range(p)
+
+    def of(self, n):
+        """Canonical element from an int / Fraction / string."""
+        p = self.p
+        if isinstance(n, str):
+            if "/" in n:
+                num, den = n.split("/")
+                return int(num) * pow(int(den), p - 2, p) % p
+            n = int(n)
+        if isinstance(n, Fraction):
+            if n.denominator % p == 0:
+                raise ZeroDivisionError(f"{n} has no image in F_{p}")
+            return n.numerator * pow(n.denominator, p - 2, p) % p
+        return n % p
+
+    def add(self, a, b):
+        return (a + b) % self.p
+
+    def sub(self, a, b):
+        return (a - b) % self.p
+
+    def mul(self, a, b):
+        return (a * b) % self.p
+
+    def neg(self, a):
+        return (-a) % self.p
+
+    def inv(self, a):
+        if not a:
+            raise ZeroDivisionError("inverse of zero")
+        return pow(a, self.p - 2, self.p)
+
+    def reduce(self, row, positions):
+        p = self.p
+        for j in positions:
+            row[j] %= p
+
+    def render(self, a):
+        return str(a)
+
+    def spec_string(self):
+        return f"F{self.p}"
+
+    def random_element(self, rng):
+        """A uniform element."""
+        return rng.randrange(self.p)
+
+
+QQ = Rationals()
 
 
 def GF(p):
-    return Field.prime(p)
+    return PrimeField(p)
 
 
 def _check_cap(rows, cols):
@@ -280,52 +323,38 @@ class Matrix:
         field = self.field
         z = field.zero
         brows = other.rows
-        p = other.ncols
+        n = other.ncols
+        # nonzero positions of each row of other, found on its first use
+        supports = [None] * other.nrows
         out = []
-        if field.kind == "Q":
-            for arow in self.rows:
-                acc = [z] * p
-                for k, a in enumerate(arow):
-                    if a:
-                        brow = brows[k]
-                        for j, b in enumerate(brow):
-                            if b:
-                                acc[j] += a * b
-                out.append(tuple(acc))
-        else:
-            q = field.p
-            for arow in self.rows:
-                acc = [0] * p
-                for k, a in enumerate(arow):
-                    if a:
-                        brow = brows[k]
-                        for j, b in enumerate(brow):
-                            if b:
-                                acc[j] = (acc[j] + a * b) % q
-                out.append(tuple(acc))
-        return Matrix(field, out, p)
+        for arow in self.rows:
+            acc = [z] * n
+            for k, a in enumerate(arow):
+                if a:
+                    brow = brows[k]
+                    support = supports[k]
+                    if support is None:
+                        support = supports[k] = [j for j, b in enumerate(brow) if b]
+                    for j in support:
+                        acc[j] += a * brow[j]
+                    field.reduce(acc, support)
+            out.append(tuple(acc))
+        return Matrix(field, out, n)
 
     def apply(self, vec):
         """Matrix times a plain vector (list/tuple), returns a list."""
         if len(vec) != self.ncols:
             raise DimensionMismatch("vector length mismatch")
         field = self.field
+        z = field.zero
         out = []
-        if field.kind == "Q":
-            for row in self.rows:
-                s = field.zero
-                for a, v in zip(row, vec):
-                    if a and v:
-                        s += a * v
-                out.append(s)
-        else:
-            q = field.p
-            for row in self.rows:
-                s = 0
-                for a, v in zip(row, vec):
-                    if a and v:
-                        s = (s + a * v) % q
-                out.append(s)
+        for row in self.rows:
+            s = z
+            for a, v in zip(row, vec):
+                if a and v:
+                    s += a * v
+            out.append(s)
+        field.reduce(out, range(self.nrows))
         return out
 
     def transpose(self):
@@ -400,10 +429,7 @@ class Matrix:
         if self._rref is not None:
             return self._rref
         rows = [list(r) for r in self.rows]
-        if self.field.kind == "Q":
-            pivots = _rref_qq(rows, self.ncols)
-        else:
-            pivots = _rref_fp(rows, self.ncols, self.field.p)
+        pivots = _rref(self.field, rows, self.ncols)
         R = Matrix(self.field, rows, self.ncols)
         R._rref = (R, tuple(pivots))
         self._rref = (R, tuple(pivots))
@@ -451,71 +477,47 @@ class Matrix:
         return R.submatrix(range(self.nrows), range(self.nrows, 2 * self.nrows))
 
 
-def _rref_qq(rows, ncols):
+def _normalize(field, row, start):
+    """Scale row in place so that its entry at start, its first nonzero
+    one, is 1; returns the nonzero positions of row from start on."""
+    support = [j for j in range(start, len(row)) if row[j]]
+    pv = row[start]
+    if pv != 1:
+        inv = field.inv(pv)
+        for j in support:
+            row[j] *= inv
+        field.reduce(row, support)
+    return support
+
+
+def _eliminate(field, row, f, prow, support):
+    """row -= f * prow in place, where support holds the nonzero positions
+    of prow."""
+    for j in support:
+        row[j] -= f * prow[j]
+    field.reduce(row, support)
+
+
+def _rref(field, rows, ncols):
+    """Reduce a list of row lists in place to reduced row echelon form;
+    returns the pivot columns."""
     nrows = len(rows)
     pivots = []
     r = 0
     for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pr = i
+        for pr in range(r, nrows):
+            if rows[pr][c]:
                 break
-        if pr is None:
+        else:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         prow = rows[r]
-        pv = prow[c]
-        if pv != 1:
-            inv = 1 / pv
-            for j in range(c, ncols):
-                if prow[j]:
-                    prow[j] = prow[j] * inv
-        for i in range(nrows):
+        support = _normalize(field, prow, c)
+        for i, row in enumerate(rows):
             if i != r:
-                f = rows[i][c]
+                f = row[c]
                 if f:
-                    irow = rows[i]
-                    for j in range(c, ncols):
-                        pj = prow[j]
-                        if pj:
-                            irow[j] = irow[j] - f * pj
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
-
-
-def _rref_fp(rows, ncols, p):
-    nrows = len(rows)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        prow = rows[r]
-        pv = prow[c]
-        if pv != 1:
-            inv = pow(pv, p - 2, p)
-            for j in range(c, ncols):
-                if prow[j]:
-                    prow[j] = prow[j] * inv % p
-        for i in range(nrows):
-            if i != r:
-                f = rows[i][c]
-                if f:
-                    irow = rows[i]
-                    for j in range(c, ncols):
-                        pj = prow[j]
-                        if pj:
-                            irow[j] = (irow[j] - f * pj) % p
+                    _eliminate(field, row, f, prow, support)
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -592,15 +594,11 @@ class SpanAccumulator:
         return len(self.rows)
 
     def reduce(self, vec):
-        field = self.field
         v = list(vec)
         for row, p in zip(self.rows, self.pivots):
             f = v[p]
             if f:
-                for j in range(p, self.length):
-                    x = row[j]
-                    if x:
-                        v[j] = field.sub(v[j], field.mul(f, x))
+                _eliminate(self.field, v, f, row, [j for j in range(p, self.length) if row[j]])
         return v
 
     def contains(self, vec):
@@ -608,22 +606,16 @@ class SpanAccumulator:
 
     def add(self, vec):
         """Add a vector to the span; returns True if the span grew."""
-        field = self.field
         v = self.reduce(vec)
         p = next((j for j, x in enumerate(v) if x), None)
         if p is None:
             return False
-        inv = field.inv(v[p])
-        if inv != field.one:
-            v = [field.mul(inv, x) for x in v]
+        support = _normalize(self.field, v, p)
         # back-eliminate the new pivot from existing rows
-        for row, q in zip(self.rows, self.pivots):
+        for row in self.rows:
             f = row[p]
             if f:
-                for j in range(p, self.length):
-                    x = v[j]
-                    if x:
-                        row[j] = field.sub(row[j], field.mul(f, x))
+                _eliminate(self.field, row, f, v, support)
         idx = 0
         while idx < len(self.pivots) and self.pivots[idx] < p:
             idx += 1
@@ -641,14 +633,17 @@ class SpanAccumulator:
 
 
 def kernel_intersection(field, dim, matrices):
-    """Basis (columns) of the common kernel of a family of matrices,
-    intersecting one kernel at a time."""
-    K = Matrix.identity(field, dim)
+    """Basis (columns) of the common kernel of a family of dim-column
+    matrices, intersecting one kernel at a time; the identity when the
+    family is empty."""
+    K = None
     for M in matrices:
+        K = M.kernel_matrix() if K is None else K * (M * K).kernel_matrix()
+        # M (and the rref it caches) is not needed while the next one is built
+        del M
         if K.ncols == 0:
             break
-        K = K * (M * K).kernel_matrix()
-    return K
+    return Matrix.identity(field, dim) if K is None else K
 
 
 class ToolkitResult:

@@ -11,7 +11,7 @@ import itertools
 import random
 
 from .errors import DimensionMismatch, ValidationError
-from .linalg import Eliminator, Matrix, SpanAccumulator
+from .linalg import Eliminator, Matrix, SpanAccumulator, kernel_intersection
 
 
 class Verdict:
@@ -187,21 +187,13 @@ def validate_module(actions, side, algebra, label=""):
     ident = m.action_of_vector(algebra.unit)
     if not ident.is_identity():
         raise ValidationError("action of the unit is not the identity")
-    field = algebra.field
+    products = algebra.left_matrix if side == "left" else algebra.right_matrix
     for g in algebra.generators():
         rho_g = m.actions[g]
+        # column i is b_g * b_i on the left, b_i * b_g on the right
+        prods = products(g)
         for i in range(algebra.dim):
-            if side == "left":
-                prod_vec = algebra.product_vectors(
-                    _basis_vec(field, algebra.dim, g), _basis_vec(field, algebra.dim, i)
-                )
-                lhs = rho_g * m.actions[i]
-            else:
-                prod_vec = algebra.product_vectors(
-                    _basis_vec(field, algebra.dim, i), _basis_vec(field, algebra.dim, g)
-                )
-                lhs = rho_g * m.actions[i]
-            if lhs != m.action_of_vector(prod_vec):
+            if rho_g * m.actions[i] != m.action_of_vector(prods.column(i)):
                 raise ValidationError(
                     f"action law fails at pair "
                     f"({algebra.basis_labels[g]}, {algebra.basis_labels[i]})",
@@ -313,34 +305,17 @@ class EchelonComplement:
     def __init__(self, field, big_dim, subspace_columns=None, accumulator=None):
         self.field = field
         self.big_dim = big_dim
-        if accumulator is not None:
-            self.rows = [tuple(r) for r in accumulator.rows]
-            self.pivots = list(accumulator.pivots)
-        elif subspace_columns is not None and subspace_columns.ncols:
-            R = subspace_columns.transpose().rref()
-            rank = len(R.pivot_columns())
-            self.rows = [R.rows[i] for i in range(rank)]
-            self.pivots = list(R.pivot_columns())
-        else:
-            self.rows = []
-            self.pivots = []
-        pivset = set(self.pivots)
+        if accumulator is None:
+            accumulator = SpanAccumulator(field, big_dim)
+            if subspace_columns is not None:
+                accumulator.add_columns(subspace_columns)
+        self.span = accumulator
+        pivset = set(accumulator.pivots)
         self.complement = [j for j in range(big_dim) if j not in pivset]
         self.dim = len(self.complement)
 
-    def reduce(self, vec):
-        field = self.field
-        red = list(vec)
-        for row, pc in zip(self.rows, self.pivots):
-            f = red[pc]
-            if f:
-                for j, x in enumerate(row):
-                    if x:
-                        red[j] = field.sub(red[j], field.mul(f, x))
-        return red
-
     def project(self, vec):
-        red = self.reduce(vec)
+        red = self.span.reduce(vec)
         return [red[c] for c in self.complement]
 
     def projection_matrix(self):
@@ -509,8 +484,8 @@ def hom_space_direct(m, n):
     field = m.field
     dm, dn = m.dim, n.dim
     nvars = dm * dn
-    K = Matrix.identity(field, nvars)
-    for g in m.algebra.generators():
+
+    def constraints(g):
         An = n.actions[g].rows
         Am = m.actions[g].rows
         rows = []
@@ -528,11 +503,11 @@ def hom_space_direct(m, n):
                         idx = r * dm + s
                         row[idx] = field.sub(row[idx], b)
                 rows.append(row)
-        C = Matrix(field, rows, nvars)
-        restricted = C * K
-        K = K * restricted.kernel_matrix()
-        if K.ncols == 0:
-            break
+        return Matrix(field, rows, nvars)
+
+    K = kernel_intersection(
+        field, nvars, (constraints(g) for g in m.algebra.generators())
+    )
     mats = []
     for j in range(K.ncols):
         v = K.column(j)
@@ -630,8 +605,8 @@ def is_isomorphic(m, n, seed=0, trials=64):
     if guess is not None:
         return Verdict.holds(guess)
 
-    if field.kind == "Fp" and field.p ** len(H) <= 10_000:
-        for coeffs in itertools.product(range(field.p), repeat=len(H)):
+    if field.elements is not None and len(field.elements) ** len(H) <= 10_000:
+        for coeffs in itertools.product(field.elements, repeat=len(H)):
             got = attempt(list(coeffs))
             if got is not None:
                 return Verdict.holds(got)
@@ -641,11 +616,7 @@ def is_isomorphic(m, n, seed=0, trials=64):
 
     rng = random.Random(seed)
     for _ in range(trials):
-        if field.kind == "Q":
-            coeffs = [field.of(rng.randint(-5, 5)) for _ in H]
-        else:
-            coeffs = [rng.randrange(field.p) for _ in H]
-        got = attempt(coeffs)
+        got = attempt([field.random_element(rng) for _ in H])
         if got is not None:
             return Verdict.holds(got)
     return Verdict.unknown(trials)

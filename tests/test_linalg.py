@@ -92,10 +92,110 @@ def test_scalar_canonical_forms():
 def test_field_spec_parsing():
     assert Field.parse_spec("Q") is QQ
     assert Field.parse_spec("F11").p == 11
-    with pytest.raises(ValueError):
+    assert GF(7) == Field.parse_spec("F7")
+    assert hash(GF(7)) == hash(Field.parse_spec("F7"))
+    assert GF(7) != GF(5) and GF(7) != QQ
+    with pytest.raises(ValueError, match="needs a prime"):
         Field.parse_spec("F4")  # not prime
-    with pytest.raises(ValueError):
-        Field.parse_spec("R")
+    for bad in ("R", "Fp", "F"):
+        with pytest.raises(ValueError, match=f"cannot parse field spec '{bad}'"):
+            Field.parse_spec(bad)
+
+
+def test_field_constants_are_shared():
+    assert QQ.zero is QQ.zero and QQ.one is QQ.one
+    assert Matrix.zero(QQ, 1, 2).rows[0][0] is QQ.zero
+
+
+# Test-only references for the shared matrix kernels: plain lists, with the
+# field's own scalar ops, so every sum and product is reduced as it is made.
+
+def _ref_mul(field, A, B, ncols):
+    return [
+        [_ref_dot(field, row, [brow[j] for brow in B]) for j in range(ncols)] for row in A
+    ]
+
+
+def _ref_dot(field, u, v):
+    s = field.zero
+    for a, b in zip(u, v):
+        s = field.add(s, field.mul(a, b))
+    return s
+
+
+def _ref_rref(field, rows, ncols):
+    rows = [list(r) for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] != field.zero), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = field.inv(rows[r][c])
+        rows[r] = [field.mul(inv, x) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r:
+                f = rows[i][c]
+                rows[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def _ref_kernel_columns(field, rows, ncols):
+    R, pivots = _ref_rref(field, rows, ncols)
+    cols = []
+    for f in (j for j in range(ncols) if j not in pivots):
+        v = [field.zero] * ncols
+        v[f] = field.one
+        for r, pc in enumerate(pivots):
+            v[pc] = field.neg(R[r][f])
+        cols.append(tuple(v))
+    return cols
+
+
+def _kernel_cases(field, rng):
+    """(A, B, vec) with A*B defined: random, all-(p-1) entries whose partial
+    sums pass p, zero rows, and 0 x n / n x 0 shapes."""
+    top = -1 if field.p is None else field.p - 1
+    shapes = [(0, 3, 2), (3, 0, 2), (2, 3, 0), (1, 1, 1), (4, 4, 4), (5, 3, 6), (3, 7, 4)]
+    for n, k, m in shapes:
+        yield _random_matrix(field, rng, n, k), _random_matrix(field, rng, k, m)
+        full = Matrix.from_rows(field, [[top] * k for _ in range(n)], k)
+        yield full, Matrix.from_rows(field, [[top] * m for _ in range(k)], m)
+        if n:
+            rows = [list(r) for r in _random_matrix(field, rng, n, k).rows]
+            rows[n // 2] = [field.zero] * k
+            yield Matrix(field, rows, k), _random_matrix(field, rng, k, m)
+
+
+def _assert_canonical(field, entries):
+    for x in entries:
+        if field.p is None:
+            assert type(x) is Fraction
+        else:
+            assert type(x) is int and 0 <= x < field.p
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(7)])
+def test_matrix_kernels_match_reduce_every_step_reference(field):
+    rng = random.Random(17)
+    for A, B in _kernel_cases(field, rng):
+        AB = A * B
+        assert [list(r) for r in AB.rows] == _ref_mul(field, A.rows, B.rows, B.ncols)
+        assert (AB.nrows, AB.ncols) == (A.nrows, B.ncols)
+        vec = list(B.column(0)) if B.ncols else [field.one] * A.ncols
+        out = A.apply(vec)
+        assert out == [_ref_dot(field, row, vec) for row in A.rows]
+        R_rows, pivots = _ref_rref(field, A.rows, A.ncols)
+        assert A.rref() == Matrix(field, R_rows, A.ncols)
+        assert list(A.pivot_columns()) == pivots
+        K = A.kernel_matrix()
+        assert K.columns() == _ref_kernel_columns(field, A.rows, A.ncols)
+        assert (A * K).is_zero()
+        for M in (AB, A.rref(), K):
+            _assert_canonical(field, [x for r in M.rows for x in r])
+        _assert_canonical(field, out)
 
 
 def test_dimension_cap_refusal():
