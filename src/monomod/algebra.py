@@ -123,6 +123,7 @@ class Algebra:
         self._radical = None
         self._generators = None
         self._opposite = None
+        self._cache = {}  # derived data other modules keep per algebra
         self.label = ""
 
     # -- structure-constant products ------------------------------------
@@ -278,6 +279,15 @@ class Algebra:
             return True
         except ValidationError:
             return False
+
+    def has_idempotents_and_radical(self):
+        """Whether minimal projective covers are available: declared
+        idempotents and a computable radical."""
+        got = self._cache.get("has_idempotents_and_radical")
+        if got is None:
+            got = self.idempotents is not None and self.has_radical()
+            self._cache["has_idempotents_and_radical"] = got
+        return got
 
     def radical_basis(self):
         """Rows spanning J(A), canonical (RREF) basis."""
@@ -502,7 +512,7 @@ def multiply(a, b):
 
 def regular_modules(A):
     """(left regular module, right regular module) of A; cached on A."""
-    got = getattr(A, "_regular_modules", None)
+    got = A._cache.get("regular_modules")
     if got is not None:
         return got
     from .modules import Module
@@ -523,8 +533,7 @@ def regular_modules(A):
         label=(A.label or "A") + "_right_regular",
         _validated=True,
     )
-    A._regular_modules = (left, right)
-    return left, right
+    return A._cache.setdefault("regular_modules", (left, right))
 
 
 def radical_and_socle(A, m=None):

@@ -239,7 +239,7 @@ def left_add_approximation(m):
     dd = a_dual(m)
     dual = dd.dual
     field = m.field
-    minimal = algebra.idempotents is not None and algebra.has_radical()
+    minimal = algebra.has_idempotents_and_radical()
     if dual.dim == 0:
         target = zero_module(algebra, "left")
         return ApproximationData(

@@ -28,8 +28,6 @@ from .modules import (
     zero_module,
 )
 
-_resolution_lock = threading.RLock()
-
 
 # ---------------------------------------------------------------------------
 # projective slots
@@ -64,16 +62,8 @@ class SlotType:
         return self._top_dim
 
 
-def _slot_cache(algebra):
-    cache = getattr(algebra, "_slot_types", None)
-    if cache is None:
-        cache = {}
-        algebra._slot_types = cache
-    return cache
-
-
 def slot_type(algebra, side, e_index):
-    cache = _slot_cache(algebra)
+    cache = algebra._cache.setdefault("slot_types", {})
     key = (side, e_index)
     st = cache.get(key)
     if st is not None:
@@ -95,8 +85,7 @@ def slot_type(algebra, side, e_index):
         sub, incl = submodule_generated(reg, [e], label=f"P[e{e_index}]")
         gen = Eliminator(incl.matrix).solve(e)
         st = SlotType(e_index, tuple(e), sub, incl.matrix, gen)
-    cache[key] = st
-    return st
+    return cache.setdefault(key, st)
 
 
 def _e_part_of_module(n, e_index):
@@ -211,19 +200,22 @@ class _Step:
 
 
 class Resolution:
-    """Internal resolution state; extended lazily and cached on the module."""
+    """Internal resolution state; extended lazily and cached on the module.
+    Its own lock serializes extensions, so resolving one module never waits
+    on another."""
 
     def __init__(self, target, minimal):
         self.target = target
         self.minimal = minimal
         self.steps = []
+        self._lock = threading.Lock()
 
     def proj(self, i):
         return self.steps[i].proj
 
     def extend_to(self, n_steps):
         """Ensure steps 0..n_steps exist."""
-        with _resolution_lock:
+        with self._lock:
             while len(self.steps) <= n_steps:
                 self._add_step()
         return self
@@ -334,14 +326,15 @@ def _elem_grid(matrix, src, tgt):
     return grid
 
 
-def resolution(m, minimal=True, length=0):
-    """Cached internal resolution, extended to `length` steps."""
+def resolution(m, minimal=None, length=0):
+    """Cached internal resolution, extended to `length` steps.  By default
+    it uses minimal covers whenever the algebra supports them."""
+    if minimal is None:
+        minimal = m.algebra.has_idempotents_and_radical()
     key = ("resolution", bool(minimal))
-    with _resolution_lock:
-        res = m._cache.get(key)
-        if res is None:
-            res = Resolution(m, minimal)
-            m._cache[key] = res
+    res = m._cache.get(key)
+    if res is None:
+        res = m._cache.setdefault(key, Resolution(m, minimal))
     res.extend_to(length)
     return res
 
@@ -486,8 +479,6 @@ class ExtTable:
 
 
 def hom_complex(m, n, bound, minimal=None):
-    if minimal is None:
-        minimal = m.algebra.idempotents is not None and m.algebra.has_radical()
     res = resolution(m, minimal, bound + 1)
     return HomComplex(res, n, bound + 1)
 
@@ -505,9 +496,9 @@ def ext_dims(m, n, bound, minimal=None):
 
 
 def hom_space_via_presentation(m, n):
-    """Basis matrices of Hom(m, n) from a projective presentation of m."""
-    minimal = m.algebra.idempotents is not None and m.algebra.has_radical()
-    res = resolution(m, minimal, 1)
+    """Basis matrices of Hom(m, n) from a projective presentation of m: the
+    reference that hom_space_direct is checked against."""
+    res = resolution(m, length=1)
     C = HomComplex(res, n, 1)
     K = C.deltas[0].kernel_matrix()
     field = n.field
@@ -549,8 +540,6 @@ def tor_dims(u, x, bound, minimal=None):
         raise ValueError("bound must be >= 0")
     if x.dim == 0 or u.dim == 0:
         return [0] * (bound + 1)
-    if minimal is None:
-        minimal = x.algebra.idempotents is not None and x.algebra.has_radical()
     steps = resolution(x, minimal, bound + 1).steps
     space_dims = [sum(_e_dim(u, st) for st in steps[i].slot_types) for i in range(bound + 2)]
     # t_i : T_i -> T_{i-1}
@@ -566,15 +555,11 @@ def tor_dims(u, x, bound, minimal=None):
 # chain lifts and induced maps on Ext
 
 
-def lift_chain_map(f, bound, minimal_src=None, minimal_tgt=None):
+def lift_chain_map(f, bound):
     """Lift f: m -> m' to chain maps F_i: P_i(m) -> P_i(m'), i = 0..bound."""
     m, mp = f.source, f.target
-    if minimal_src is None:
-        minimal_src = m.algebra.idempotents is not None and m.algebra.has_radical()
-    if minimal_tgt is None:
-        minimal_tgt = minimal_src
-    res_s = resolution(m, minimal_src, bound)
-    res_t = resolution(mp, minimal_tgt, bound)
+    res_s = resolution(m, length=bound)
+    res_t = resolution(mp, length=bound)
     field = m.field
     lifts = []
     prev = None
@@ -686,10 +671,9 @@ def is_semi_gp(m, bound, seed=0):
     from .algebra import regular_modules
 
     reg = regular_modules(m.algebra)[0 if m.side == "left" else 1]
-    minimal = m.algebra.idempotents is not None and m.algebra.has_radical()
     if m.dim == 0:
         return Verdict.holds({"zero_module": True})
-    res = resolution(m, minimal, 1)
+    res = resolution(m, length=1)
     # incremental scan for an Ext witness
     C = HomComplex(res, reg, 1)
     for i in range(1, bound + 1):
@@ -697,7 +681,7 @@ def is_semi_gp(m, bound, seed=0):
         d = C.ext_dim(i)
         if d:
             return Verdict.fails({"degree": i, "ext_dim": d})
-    if not minimal:
+    if not res.minimal:
         return Verdict.unknown(bound)
     syzygies = [res.syzygy(i) for i in range(1, bound + 1)]
     for i, s in enumerate(syzygies, start=1):

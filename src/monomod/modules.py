@@ -142,24 +142,6 @@ class Module:
                             arow[j] = add(arow[j], mul(c, x))
         return Matrix(field, acc, self.dim)
 
-    def left_view(self):
-        """The same action matrices seen as a left module (over A^op if self
-        is a right module).  Right-module computations route through this."""
-        if self.side == "left":
-            return self
-        v = self._cache.get("left_view")
-        if v is None:
-            v = Module(
-                self.algebra.opposite(), "left", self.dim, self.actions,
-                label=self.label, _validated=True,
-            )
-            v._cache["right_original"] = self
-            self._cache["left_view"] = v
-        return v
-
-    def apply(self, i, vec):
-        return self.actions[i].apply(vec)
-
     def __repr__(self):
         name = self.label or "Module"
         return f"{name}({self.side}, dim={self.dim}, over {self.algebra!r})"
@@ -448,26 +430,14 @@ def direct_sum(mods, label=""):
 def hom_space(m, n):
     """A basis of Hom(m, n) as ModuleMaps (deterministic RREF basis).
 
-    Uses a projective-presentation route when the algebra supports minimal
-    covers and the intertwiner system would be large; otherwise solves the
-    intertwiner system over a generating set directly.  Both compute the
-    same space (cross-asserted in the tests).
+    Solves the intertwiner system over a generating set of the algebra
+    (hom_space_direct) for every pair of modules; the tests check it against
+    the projective-presentation route homology.hom_space_via_presentation.
     """
     _hom_compatible(m, n)
     if m.dim == 0 or n.dim == 0:
         return []
-    use_presentation = (
-        m.algebra.idempotents is not None
-        and m.algebra.has_radical()
-        and m.dim * n.dim > 160
-    )
-    if use_presentation:
-        from .homology import hom_space_via_presentation
-
-        mats = hom_space_via_presentation(m, n)
-    else:
-        mats = hom_space_direct(m, n)
-    mats = _canonical_map_basis(m, n, mats)
+    mats = _canonical_map_basis(m, n, hom_space_direct(m, n))
     return [ModuleMap(m, n, F, check=False) for F in mats]
 
 

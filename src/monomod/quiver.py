@@ -246,7 +246,7 @@ def build_tensor(A, quiver, label=""):
     )
     flat = validate_algebra(pres, label=label or f"{A.label}(x)kQ")
     parent = TensorAlgebra(A, quiver, B, flat)
-    flat._tensor_parent = parent
+    flat._cache["tensor_parent"] = parent
     return parent
 
 
@@ -401,7 +401,7 @@ def _right_simple_resolutions(B):
     """Finite minimal right resolutions of the right simples, one per vertex
     idempotent; acyclic monomial algebras have finite global dimension so
     these terminate."""
-    got = getattr(B, "_right_simple_resolutions", None)
+    got = B._cache.get("right_simple_resolutions")
     if got is not None:
         return got
     from .homology import resolution
@@ -420,8 +420,7 @@ def _right_simple_resolutions(B):
         if length is None:
             raise ValidationError("right simple has no finite resolution (cycle?)")
         out.append((S, res, length))
-    B._right_simple_resolutions = out
-    return out
+    return B._cache.setdefault("right_simple_resolutions", out)
 
 
 def _slice_complex_homology(parent, rep, res, length):
@@ -510,7 +509,7 @@ def monic_check(x, mode="combinatorial", bound=6):
     if isinstance(x, QuiverRep):
         rep = x
     else:
-        parent_of = getattr(x.algebra, "_tensor_parent", None)
+        parent_of = x.algebra._cache.get("tensor_parent")
         if parent_of is None:
             raise ValidationError("module is not over a tensor algebra built here")
         rep = module_to_rep(parent_of, x)
@@ -561,7 +560,7 @@ def monic_check_perp_form(x, bound=6):
         parent = x.parent
         flat = rep_to_module(x)
     else:
-        parent = getattr(x.algebra, "_tensor_parent", None)
+        parent = x.algebra._cache.get("tensor_parent")
         if parent is None:
             raise ValidationError("module is not over a tensor algebra built here")
         flat = x

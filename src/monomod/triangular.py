@@ -146,14 +146,13 @@ def build_triangular(A, B, bimodule, label=""):
 
 def t2_algebra(A):
     """T2(A) = [[A, A], [0, A]] with the regular bimodule; cached on A."""
-    got = getattr(A, "_t2_algebra", None)
+    got = A._cache.get("t2_algebra")
     if got is not None:
         return got
     bim = regular_bimodule(A)
     bim._cache["is_regular_bimodule"] = True
     tri = build_triangular(A, A, bim, label=f"T2({A.label or 'A'})")
-    A._t2_algebra = tri
-    return tri
+    return A._cache.setdefault("t2_algebra", tri)
 
 
 # ---------------------------------------------------------------------------
@@ -570,8 +569,7 @@ def _bimodule_hypotheses(parent, bound):
     from .homology import resolution
 
     left = parent.bimodule.as_left_module()
-    res = resolution(left, parent.A.idempotents is not None and parent.A.has_radical(),
-                     0)
+    res = resolution(left)
     pd = None
     for i in range(bound + 2):
         res.extend_to(i)
@@ -579,8 +577,7 @@ def _bimodule_hypotheses(parent, bound):
             pd = i
             break
     right = parent.bimodule.as_right_module()
-    resr = resolution(right, parent.B.idempotents is not None and parent.B.has_radical(),
-                      0)
+    resr = resolution(right)
     right_projective = resr.steps[0].kernel.dim == 0
     return {
         "left_proj_dim": pd,

@@ -277,3 +277,20 @@ def test_load_triple_with_bimodule_file(tmp_path):
     r = run_cli(["t2", "build", "triple.json"], tmp_path)
     assert r.returncode == 0
     assert json.loads(r.stdout)["t2"] is False
+
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+
+@pytest.mark.parametrize("scenario", [
+    "approximation-pipeline", "dual-iso-family", "loop-arrow-sgp", "t2-lift-sampled",
+])
+def test_verify_output_matches_golden_bytes(scenario, capsys, monkeypatch):
+    # x-family (about 4 s) is compared against its golden file in CI instead
+    from monomod import cli, config
+
+    monkeypatch.delenv(cli.ENV_CONFIG, raising=False)
+    monkeypatch.setattr(config, "_dimension_cap", config.dimension_cap())
+    assert cli.main(["verify", scenario]) == 0
+    with open(os.path.join(GOLDEN, scenario + ".json"), "rb") as fh:
+        assert capsys.readouterr().out.encode("utf-8") == fh.read()

@@ -230,3 +230,23 @@ def test_ext_matches_tor_against_dual(loop_arrow):
         for m in mods:
             for n in mods:
                 assert ext_dims(m, n, b).dims == tor_dims(k_dual(n), m, b)
+
+
+def test_resolution_uses_minimal_covers_exactly_when_available():
+    # minimal covers need declared idempotents and a computable radical; the
+    # trace form gives no radical of k[x]/(x^2) over GF(2)
+    cases = [(QQ, [[1, 0]], True), (QQ, None, False), (GF(2), [[1, 0]], False)]
+    for field, idempotents, minimal in cases:
+        A = validate_algebra(AlgebraPresentation(
+            field, 2, ["1", "x"], [1, 0], [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)],
+            idempotents=idempotents,
+        ))
+        assert A.has_idempotents_and_radical() is minimal
+        S = validate_module(
+            [Matrix.from_rows(field, [[1]]), Matrix.from_rows(field, [[0]])], "left", A
+        )
+        res = resolution(S, length=2)
+        assert res.minimal is minimal
+        assert resolution(S, minimal) is res
+        # periodic syzygies certify vanishing only over minimal resolutions
+        assert is_semi_gp(S, 3).status == (Verdict.HOLDS if minimal else Verdict.UNKNOWN)

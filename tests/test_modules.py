@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -114,16 +115,24 @@ def test_hom_between_simples_and_projectives(loop_arrow):
 
 
 def test_hom_routes_agree(kx2, loop_arrow, rng):
+    from monomod.gallery import standard_family
     from monomod.homology import hom_space_via_presentation
     from monomod.modules import _canonical_map_basis
 
+    pairs = []
     for A in (kx2, loop_arrow["algebra"]):
         for _ in range(6):
-            m = random_module(A, rng, max_dim=5, allow_zero=False)
-            n = random_module(A, rng, max_dim=5, allow_zero=False)
-            direct = _canonical_map_basis(m, n, hom_space_direct(m, n))
-            pres = _canonical_map_basis(m, n, hom_space_via_presentation(m, n))
-            assert direct == pres
+            pairs.append((random_module(A, rng, max_dim=5, allow_zero=False),
+                          random_module(A, rng, max_dim=5, allow_zero=False)))
+    # a dual of the X(c) family: Hom(X(0), T2(Lambda(2))) at 9 x 18
+    fam = standard_family(QQ, Fraction(2), Fraction(0))
+    pairs.append((fam["X_c"].flatten(), regular_modules(fam["parent"].flat)[0]))
+    assert (pairs[-1][0].dim, pairs[-1][1].dim) == (9, 18)
+    for m, n in pairs:
+        direct = _canonical_map_basis(m, n, hom_space_direct(m, n))
+        pres = _canonical_map_basis(m, n, hom_space_via_presentation(m, n))
+        assert direct == pres
+    assert direct  # the X(0) dual is nonzero
 
 
 def test_hom_dual_symmetry(kx2, loop_arrow, rng):
@@ -346,6 +355,40 @@ def test_resolution_cache_thread_safety(kx2):
         t.join()
     assert len(set(results)) == 1
     assert results[0] == (2, 2, 2, 2, 2, 2, 2)
+
+
+def test_resolution_locks_are_per_module(kx2):
+    # while one resolution is being extended, another module still resolves
+    import threading
+
+    from monomod.homology import resolution
+
+    S = simples_and_projectives(kx2)["simples"][0]
+    busy = resolution(validate_module(list(S.actions), "left", kx2), True)
+    other = validate_module(list(S.actions), "left", kx2)
+    with busy._lock:
+        t = threading.Thread(target=resolution, args=(other, True, 3))
+        t.start()
+        t.join(timeout=30)
+        assert not t.is_alive()
+    assert len(resolution(other, True).steps) == 4
+    # threads racing on one fresh module all get its one cached resolution
+    fresh = validate_module(list(S.actions), "left", kx2)
+    got = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lambda: got.append(resolution(fresh, True, 4)))
+                   for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(got) == 8 and all(r is got[0] for r in got)
+    assert [st.proj.dim for st in got[0].steps] == [2] * 5
 
 
 def test_subquotient_outputs_revalidate(lambda2, rng):
