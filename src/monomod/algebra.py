@@ -8,7 +8,7 @@ which is then verified.
 """
 
 from .errors import DimensionMismatch, ValidationError
-from .linalg import Eliminator, Matrix
+from .linalg import Eliminator, Matrix, basis_vector, kernel_intersection
 
 
 class AlgebraPresentation:
@@ -158,9 +158,7 @@ class Algebra:
         return Element(self, [self.field.of(c) for c in coeffs])
 
     def basis_element(self, i):
-        v = [self.field.zero] * self.dim
-        v[i] = self.field.one
-        return Element(self, v)
+        return Element(self, basis_vector(self.field, self.dim, i))
 
     def one(self):
         return Element(self, list(self.unit))
@@ -234,8 +232,7 @@ class Algebra:
         for i in range(self.dim):
             if span.nrows == self.dim:
                 break
-            e = [field.zero] * self.dim
-            e[i] = field.one
+            e = basis_vector(field, self.dim, i)
             if Matrix(field, list(span.rows) + [e], self.dim).rank() > span.nrows:
                 gens.append(i)
                 span = closure(Matrix(field, list(span.rows) + [e], self.dim))
@@ -364,9 +361,8 @@ class Algebra:
             return solver.solve(v) is not None
 
         for i in range(self.dim):
+            e = basis_vector(field, self.dim, i)
             for jv in jvecs:
-                e = [field.zero] * self.dim
-                e[i] = field.one
                 if not in_J(self.product_vectors(e, jv)) or not in_J(
                     self.product_vectors(jv, e)
                 ):
@@ -385,21 +381,15 @@ class Algebra:
         qdim = self.dim - Jr.nrows
         if not self._characteristic_ok(qdim):
             return  # declared radical accepted with the unverifiable part skipped
-        pivset = set()
-        if Jr.nrows:
-            pivset = set(Jr.pivot_columns())
+        # Jr is in RREF: eliminating the pivot coordinates of v with its rows
+        # leaves the coordinates of v + J on the complement basis
+        pivots = [next(j for j, x in enumerate(row) if x) for row in Jr.rows]
+        pivset = set(pivots)
         comp = [j for j in range(self.dim) if j not in pivset]
-        solver = Eliminator(Jr.transpose()) if Jr.nrows else None
 
         def reduce_mod_J(v):
-            # coordinates of v + J on the complement basis
-            if solver is None:
-                return [v[c] for c in comp]
             red = list(v)
-            # subtract the J-part: solve Jr^T x = projection is overkill; use
-            # RREF structure: eliminate pivot coordinates with Jr rows
-            for row in Jr.rows:
-                pc = next(j for j, x in enumerate(row) if x)
+            for row, pc in zip(Jr.rows, pivots):
                 f = red[pc]
                 if f:
                     for j, x in enumerate(row):
@@ -408,10 +398,8 @@ class Algebra:
             return [red[c] for c in comp]
 
         def qprod(i, j):
-            ei = [field.zero] * self.dim
-            ei[comp[i]] = field.one
-            ej = [field.zero] * self.dim
-            ej[comp[j]] = field.one
+            ei = basis_vector(field, self.dim, comp[i])
+            ej = basis_vector(field, self.dim, comp[j])
             vec = reduce_mod_J(self.product_vectors(ei, ej))
             return [(k, c) for k, c in enumerate(vec) if c]
 
@@ -473,8 +461,7 @@ def validate_algebra(presentation, label=""):
                     )
     # unit law
     for i in range(dim):
-        e = [field.zero] * dim
-        e[i] = field.one
+        e = basis_vector(field, dim, i)
         left = A.product_vectors(list(A.unit), e)
         right = A.product_vectors(e, list(A.unit))
         if left != e or right != e:
@@ -549,8 +536,6 @@ def radical_and_socle(A, m=None):
         eye = Matrix.identity(A.field, m.dim)
         socle_cols = [eye.column(j) for j in range(m.dim)]
     else:
-        from .linalg import kernel_intersection
-
         K = kernel_intersection(
             A.field, m.dim, (m.action_of_vector(jv) for jv in rad)
         )

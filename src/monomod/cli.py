@@ -16,10 +16,15 @@ import sys
 from fractions import Fraction
 
 from . import config as _config
+from . import io as mio
+from .duality import a_dual, classify
 from .errors import MonomodError
 from .gallery import SCENARIOS, lambda_q, run_scenario
+from .homology import ext_dims, resolve, tor_dims
 from .linalg import Field
 from .modules import _json_safe
+from .quiver import build_tensor, monic_check
+from .triangular import classify_triple, t2_dual_bundle
 
 
 ENV_CONFIG = "MONOMOD_CONFIG"
@@ -178,8 +183,6 @@ def main(argv=None):
 
 
 def _dispatch(args, ws, fmt):
-    from . import io as mio
-
     bound = getattr(args, "bound", None) or ws["bound"]
     seed = getattr(args, "seed", None)
     if seed is None:
@@ -198,8 +201,6 @@ def _dispatch(args, ws, fmt):
             _emit({"valid": True, "dim": m.dim, "side": m.side}, fmt)
             return 0
         if args.sub == "classify":
-            from .duality import classify
-
             rep = classify(m, bound=bound, seed=seed)
             d = rep.describe()
             _emit(d, fmt)
@@ -207,8 +208,6 @@ def _dispatch(args, ws, fmt):
                 [d["semi_gp"]["status"], d["dual_semi_gp"]["status"], d["gp"]["status"]]
             )
         if args.sub == "dual":
-            from .duality import a_dual
-
             dd = a_dual(m)
             _emit({
                 "dual_dim": dd.dual.dim,
@@ -219,8 +218,6 @@ def _dispatch(args, ws, fmt):
             }, fmt)
             return 0
         if args.sub == "resolve":
-            from .homology import resolve
-
             r = resolve(m, args.steps, minimal=args.minimal)
             r.check_certificates()
             _emit({
@@ -231,8 +228,6 @@ def _dispatch(args, ws, fmt):
             return 0
 
     if args.cmd == "ext":
-        from .homology import ext_dims
-
         algebra = mio.load_algebra(args.algebra) if args.algebra else None
         m = mio.load_module(args.m, algebra=algebra)
         n = mio.load_module(args.n, algebra=algebra or m.algebra)
@@ -241,8 +236,6 @@ def _dispatch(args, ws, fmt):
         return 0
 
     if args.cmd == "tor":
-        from .homology import tor_dims
-
         algebra = mio.load_algebra(args.algebra) if args.algebra else None
         u = mio.load_module(args.u, algebra=algebra)
         x = mio.load_module(args.x, algebra=algebra or u.algebra)
@@ -257,8 +250,6 @@ def _dispatch(args, ws, fmt):
                    "y_dim": t.Y.dim, "t2": t.parent.is_t2}, fmt)
             return 0
         if args.sub == "dual":
-            from .triangular import t2_dual_bundle
-
             b = t2_dual_bundle(t)
             _emit({
                 "dual_triple_dims": [b.dual_triple.U.dim, b.dual_triple.V.dim],
@@ -272,8 +263,6 @@ def _dispatch(args, ws, fmt):
             }, fmt)
             return 0
         if args.sub == "classify":
-            from .triangular import classify_triple
-
             rep = classify_triple(t, bound=bound, seed=seed)
             _emit(_json_safe(rep), fmt)
             statuses = [rep["flat"]["semi_gp"]["status"],
@@ -294,8 +283,6 @@ def _dispatch(args, ws, fmt):
     if args.cmd == "tensor" and args.sub == "build":
         A = mio.load_algebra(args.algebra)
         quiver = mio.load_quiver(args.quiver)
-        from .quiver import build_tensor
-
         T = build_tensor(A, quiver)
         _emit({"flat_dim": T.flat.dim, "paths": T.npaths,
                "labels": T.flat.basis_labels}, fmt)
@@ -303,8 +290,6 @@ def _dispatch(args, ws, fmt):
 
     if args.cmd == "monic":
         rep = mio.load_rep(args.file)
-        from .quiver import monic_check
-
         v = monic_check(rep, mode=args.mode, bound=bound)
         _emit({"mode": args.mode, "verdict": v.describe()}, fmt)
         return _verdict_exit([v.status])

@@ -8,7 +8,8 @@ identification downstream is an explicit matrix in these coordinates.
 
 from .algebra import regular_modules
 from .errors import ValidationError
-from .linalg import Matrix
+from .homology import _minimal_generators, is_semi_gp
+from .linalg import Matrix, basis_vector
 from .modules import (
     Module,
     ModuleMap,
@@ -132,8 +133,7 @@ def canonical_map(m):
     h = len(dd.basis)
     cols = []
     for j in range(m.dim):
-        v = [field.zero] * m.dim
-        v[j] = field.one
+        v = basis_vector(field, m.dim, j)
         # phi(v) as a map M* -> A: column i is f_i(v)
         values = Matrix.from_columns(
             field, [dd.basis[i].matrix.apply(v) for i in range(h)], algebra.dim
@@ -186,8 +186,6 @@ def classify(m, bound=6, seed=0):
     """Torsionless/reflexive (exact) and semi-GP structure (bounded) of m."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    from .homology import is_semi_gp
-
     phi = canonical_map(m)
     torsionless = phi.kernel_dim() == 0
     reflexive = torsionless and phi.is_surjective()
@@ -247,21 +245,17 @@ def left_add_approximation(m):
             [], target, True, [],
         )
     if minimal:
-        from .homology import _minimal_generators
-
         gens = [g for (_e, g) in _minimal_generators(dual)]
     else:
-        gens = [list(Matrix.identity(field, dual.dim).column(j)) for j in range(dual.dim)]
+        gens = [basis_vector(field, dual.dim, j) for j in range(dual.dim)]
     # the generators must generate m* as a module over A; verified by solving
     span, _ = submodule_generated(dual, gens)
     if span.dim != dual.dim:
         raise ValidationError("approximation components fail to generate the dual")
-    comps = [ModuleMap(m, dd.basis[0].target, dd.map_from_coords(g), check=False)
-             for g in gens]
     reg = dd.basis[0].target
+    comps = [ModuleMap(m, reg, dd.map_from_coords(g), check=False) for g in gens]
     target, inclusions, _pr = direct_sum([reg] * len(comps), label=f"A^{len(comps)}")
-    stack = comps[0].matrix
-    for c in comps[1:]:
-        stack = stack.vstack(c.matrix)
+    stack = Matrix.from_blocks(field, [reg.dim] * len(comps), [m.dim],
+                               {(k, 0): c.matrix for k, c in enumerate(comps)})
     phi = ModuleMap(m, target, stack, check=False)
     return ApproximationData(phi, comps, target, minimal, inclusions)

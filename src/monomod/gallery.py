@@ -6,18 +6,32 @@ one-loop-plus-arrow algebra whose only semi-Gorenstein-projectives are the
 projectives.  Named scenarios bind computations to the expected facts.
 """
 
+import random
 from fractions import Fraction
 
 from .algebra import AlgebraPresentation, regular_modules, validate_algebra
+from .duality import a_dual, canonical_map, classify, dual_map
 from .errors import ValidationError
-from .linalg import Matrix, QQ
+from .homology import ext_dims, is_semi_gp
+from .linalg import QQ, Eliminator, Field, Matrix, SpanAccumulator, basis_vector
 from .modules import (
-    Module,
     ModuleMap,
+    Verdict,
+    _json_safe,
     is_isomorphic,
     quotient_module,
     submodule_generated,
     validate_module,
+)
+from .sampling import random_module
+from .triangular import (
+    RightTriple,
+    approximation_triple,
+    classify_triple_assert,
+    is_monic_bimodule,
+    t2_algebra,
+    t2_dual_bundle,
+    t2_triple,
 )
 
 # basis order of L(q): 1, x, y, z, yx, zx
@@ -47,22 +61,16 @@ def lambda_q(field=QQ, q=Fraction(2)):
     consts.append((_Z, _X, _ZX, field.one))
     consts.append((_Z, _Y, _ZX, field.one))
     pres = AlgebraPresentation(
-        field, 6, LAMBDA_LABELS, _unit_vec(field, 6, _ONE), consts,
-        idempotents=[_unit_vec(field, 6, _ONE)],
+        field, 6, LAMBDA_LABELS, basis_vector(field, 6, _ONE), consts,
+        idempotents=[basis_vector(field, 6, _ONE)],
         # declared so that small-characteristic variants work too
-        radical_basis=[_unit_vec(field, 6, i) for i in (_X, _Y, _Z, _YX, _ZX)],
+        radical_basis=[basis_vector(field, 6, i) for i in (_X, _Y, _Z, _YX, _ZX)],
     )
     A = validate_algebra(pres, label=f"Lambda(q={field.render(q)})")
     A.q_value = q
     A.q_finite_order_warning = _has_finite_order(field, q)
     _check_lambda_structure(A)
     return A
-
-
-def _unit_vec(field, n, i):
-    v = [field.zero] * n
-    v[i] = field.one
-    return v
 
 
 def _has_finite_order(field, q):
@@ -102,7 +110,7 @@ def generic_M(A, a, b, c):
     w = [field.zero, a, b, c, field.zero, field.zero]
     reg = regular_modules(A)[0]
     sub, incl = submodule_generated(
-        reg, [w, _unit_vec(field, 6, _YX), _unit_vec(field, 6, _ZX)]
+        reg, [w, basis_vector(field, 6, _YX), basis_vector(field, 6, _ZX)]
     )
     M, proj, _ = quotient_module(reg, incl.matrix, label=f"M({field.render(a)},{field.render(b)},{field.render(c)})")
     M._cache["regular_projection"] = proj
@@ -118,7 +126,7 @@ def generic_M_prime(A, a, b, c):
     w = [field.zero, a, b, c, field.zero, field.zero]
     reg = regular_modules(A)[1]
     sub, incl = submodule_generated(
-        reg, [w, _unit_vec(field, 6, _YX), _unit_vec(field, 6, _ZX)]
+        reg, [w, basis_vector(field, 6, _YX), basis_vector(field, 6, _ZX)]
     )
     M, proj, _ = quotient_module(reg, incl.matrix, label=f"M'({field.render(a)},{field.render(b)},{field.render(c)})")
     M._cache["regular_projection"] = proj
@@ -170,7 +178,7 @@ def f1_map(A, c):
 def ideal_A_w_A(A, w):
     """The two-sided ideal AwA as a left submodule of the regular module."""
     reg = regular_modules(A)[0]
-    gens = [A.product_vectors(w, _unit_vec(A.field, A.dim, i)) for i in range(A.dim)]
+    gens = [A.product_vectors(w, basis_vector(A.field, A.dim, i)) for i in range(A.dim)]
     return submodule_generated(reg, gens, label="AwA")
 
 
@@ -215,32 +223,17 @@ def _rep_module(A, d1, d2, alpha, beta, label):
     """Module over lsgp_algebra from vertex dims and arrow matrices
     (alpha: X2 -> X1 is d1 x d2, beta: X2 -> X2 is d2 x d2)."""
     field = A.field
-    n = d1 + d2
-    z = field.zero
-
-    def block(top_left, top_right, bottom_left, bottom_right):
-        rows = []
-        for r in range(d1):
-            rows.append(tuple(top_left[r][cc] for cc in range(d1))
-                        + tuple(top_right[r][cc] for cc in range(d2)))
-        for r in range(d2):
-            rows.append(tuple(bottom_left[r][cc] for cc in range(d1))
-                        + tuple(bottom_right[r][cc] for cc in range(d2)))
-        return Matrix(field, rows, n)
-
-    eye1 = [[field.one if i == j else z for j in range(d1)] for i in range(d1)]
-    eye2 = [[field.one if i == j else z for j in range(d2)] for i in range(d2)]
-    zero11 = [[z] * d1 for _ in range(d1)]
-    zero12 = [[z] * d2 for _ in range(d1)]
-    zero21 = [[z] * d1 for _ in range(d2)]
-    zero22 = [[z] * d2 for _ in range(d2)]
-    alpha = [[field.of(x) for x in row] for row in alpha] if d1 and d2 else zero12
-    beta = [[field.of(x) for x in row] for row in beta] if d2 else zero22
+    dims = [d1, d2]
+    # the alpha block X2 -> X1 is empty when either vertex space is zero
+    alpha_block = {(0, 1): Matrix.from_rows(field, alpha, d2)} if d1 and d2 else {}
     acts = [
-        block(eye1, zero12, zero21, zero22),    # e1
-        block(zero11, zero12, zero21, eye2),    # e2
-        block(zero11, alpha, zero21, zero22),   # alpha
-        block(zero11, zero12, zero21, beta),    # beta
+        Matrix.from_blocks(field, dims, dims, blocks)
+        for blocks in (
+            {(0, 0): Matrix.identity(field, d1)},           # e1
+            {(1, 1): Matrix.identity(field, d2)},           # e2
+            alpha_block,                                    # alpha
+            {(1, 1): Matrix.from_rows(field, beta, d2)},    # beta
+        )
     ]
     return validate_module(acts, "left", A, label=label)
 
@@ -262,9 +255,6 @@ def standard_family(field=QQ, q=Fraction(2), c=Fraction(0)):
     """The whole worked family in one bundle: the algebra, M(1,-q,c) on its
     fixed basis, the generic constructors, f1, and the triple
     X(c) = (A; M(1,-q,c))_{f1} over the 2x2 self-extension (flat dim 9)."""
-    from .duality import a_dual
-    from .triangular import t2_algebra, t2_triple
-
     A = lambda_q(field, q)
     M = module_M1qc(A, c)
     f1 = f1_map(A, c)
@@ -293,10 +283,6 @@ def standard_family(field=QQ, q=Fraction(2), c=Fraction(0)):
 def dual_iso_chain(fam):
     """The explicit chain M* -> M'(1,-q^-1,0) (f |-> a with (x-y)a = f(1~))
     and M'* -> A(x-y)A (g |-> g(1~')); returns (theta, omega2, AwA)."""
-    from .duality import a_dual
-    from .linalg import Eliminator
-    from .modules import ModuleMap as MM
-
     A = fam["algebra"]
     field = A.field
     q = fam["q"]
@@ -310,7 +296,7 @@ def dual_iso_chain(fam):
         if a is None:
             raise ValidationError("f(1~) is not in (x-y)A")
         cols.append(projMp.matrix.apply(a))
-    theta = MM(dd.dual, Mp, Matrix.from_columns(field, cols, Mp.dim))
+    theta = ModuleMap(dd.dual, Mp, Matrix.from_columns(field, cols, Mp.dim))
     AwA, inclAwA = ideal_A_w_A(A, lambda_element(A, {"x": 1, "y": -1}))
     ddp = a_dual(Mp)
     elw = Eliminator(inclAwA.matrix)
@@ -320,7 +306,7 @@ def dual_iso_chain(fam):
         if s is None:
             raise ValidationError("g(1~') is not in A(x-y)A")
         cols2.append(s)
-    omega2 = MM(ddp.dual, AwA, Matrix.from_columns(field, cols2, AwA.dim))
+    omega2 = ModuleMap(ddp.dual, AwA, Matrix.from_columns(field, cols2, AwA.dim))
     return theta, omega2, AwA, inclAwA
 
 
@@ -347,6 +333,11 @@ class Scenario:
     def claim_bool(self, description, anchor, ok, data=None):
         self.claim(description, anchor, "pass" if ok else "fail", data)
 
+    def claim_verdict(self, description, anchor, verdict, data):
+        """A claim that passes when the verdict holds and fails when it fails."""
+        status = {Verdict.HOLDS: "pass", Verdict.FAILS: "fail"}.get(verdict.status, "unknown")
+        self.claim(description, anchor, status, data)
+
     @property
     def failed(self):
         return [c for c in self.claims if c["status"] == "fail"]
@@ -356,8 +347,6 @@ class Scenario:
         return [c for c in self.claims if c["status"] == "unknown"]
 
     def describe(self):
-        from .modules import _json_safe
-
         return {
             "scenario": self.name,
             "params": {k: _json_safe(v) for k, v in sorted(self.params.items())},
@@ -376,17 +365,18 @@ def _params_with_defaults(params, **defaults):
     return out
 
 
+def _family_params(params, **defaults):
+    """Parameters of a scenario on the L(q) family (defaults field Q, q = 2)
+    and its parsed ground field."""
+    p = _params_with_defaults(params, field="Q", q=2, **defaults)
+    return p, Field.parse_spec(p["field"])
+
+
 def _scenario_dual_iso_family(params):
     """M(1,-q,c)* is isomorphic to M'(1,-q^-1,0), uniformly in c."""
-    from .duality import a_dual
-    from .modules import is_isomorphic
-
-    p = _params_with_defaults(params, field="Q", q=2, c_values=(0, 1, -1), seed=0)
+    p, field = _family_params(params, c_values=(0, 1, -1), seed=0)
     if "c" in p:
         p["c_values"] = (p.pop("c"),)
-    from .linalg import Field
-
-    field = Field.parse_spec(p["field"])
     sc = Scenario("dual-iso-family", p)
     for c in p["c_values"]:
         fam = standard_family(field, field.of(p["q"]), field.of(c))
@@ -394,10 +384,10 @@ def _scenario_dual_iso_family(params):
         Mp = generic_M_prime(A, field.one, field.neg(field.inv(fam["q"])), field.zero)
         dd = a_dual(fam["M"])
         v = is_isomorphic(dd.dual, Mp, seed=p["seed"])
-        sc.claim(
+        sc.claim_verdict(
             f"dual of M(1,-q,{field.render(field.of(c))}) is isomorphic to M'(1,-q^-1,0)",
             "dual-iso",
-            "pass" if v.status == "holds" else ("fail" if v.status == "fails" else "unknown"),
+            v,
             {"verdict": v.describe(), "dual_dim": dd.dual.dim},
         )
         theta, omega2, AwA, _ = dual_iso_chain(fam)
@@ -411,17 +401,7 @@ def _scenario_dual_iso_family(params):
 
 def _scenario_x_family(params):
     """The one-parameter family of non-monic double semi-GP triples."""
-    from .duality import a_dual, canonical_map, classify
-    from .homology import is_semi_gp
-    from .linalg import Eliminator
-    from .modules import ModuleMap as MM
-    from .modules import is_isomorphic
-    from .triangular import RightTriple, is_monic_bimodule, t2_dual_bundle, t2_triple
-
-    p = _params_with_defaults(params, field="Q", q=2, c=0, bound=6, seed=0)
-    from .linalg import Field
-
-    field = Field.parse_spec(p["field"])
+    p, field = _family_params(params, c=0, bound=6, seed=0)
     sc = Scenario("x-family", p)
     fam = standard_family(field, field.of(p["q"]), field.of(p["c"]))
     A, parent, Xc = fam["algebra"], fam["parent"], fam["X_c"]
@@ -473,35 +453,33 @@ def _scenario_x_family(params):
     wdual = lambda_element(A, {"x": 1, "y": field.neg(field.inv(q))})
     U, inclU = ideal_w_A(A, wdual)
     regR = regular_modules(A)[1]
-    sigma = MM(U, regR, inclU.matrix)
+    sigma = ModuleMap(U, regR, inclU.matrix)
     target_dual = RightTriple(parent, U, regR, sigma)
     vd = is_isomorphic(b.dual_triple.flatten(), target_dual.flatten(), seed=seed)
-    sc.claim(
+    sc.claim_verdict(
         "X(c)* is the right triple ((x - q^-1 y)A, A) along the embedding",
         "x-family/dual-form",
-        "pass" if vd.status == "holds" else ("fail" if vd.status == "fails" else "unknown"),
+        vd,
         {"verdict": vd.describe()},
     )
     w = lambda_element(A, {"x": 1, "y": -1})
     AwA, inclAwA = ideal_A_w_A(A, w)
     regL = regular_modules(A)[0]
-    iota = MM(AwA, regL, inclAwA.matrix)
+    iota = ModuleMap(AwA, regL, inclAwA.matrix)
     target_dd = t2_triple(parent, regL, AwA, iota)
     vdd2 = is_isomorphic(b.double_dual_triple.flatten(), target_dd.flatten(), seed=seed)
-    sc.claim(
+    sc.claim_verdict(
         "X(c)** is the triple (A; A(x-y)A) along the embedding",
         "x-family/double-dual-form",
-        "pass" if vdd2.status == "holds" else ("fail" if vdd2.status == "fails" else "unknown"),
+        vdd2,
         {"verdict": vdd2.describe()},
     )
     # structure of A(x-y)A
     Aw, _ = ideal_A_w(A, w)
     zx = lambda_element(A, {"zx": 1})
-    from .linalg import SpanAccumulator
-
     acc = SpanAccumulator(field, 6)
     for i in range(6):
-        acc.add(A.product_vectors(_unit_vec(field, 6, i), w))
+        acc.add(A.product_vectors(basis_vector(field, 6, i), w))
     sc.claim_bool(
         "A(x-y) has dimension 2, A(x-y)A dimension 3, and zx lies outside A(x-y)",
         "x-family/ideal-decomposition",
@@ -510,12 +488,10 @@ def _scenario_x_family(params):
     )
     # the canonical map of M through the chain is right multiplication by x-y
     theta, omega2, AwA2, inclAwA2 = dual_iso_chain(fam)
-    from .duality import dual_map
-
     theta_star = dual_map(theta)
     omega = omega2.compose(
-        MM(a_dual(a_dual(fam["M"]).dual).dual, omega2.source,
-           theta_star.matrix.inverse(), check=False)
+        ModuleMap(a_dual(a_dual(fam["M"]).dual).dual, omega2.source,
+                  theta_star.matrix.inverse(), check=False)
     )
     lhs = omega.compose(canonical_map(fam["M"]))
     elw = Eliminator(inclAwA2.matrix)
@@ -524,7 +500,7 @@ def _scenario_x_family(params):
         elw.solve(lambda_element(A, {"yx": q})),
         elw.solve([field.zero] * 6),
     ]
-    rmap = MM(fam["M"], AwA2, Matrix.from_columns(field, rcols, AwA2.dim))
+    rmap = ModuleMap(fam["M"], AwA2, Matrix.from_columns(field, rcols, AwA2.dim))
     sc.claim_bool(
         "through the stored identifications the canonical map of M(1,-q,c) "
         "is right multiplication by x-y",
@@ -547,21 +523,15 @@ def _scenario_x_family(params):
 
 def _scenario_approximation_pipeline(params):
     """approximation_triple(M(1,-q,c)) reproduces X(c) up to isomorphism."""
-    from .modules import is_isomorphic
-    from .triangular import approximation_triple
-
-    p = _params_with_defaults(params, field="Q", q=2, c=0, seed=0)
-    from .linalg import Field
-
-    field = Field.parse_spec(p["field"])
+    p, field = _family_params(params, c=0, seed=0)
     sc = Scenario("approximation-pipeline", p)
     fam = standard_family(field, field.of(p["q"]), field.of(p["c"]))
     ap = approximation_triple(fam["M"], parent=fam["parent"])
     v = is_isomorphic(ap.flatten(), fam["X_c"].flatten(), seed=p["seed"])
-    sc.claim(
+    sc.claim_verdict(
         "the approximation triple of M(1,-q,c) is isomorphic to X(c)",
         "approximation-pipeline/iso",
-        "pass" if v.status == "holds" else ("fail" if v.status == "fails" else "unknown"),
+        v,
         {"verdict": v.describe(), "flat_dim": ap.X.dim + ap.Y.dim},
     )
     return sc
@@ -570,11 +540,6 @@ def _scenario_approximation_pipeline(params):
 def _scenario_t2_lift_sampled(params):
     """Sampled checks that the approximation construction lifts module
     classes to the 2x2 extension consistently."""
-    import random
-
-    from .duality import classify
-    from .triangular import approximation_triple, classify_triple_assert, t2_algebra
-
     p = _params_with_defaults(params, algebra="kx2", samples=10, bound=4, seed=0,
                               max_dim=5)
     sc = Scenario("t2-lift-sampled", p)
@@ -590,8 +555,6 @@ def _scenario_t2_lift_sampled(params):
         raise ValidationError(f"unknown sample algebra {p['algebra']!r}")
     parent = t2_algebra(A)
     rng = random.Random(p["seed"])
-    from .sampling import random_module
-
     inj_mismatches = 0
     flat_tl_mismatches = 0
     checked = 0
@@ -631,8 +594,6 @@ def _scenario_loop_arrow_sgp(params):
     """The loop-arrow algebra: displayed Ext non-vanishings and the fact
     that only projectives are semi-Gorenstein-projective (on the known
     indecomposable list)."""
-    from .homology import ext_dims, is_semi_gp
-
     p = _params_with_defaults(params, bound=6, seed=0)
     sc = Scenario("loop-arrow-sgp", p)
     ex = lsgp_example()

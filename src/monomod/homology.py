@@ -14,16 +14,18 @@ a one-dimensional top, a fact computed once per slot type.
 
 import threading
 
+from .algebra import regular_modules
 from .errors import ValidationError
-from .linalg import Eliminator, Matrix, SpanAccumulator
+from .linalg import Eliminator, Matrix, basis_vector
 from .modules import (
     EchelonComplement,
     Module,
     ModuleMap,
     Verdict,
-    _basis_vec,
+    idempotent_slice,
     is_isomorphic,
     module_on_invariant_columns,
+    radical_image,
     submodule_generated,
     zero_module,
 )
@@ -55,10 +57,7 @@ class SlotType:
     def top_dim(self):
         """dim slot - dim J.slot; a cover is minimal iff this is 1 for every slot."""
         if self._top_dim is None:
-            acc = SpanAccumulator(self.module.field, self.dim)
-            for jv in self.module.algebra.radical_basis():
-                acc.add_columns(self.module.action_of_vector(jv))
-            self._top_dim = self.dim - acc.dim
+            self._top_dim = self.dim - radical_image(self.module).dim
         return self._top_dim
 
 
@@ -68,8 +67,6 @@ def slot_type(algebra, side, e_index):
     st = cache.get(key)
     if st is not None:
         return st
-    from .algebra import regular_modules
-
     reg = regular_modules(algebra)[0 if side == "left" else 1]
     field = algebra.field
     if e_index is None:
@@ -95,12 +92,9 @@ def _e_part_of_module(n, e_index):
     if got is not None:
         return got
     if e_index is None:
-        basis = Matrix.identity(n.field, n.dim)
-        got = (basis, None)
+        got = (Matrix.identity(n.field, n.dim), None)
     else:
-        e = list(n.algebra.idempotents[e_index])
-        img = n.action_of_vector(e).column_space_matrix()
-        got = (img, Eliminator(img))
+        got = idempotent_slice(n, n.algebra.idempotents[e_index])
     cache[e_index] = got
     return got
 
@@ -257,7 +251,7 @@ def _build_cover_step(m, minimal):
         try:
             gens = [(None, g) for (_e, g) in _minimal_generators(m)]
         except ValidationError:
-            gens = [(None, _basis_vec(field, m.dim, j)) for j in range(m.dim)]
+            gens = [(None, basis_vector(field, m.dim, j)) for j in range(m.dim)]
     if not gens:
         return _Step([], [], zero_module(algebra, m.side), Matrix.from_columns(field, [], m.dim))
     slot_types = [slot_type(algebra, m.side, e_idx) for (e_idx, _) in gens]
@@ -290,14 +284,11 @@ def _minimal_generators(m):
     algebra = m.algebra
     if algebra.idempotents is None:
         raise ValidationError("minimal-unavailable: algebra has no idempotents")
-    rad = algebra.radical_basis()
     field = m.field
+    rad_image = radical_image(m)  # raises when the radical is unavailable
     if m.dim == 0:
         return []
-    acc = SpanAccumulator(field, m.dim)
-    for jv in rad:
-        acc.add_columns(m.action_of_vector(jv))
-    ech = EchelonComplement(field, m.dim, accumulator=acc)
+    ech = EchelonComplement(field, m.dim, accumulator=rad_image)
     gens = []
     for e_idx, e in enumerate(algebra.idempotents):
         E = m.action_of_vector(list(e))
@@ -379,13 +370,7 @@ class ProjResolution:
 
 
 def _image_in_radical(d):
-    P = d.target
-    rad = P.algebra.radical_basis()
-    if not rad:
-        return d.matrix.is_zero()
-    acc = SpanAccumulator(P.field, P.dim)
-    for jv in rad:
-        acc.add_columns(P.action_of_vector(jv))
+    acc = radical_image(d.target)
     return all(acc.contains(d.matrix.column(j)) for j in range(d.matrix.ncols))
 
 
@@ -668,8 +653,6 @@ def is_semi_gp(m, bound, seed=0):
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    from .algebra import regular_modules
-
     reg = regular_modules(m.algebra)[0 if m.side == "left" else 1]
     if m.dim == 0:
         return Verdict.holds({"zero_module": True})

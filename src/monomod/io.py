@@ -26,8 +26,9 @@ import os
 from .algebra import AlgebraPresentation, validate_algebra
 from .errors import ValidationError
 from .linalg import Field, Matrix
-from .modules import ModuleMap, validate_bimodule, validate_module
+from .modules import ModuleMap, tensor_over, validate_bimodule, validate_module
 from .quiver import Quiver, QuiverRep, build_tensor
+from .triangular import build_triangular, make_triple, t2_algebra, t2_triple
 
 
 def _read(path):
@@ -172,8 +173,6 @@ def load_bimodule(path):
 def load_triple(path):
     """TripleModule from a triple file; T2 parents are built when A_ref and
     B_ref coincide and no bimodule is given."""
-    from .triangular import build_triangular, make_triple, t2_algebra, t2_triple
-
     data = _read(path)
     A = load_algebra(_resolve(path, data["A_ref"]))
     B = load_algebra(_resolve(path, data["B_ref"]))
@@ -200,8 +199,6 @@ def load_triple(path):
     if ncols != pure_cols:
         raise ValidationError("phi_cols must be Y.dim (T2 map form) or dim M * Y.dim")
     L = _entries_to_matrix(A.field, entries, X.dim, pure_cols)
-    from .modules import tensor_over
-
     tens = tensor_over(parent.bimodule, Y, validate=False)
     phi_mat = L * tens.section
     if phi_mat * tens.pure_matrix != L:

@@ -182,6 +182,21 @@ def GF(p):
     return PrimeField(p)
 
 
+def basis_vector(field, n, i):
+    """The i-th standard basis vector of length n, as a list."""
+    v = [field.zero] * n
+    v[i] = field.one
+    return v
+
+
+def _offsets(dims):
+    """Running sums 0, d0, d0 + d1, ..., sum(dims): where each block starts."""
+    out = [0]
+    for d in dims:
+        out.append(out[-1] + d)
+    return out
+
+
 def _check_cap(rows, cols):
     cap = dimension_cap()
     if rows > cap or cols > cap:
@@ -384,20 +399,30 @@ class Matrix:
         return Matrix(self.field, list(self.rows) + list(other.rows), self.ncols)
 
     @classmethod
-    def block_diag(cls, field, blocks):
-        nrows = sum(b.nrows for b in blocks)
-        ncols = sum(b.ncols for b in blocks)
+    def from_blocks(cls, field, row_dims, col_dims, blocks):
+        """The matrix cut into row_dims x col_dims blocks whose (r, c) block
+        is blocks[(r, c)]; blocks not given are zero."""
+        row_offsets = _offsets(row_dims)
+        col_offsets = _offsets(col_dims)
+        ncols = col_offsets[-1]
         z = field.zero
-        rows = [[z] * ncols for _ in range(nrows)]
-        r0 = c0 = 0
-        for b in blocks:
+        rows = [[z] * ncols for _ in range(row_offsets[-1])]
+        for (r, c), b in blocks.items():
+            if b.nrows != row_dims[r] or b.ncols != col_dims[c]:
+                raise DimensionMismatch(f"block {(r, c)} is {b.nrows}x{b.ncols}, "
+                                        f"expected {row_dims[r]}x{col_dims[c]}")
+            r0, c0 = row_offsets[r], col_offsets[c]
             for i, row in enumerate(b.rows):
+                out = rows[r0 + i]
                 for j, x in enumerate(row):
                     if x:
-                        rows[r0 + i][c0 + j] = x
-            r0 += b.nrows
-            c0 += b.ncols
+                        out[c0 + j] = x
         return cls(field, rows, ncols)
+
+    @classmethod
+    def block_diag(cls, field, blocks):
+        return cls.from_blocks(field, [b.nrows for b in blocks], [b.ncols for b in blocks],
+                               {(k, k): b for k, b in enumerate(blocks)})
 
     def kronecker(self, other):
         if self.field != other.field:

@@ -10,8 +10,9 @@ are unital algebra maps) and keeps the linear systems small.
 import itertools
 import random
 
+from .algebra import regular_modules
 from .errors import DimensionMismatch, ValidationError
-from .linalg import Eliminator, Matrix, SpanAccumulator, kernel_intersection
+from .linalg import Eliminator, Matrix, SpanAccumulator, basis_vector, kernel_intersection
 
 
 class Verdict:
@@ -184,12 +185,6 @@ def validate_module(actions, side, algebra, label=""):
     return m
 
 
-def _basis_vec(field, n, i):
-    v = [field.zero] * n
-    v[i] = field.one
-    return v
-
-
 def zero_module(algebra, side="left"):
     return Module(
         algebra, side, 0,
@@ -303,14 +298,14 @@ class EchelonComplement:
     def projection_matrix(self):
         cols = []
         for j in range(self.big_dim):
-            v = _basis_vec(self.field, self.big_dim, j)
+            v = basis_vector(self.field, self.big_dim, j)
             cols.append(self.project(v))
         return Matrix.from_columns(self.field, cols, self.dim)
 
     def section_matrix(self):
         cols = []
         for c in self.complement:
-            cols.append(_basis_vec(self.field, self.big_dim, c))
+            cols.append(basis_vector(self.field, self.big_dim, c))
         return Matrix.from_columns(self.field, cols, self.big_dim)
 
 
@@ -354,6 +349,37 @@ def quotient_module(m, subspace_columns, label="", accumulator=None):
     return quot, proj, S
 
 
+def radical_image(m):
+    """The span of J.m, J the radical of the algebra, as a SpanAccumulator."""
+    acc = SpanAccumulator(m.field, m.dim)
+    for jv in m.algebra.radical_basis():
+        acc.add_columns(m.action_of_vector(jv))
+    return acc
+
+
+def idempotent_slice(m, e):
+    """(basis matrix, Eliminator) of the slice e.m of m for an idempotent e."""
+    basis = m.action_of_vector(e).column_space_matrix()
+    return basis, Eliminator(basis)
+
+
+def idempotent_slices(m, idempotents):
+    """The slices e.m of m, one per idempotent; they must decompose m."""
+    slices = [idempotent_slice(m, e) for e in idempotents]
+    if sum(basis.ncols for basis, _ in slices) != m.dim:
+        raise ValidationError("idempotents do not decompose the module")
+    return slices
+
+
+def restricted_action(m, vec, source, target, message):
+    """Matrix of v -> vec.v from the slice source to the slice target, in
+    their bases; raises ValidationError(message) if the image leaves target."""
+    sol = target[1].solve_matrix(m.action_of_vector(vec) * source[0])
+    if sol is None:
+        raise ValidationError(message)
+    return sol
+
+
 class Subquotient:
     __slots__ = (
         "kernel", "kernel_inclusion", "image", "image_inclusion",
@@ -394,32 +420,16 @@ def direct_sum(mods, label=""):
         Matrix.block_diag(field, [m.actions[i] for m in mods])
         for i in range(algebra.dim)
     ]
-    total = sum(m.dim for m in mods)
-    out = Module(algebra, side, total, acts, label=label or "(+)".join(m.label for m in mods),
-                 _validated=True)
+    dims = [m.dim for m in mods]
+    out = Module(algebra, side, sum(dims), acts,
+                 label=label or "(+)".join(m.label for m in mods), _validated=True)
     inclusions, projections = [], []
-    offset = 0
-    for m in mods:
-        z = field.zero
-        inc = Matrix(
-            field,
-            [
-                tuple(field.one if (r == offset + c) else z for c in range(m.dim))
-                for r in range(total)
-            ] if m.dim else [tuple() for _ in range(total)],
-            m.dim,
-        )
+    for k, m in enumerate(mods):
+        eye = Matrix.identity(field, m.dim)
+        inc = Matrix.from_blocks(field, dims, [m.dim], {(k, 0): eye})
+        pr = Matrix.from_blocks(field, [m.dim], dims, {(0, k): eye})
         inclusions.append(ModuleMap(m, out, inc, check=False))
-        pr = Matrix(
-            field,
-            [
-                tuple(field.one if (c == offset + r) else z for c in range(total))
-                for r in range(m.dim)
-            ],
-            total,
-        )
         projections.append(ModuleMap(out, m, pr, check=False))
-        offset += m.dim
     return out, inclusions, projections
 
 
@@ -527,16 +537,10 @@ def is_isomorphic(m, n, seed=0, trials=64):
                  "generator": m.algebra.basis_labels[g], "ranks": (rm, rn)}
             )
     if m.algebra.has_radical():
-        rad = m.algebra.radical_basis()
-        dims = []
-        for mod in (m, n):
-            acc = SpanAccumulator(m.field, mod.dim)
-            for jv in rad:
-                acc.add_columns(mod.action_of_vector(jv))
-            dims.append(acc.dim)
+        dims = (radical_image(m).dim, radical_image(n).dim)
         if dims[0] != dims[1]:
             return Verdict.fails(
-                {"reason": "radical-image dimension mismatch", "dims": tuple(dims)}
+                {"reason": "radical-image dimension mismatch", "dims": dims}
             )
     H = hom_space(m, n)
     Hback = hom_space(n, m)
@@ -612,18 +616,13 @@ def simples_and_projectives(A, side="left"):
     """Per idempotent e: the projective Ae (or eA) and the simple top Ae/Je."""
     if A.idempotents is None:
         raise ValidationError("simples_and_projectives needs idempotents")
-    rad = A.radical_basis()
-    from .algebra import regular_modules
-
     reg = regular_modules(A)[0 if side == "left" else 1]
     projectives = []
     simples = []
     for idx, e in enumerate(A.idempotents):
         P, _incl = submodule_generated(reg, [list(e)], label=f"P({idx})")
-        acc = SpanAccumulator(A.field, P.dim)
-        for jv in rad:
-            acc.add_columns(P.action_of_vector(jv))
-        S, _proj, _sec = quotient_module(P, None, label=f"S({idx})", accumulator=acc)
+        S, _proj, _sec = quotient_module(P, None, label=f"S({idx})",
+                                         accumulator=radical_image(P))
         projectives.append((P, tuple(e)))
         simples.append(S)
     return {"projectives": projectives, "simples": simples}

@@ -11,14 +11,18 @@ kQ/I exactly when it contains a relation as a contiguous subsequence.
 
 from .algebra import AlgebraPresentation, regular_modules, validate_algebra
 from .errors import DimensionMismatch, ValidationError
-from .linalg import Matrix
+from .homology import _homology_dim, ext_dims, resolution, tor_dims
+from .linalg import Matrix, basis_vector
 from .modules import (
     Bimodule,
     Module,
     ModuleMap,
     Verdict,
-    _basis_vec,
+    idempotent_slices,
+    k_dual,
     quotient_module,
+    restricted_action,
+    simples_and_projectives,
     tensor_over,
     validate_module,
 )
@@ -128,13 +132,11 @@ def path_algebra(field, quiver, label=""):
     for v in quiver.vertices:
         i = index[(v, ())]
         unit[i] = one
-        e = [field.zero] * n
-        e[i] = one
-        idems.append(e)
+        idems.append(basis_vector(field, n, i))
     rad = []
     for p, i in index.items():
         if p[1]:
-            rad.append(_basis_vec(field, n, i))
+            rad.append(basis_vector(field, n, i))
     labels = [f"e_{p[0]}" if not p[1] else "*".join(p[1]) for p in paths]
     pres = AlgebraPresentation(
         field, n, labels, unit, consts, idempotents=idems, radical_basis=rad or None
@@ -163,24 +165,28 @@ class TensorAlgebra:
 
     def vertex_idempotent(self, v):
         """1_A (x) e_v as a flat vector."""
-        field = self.flat.field
-        out = [field.zero] * self.flat.dim
-        j = self.B._path_index[(v, ())]
-        for i, c in enumerate(self.A.unit):
-            if c:
-                out[self.index(i, j)] = c
-        return out
+        return self.embed(self.A.unit, self.B._path_index[(v, ())])
 
     def embed(self, a_vec, path_j):
+        """a_vec (x) path_j as a flat vector."""
         field = self.flat.field
-        out = [field.zero] * self.flat.dim
-        for i, c in enumerate(a_vec):
-            if c:
-                out[self.index(i, path_j)] = c
-        return out
+        return _outer(field, a_vec, basis_vector(field, self.npaths, path_j))
 
     def __repr__(self):
         return f"Tensor({self.A!r} (x) {self.B!r})"
+
+
+def _outer(field, u, v):
+    """u (x) v in the flat basis of A (x) kQ/I: coordinate i * len(v) + j is
+    u_i v_j."""
+    n = len(v)
+    v_support = [(j, b) for j, b in enumerate(v) if b]
+    out = [field.zero] * (len(u) * n)
+    for i, a in enumerate(u):
+        if a:
+            for j, b in v_support:
+                out[i * n + j] = field.mul(a, b)
+    return out
 
 
 def build_tensor(A, quiver, label=""):
@@ -200,23 +206,9 @@ def build_tensor(A, quiver, label=""):
             for ka, ca in terms_a:
                 for kb, cb in terms_b:
                     consts.append((ix(i1, j1), ix(i2, j2), ix(ka, kb), field.mul(ca, cb)))
-    unit = [field.zero] * dim
-    for i, ca in enumerate(A.unit):
-        if ca:
-            for j, cb in enumerate(B.unit):
-                if cb:
-                    unit[ix(i, j)] = field.mul(ca, cb)
-    idemA = A.idempotents if A.idempotents is not None else [list(A.unit)]
-    idems = []
-    for ea in idemA:
-        for eb in B.idempotents:
-            v = [field.zero] * dim
-            for i, ca in enumerate(ea):
-                if ca:
-                    for j, cb in enumerate(eb):
-                        if cb:
-                            v[ix(i, j)] = field.mul(ca, cb)
-            idems.append(v)
+    unit = _outer(field, A.unit, B.unit)
+    idemA = A.idempotents if A.idempotents is not None else [A.unit]
+    idems = [_outer(field, ea, eb) for ea in idemA for eb in B.idempotents]
     # J(A (x) B) = J_A (x) B + A (x) J_B (separable semisimple quotients)
     rad = []
     try:
@@ -224,17 +216,14 @@ def build_tensor(A, quiver, label=""):
     except ValidationError:
         radA = None
     if radA is not None:
-        for rv in radA:
-            for j in range(nP):
-                v = [field.zero] * dim
-                for i, c in enumerate(rv):
-                    if c:
-                        v[ix(i, j)] = c
-                rad.append(v)
-        for i in range(nA):
-            for p, j in B._path_index.items():
-                if p[1]:
-                    rad.append(_basis_vec(field, dim, ix(i, j)))
+        e_paths = [basis_vector(field, nP, j) for j in range(nP)]
+        rad = [_outer(field, rv, e) for rv in radA for e in e_paths]
+        rad += [
+            _outer(field, basis_vector(field, nA, i), e_paths[j])
+            for i in range(nA)
+            for p, j in B._path_index.items()
+            if p[1]
+        ]
     labels = [
         f"{A.basis_labels[i]}(x){B.basis_labels[j]}"
         for i in range(nA)
@@ -291,72 +280,51 @@ class QuiverRep:
 
 
 def rep_to_module(rep):
-    """The flat left module over A (x) kQ/I; coordinates grouped by vertex."""
+    """The flat left module over A (x) kQ/I; coordinates grouped by vertex.
+    a_i (x) p, for a path p from s to t, acts by X_t(a_i) o X(p) in the
+    (t, s) block."""
     parent = rep.parent
     field = parent.flat.field
     q = parent.quiver
-    offsets = {}
-    off = 0
-    for v in q.vertices:
-        offsets[v] = off
-        off += rep.vertex_modules[v].dim
-    n = off
-    acts = []
-    for i in range(parent.A.dim):
-        for (src, arrs), j in sorted(parent.B._path_index.items(), key=lambda kv: kv[1]):
-            z = [[field.zero] * n for _ in range(n)]
-            tgt = q.target(arrs) if arrs else src
-            pm = rep.path_map(src, arrs)
-            block = rep.vertex_modules[tgt].actions[i] * pm.matrix
-            r0, c0 = offsets[tgt], offsets[src]
-            for r in range(block.nrows):
-                row = block.rows[r]
-                for c in range(block.ncols):
-                    if row[c]:
-                        z[r0 + r][c0 + c] = row[c]
-            acts.append(Matrix(field, z, n))
-    # actions were appended in (i, j) order matching the flat basis index
+    dims = [rep.vertex_modules[v].dim for v in q.vertices]
+    pos = {v: k for k, v in enumerate(q.vertices)}
+    path_blocks = []
+    for src, arrs in parent.paths:
+        tgt = q.target(arrs) if arrs else src
+        path_blocks.append((pos[tgt], pos[src], rep.vertex_modules[tgt],
+                            rep.path_map(src, arrs).matrix))
+    # one action per flat basis vector a_i (x) p_j, in index order i * npaths + j
+    acts = [
+        Matrix.from_blocks(field, dims, dims, {(t, s): Xt.actions[i] * pm})
+        for i in range(parent.A.dim)
+        for t, s, Xt, pm in path_blocks
+    ]
     return validate_module(acts, "left", parent.flat, label="rep")
 
 
 def module_to_rep(parent, m):
     """Inverse of rep_to_module: vertex slices by the trivial-path
     idempotents, arrow maps by the embedded arrows."""
-    from .linalg import Eliminator
-
     q = parent.quiver
     field = m.field
-    bases = {}
-    solvers = {}
+    nA = parent.A.dim
+    index = parent.B._path_index
+    slices = dict(zip(q.vertices, idempotent_slices(
+        m, [parent.vertex_idempotent(v) for v in q.vertices])))
     mods = {}
-    for v in q.vertices:
-        E = m.action_of_vector(parent.vertex_idempotent(v))
-        basis = E.column_space_matrix()
-        bases[v] = basis
-        solvers[v] = Eliminator(basis)
-    if sum(b.ncols for b in bases.values()) != m.dim:
-        raise ValidationError("vertex idempotents do not decompose the module")
-    for v in q.vertices:
-        basis = bases[v]
-        acts = []
-        for i in range(parent.A.dim):
-            avec = _basis_vec(field, parent.A.dim, i)
-            j = parent.B._path_index[(v, ())]
-            img = m.action_of_vector(parent.embed(avec, j)) * basis
-            sol = solvers[v].solve_matrix(img)
-            if sol is None:
-                raise ValidationError(f"vertex slice {v!r} is not A-invariant")
-            acts.append(sol)
-        mods[v] = Module(parent.A, "left", basis.ncols, acts,
+    for v, sl in slices.items():
+        acts = [
+            restricted_action(m, parent.embed(basis_vector(field, nA, i), index[(v, ())]),
+                              sl, sl, f"vertex slice {v!r} is not A-invariant")
+            for i in range(nA)
+        ]
+        mods[v] = Module(parent.A, "left", sl[0].ncols, acts,
                          label=f"{m.label}@{v}", _validated=True)
     maps = {}
     for nm, s, t in q.arrows:
-        j = parent.B._path_index[(s, (nm,))]
-        arrow_vec = parent.embed(list(parent.A.unit), j)
-        img = m.action_of_vector(arrow_vec) * bases[s]
-        sol = solvers[t].solve_matrix(img)
-        if sol is None:
-            raise ValidationError(f"arrow {nm!r} does not map into its target slice")
+        sol = restricted_action(m, parent.embed(parent.A.unit, index[(s, (nm,))]),
+                                slices[s], slices[t],
+                                f"arrow {nm!r} does not map into its target slice")
         maps[nm] = ModuleMap(mods[s], mods[t], sol, check=False)
     return QuiverRep(parent, mods, maps)
 
@@ -386,8 +354,6 @@ def outer_tensor(parent, u, v):
 
 def dual_regular_outer(parent):
     """D(A_A) (x) B as a left module over the tensor algebra."""
-    from .modules import k_dual
-
     DA = k_dual(regular_modules(parent.A)[1])
     Bleft = regular_modules(parent.B)[0]
     return outer_tensor(parent, DA, Bleft)
@@ -404,9 +370,6 @@ def _right_simple_resolutions(B):
     got = B._cache.get("right_simple_resolutions")
     if got is not None:
         return got
-    from .homology import resolution
-    from .modules import simples_and_projectives
-
     out = []
     simples = simples_and_projectives(B, side="right")["simples"]
     for S in simples:
@@ -427,8 +390,6 @@ def _slice_complex_homology(parent, rep, res, length):
     """Homology of (vertex slices of rep) against a right-B resolution:
     T_i = (+) X_{v(slot)} with maps given by the resolution elements acting
     through the representation."""
-    from .homology import _homology_dim
-
     q = parent.quiver
     field = parent.flat.field
     B = parent.B
@@ -450,7 +411,7 @@ def _slice_complex_homology(parent, rep, res, length):
             vj = spaces[i][j]
             Xj = rep.vertex_modules[vj]
             for bidx in range(Xj.dim):
-                xcol = _basis_vec(field, Xj.dim, bidx)
+                xcol = basis_vector(field, Xj.dim, bidx)
                 out = []
                 for j2, st2 in enumerate(prev.slot_types):
                     v2 = spaces[i - 1][j2]
@@ -472,22 +433,27 @@ def _slice_complex_homology(parent, rep, res, length):
     return [_homology_dim(dims, mats, i) for i in range(length + 1)]
 
 
+def _gathered_arrows(rep, v):
+    """The map (+) X_{s(alpha)} -> X_v gathering the arrows alpha into v,
+    sources in arrow-name order; None when no arrow ends at v."""
+    incoming = sorted((n, s) for (n, s, t) in rep.parent.quiver.arrows if t == v)
+    if not incoming:
+        return None
+    return Matrix.from_blocks(
+        rep.parent.flat.field,
+        [rep.vertex_modules[v].dim],
+        [rep.vertex_modules[s].dim for _n, s in incoming],
+        {(0, k): rep.arrow_maps[n].matrix for k, (n, _s) in enumerate(incoming)},
+    )
+
+
 def gathered_arrow_kernels(rep):
     """Per vertex: kernel dimension of (+) X_{s(alpha)} -> X_v (relation-free
     combinatorial monic check)."""
-    q = rep.parent.quiver
-    field = rep.parent.flat.field
     out = {}
-    for v in q.vertices:
-        incoming = [(n, s) for (n, s, t) in q.arrows if t == v]
-        if not incoming:
-            out[v] = 0
-            continue
-        mat = None
-        for n, s in sorted(incoming):
-            m = rep.arrow_maps[n].matrix
-            mat = m if mat is None else mat.hstack(m)
-        out[v] = mat.ncols - mat.rank()
+    for v in rep.parent.quiver.vertices:
+        mat = _gathered_arrows(rep, v)
+        out[v] = 0 if mat is None else mat.ncols - mat.rank()
     return out
 
 
@@ -528,13 +494,8 @@ def monic_check(x, mode="combinatorial", bound=6):
                     )
         return Verdict.holds({"exact": True, "assumes_finite_gldim": True})
     if mode == "homological":
-        from .homology import tor_dims
-        from .modules import k_dual
-
         flat = rep_to_module(rep)
         Aright = regular_modules(parent.A)[1]
-        from .modules import simples_and_projectives
-
         left_simples = simples_and_projectives(parent.B, side="left")["simples"]
         for S, v in zip(left_simples, parent.quiver.vertices):
             DS = k_dual(S)
@@ -554,8 +515,6 @@ def monic_check_perp_form(x, bound=6):
     """The other homological form of the monic test: bounded vanishing of
     Ext against D(A_A) (x) B.  Exact monic modules are clean at every
     degree; a witness here refutes monicity.  fails/unknown only."""
-    from .homology import ext_dims
-
     if isinstance(x, QuiverRep):
         parent = x.parent
         flat = rep_to_module(x)
@@ -578,8 +537,6 @@ def simple_slices(rep):
     """(A (x) S'_v) (x)_Lambda X for the right simples S'_v, as left
     A-modules, one per vertex."""
     parent = rep.parent
-    from .modules import simples_and_projectives
-
     flat = rep_to_module(rep)
     Aright = regular_modules(parent.A)[1]
     right_simples = simples_and_projectives(parent.B, side="right")["simples"]
@@ -600,20 +557,14 @@ def simple_slices(rep):
 
 def vertex_cokernels(rep):
     """X_v / Im(gathered arrows into v), per vertex (relation-free form)."""
-    q = rep.parent.quiver
     out = {}
-    for v in q.vertices:
-        incoming = [(n, s) for (n, s, t) in q.arrows if t == v]
+    for v in rep.parent.quiver.vertices:
         Xv = rep.vertex_modules[v]
-        if not incoming:
+        mat = _gathered_arrows(rep, v)
+        if mat is None:
             out[v] = Xv
             continue
-        mat = None
-        for n, s in sorted(incoming):
-            m = rep.arrow_maps[n].matrix
-            mat = m if mat is None else mat.hstack(m)
-        img = mat.column_space_matrix()
-        Q, _proj, _sec = quotient_module(Xv, img, label=f"coker@{v}")
+        Q, _proj, _sec = quotient_module(Xv, mat.column_space_matrix(), label=f"coker@{v}")
         out[v] = Q
     return out
 

@@ -16,6 +16,7 @@ from .modules import (
     submodule_generated,
     zero_module,
 )
+from .triangular import t2_triple
 
 
 def _random_scalar(field, rng, lo=-2, hi=2):
@@ -90,8 +91,6 @@ def random_submodule(m, rng, n_gens=None):
 
 def random_t2_triple(parent, rng, max_dim=8):
     """Random (X; Y)_phi over a T2 parent with a random A-map phi: Y -> X."""
-    from .triangular import t2_triple
-
     A = parent.A
     X = random_module(A, rng, "left", max_dim)
     Y = random_module(A, rng, "left", max_dim)

@@ -7,17 +7,33 @@ and the triple-level classification suite.
 from .algebra import AlgebraPresentation, regular_modules, validate_algebra
 from .duality import a_dual, canonical_map, classify, dual_map, left_add_approximation
 from .errors import DimensionMismatch, ValidationError
-from .linalg import Eliminator, Matrix
+from .homology import ext_comparison_table, is_semi_gp, resolution
+from .linalg import Eliminator, Matrix, basis_vector
 from .modules import (
     Module,
     ModuleMap,
     Verdict,
+    idempotent_slices,
     regular_bimodule,
+    restricted_action,
     subquotient,
     tensor_over,
     validate_module,
-    _basis_vec,
 )
+
+
+def _part_ranges(nA, nM, nB):
+    """Coordinate ranges of the parts "A", "M" and "B" of the flat
+    [[A, M], [0, B]]: its basis is the A basis, then M, then B."""
+    return {"A": range(nA), "M": range(nA, nA + nM), "B": range(nA + nM, nA + nM + nB)}
+
+
+def _flat_vector(field, parts, pieces):
+    """The flat vector that is pieces[p] on part p and zero elsewhere."""
+    out = [field.zero] * parts["B"].stop
+    for p, vec in pieces.items():
+        out[parts[p].start:parts[p].stop] = vec
+    return out
 
 
 class TriangularAlgebra:
@@ -31,33 +47,20 @@ class TriangularAlgebra:
         self.nA = A.dim
         self.nM = bimodule.dim
         self.nB = B.dim
+        self.parts = _part_ranges(self.nA, self.nM, self.nB)
         self.is_t2 = is_t2
 
-    def embed_A(self, vec):
-        out = [self.flat.field.zero] * self.flat.dim
-        for i, c in enumerate(vec):
-            out[i] = c
-        return out
-
-    def embed_M(self, vec):
-        out = [self.flat.field.zero] * self.flat.dim
-        for i, c in enumerate(vec):
-            out[self.nA + i] = c
-        return out
-
-    def embed_B(self, vec):
-        out = [self.flat.field.zero] * self.flat.dim
-        for i, c in enumerate(vec):
-            out[self.nA + self.nM + i] = c
-        return out
+    def embed(self, part, vec):
+        """vec, a vector of A, M or B, as a flat vector of part "A", "M" or "B"."""
+        return _flat_vector(self.flat.field, self.parts, {part: vec})
 
     @property
     def e1(self):
-        return self.embed_A(list(self.A.unit))
+        return self.embed("A", self.A.unit)
 
     @property
     def e2(self):
-        return self.embed_B(list(self.B.unit))
+        return self.embed("B", self.B.unit)
 
     def __repr__(self):
         return f"Triangular({self.A!r}, {self.B!r}, M dim {self.nM})"
@@ -71,46 +74,34 @@ def build_triangular(A, B, bimodule, label=""):
     if field != B.field:
         raise DimensionMismatch("A and B must share the ground field")
     nA, nM, nB = A.dim, bimodule.dim, B.dim
-    dim = nA + nM + nB
+    parts = _part_ranges(nA, nM, nB)
+    oM, oB = parts["M"].start, parts["B"].start
     consts = []
     for (i, j), terms in A.table.items():
         for k, c in terms:
             consts.append((i, j, k, c))
     for (i, j), terms in B.table.items():
         for k, c in terms:
-            consts.append((nA + nM + i, nA + nM + j, nA + nM + k, c))
+            consts.append((oB + i, oB + j, oB + k, c))
     for i in range(nA):
         L = bimodule.left_actions[i]
         for j in range(nM):
             for k in range(nM):
                 c = L.rows[k][j]
                 if c:
-                    consts.append((i, nA + j, nA + k, c))
+                    consts.append((i, oM + j, oM + k, c))
     for i in range(nB):
         R = bimodule.right_actions[i]
         for j in range(nM):
             for k in range(nM):
                 c = R.rows[k][j]
                 if c:
-                    consts.append((nA + j, nA + nM + i, nA + k, c))
-    unit = [field.zero] * dim
-    for i, c in enumerate(A.unit):
-        unit[i] = c
-    for i, c in enumerate(B.unit):
-        unit[nA + nM + i] = c
-    idemA = A.idempotents if A.idempotents is not None else [list(A.unit)]
-    idemB = B.idempotents if B.idempotents is not None else [list(B.unit)]
-    idems = []
-    for e in idemA:
-        v = [field.zero] * dim
-        for i, c in enumerate(e):
-            v[i] = c
-        idems.append(v)
-    for e in idemB:
-        v = [field.zero] * dim
-        for i, c in enumerate(e):
-            v[nA + nM + i] = c
-        idems.append(v)
+                    consts.append((oM + j, oB + i, oM + k, c))
+    unit = _flat_vector(field, parts, {"A": A.unit, "B": B.unit})
+    idemA = A.idempotents if A.idempotents is not None else [A.unit]
+    idemB = B.idempotents if B.idempotents is not None else [B.unit]
+    idems = ([_flat_vector(field, parts, {"A": e}) for e in idemA]
+             + [_flat_vector(field, parts, {"B": e}) for e in idemB])
     labels = (
         [f"a:{l}" for l in A.basis_labels]
         + [f"m:{i}" for i in range(nM)]
@@ -118,27 +109,15 @@ def build_triangular(A, B, bimodule, label=""):
     )
     # rad(Lambda) = rad(A) (+) M (+) rad(B); declared (and re-verified) so
     # that small-characteristic ground fields keep minimal covers
-    rad = None
     try:
-        radA = A.radical_basis()
-        radB = B.radical_basis()
-        rad = []
-        for v in radA:
-            out = [field.zero] * dim
-            for i, c in enumerate(v):
-                out[i] = c
-            rad.append(out)
-        for j in range(nM):
-            rad.append(_basis_vec(field, dim, nA + j))
-        for v in radB:
-            out = [field.zero] * dim
-            for i, c in enumerate(v):
-                out[nA + nM + i] = c
-            rad.append(out)
+        rad = ([_flat_vector(field, parts, {"A": v}) for v in A.radical_basis()]
+               + [_flat_vector(field, parts, {"M": basis_vector(field, nM, j)})
+                  for j in range(nM)]
+               + [_flat_vector(field, parts, {"B": v}) for v in B.radical_basis()])
     except ValidationError:
         rad = None
-    pres = AlgebraPresentation(field, dim, labels, unit, consts, idempotents=idems,
-                               radical_basis=rad)
+    pres = AlgebraPresentation(field, parts["B"].stop, labels, unit, consts,
+                               idempotents=idems, radical_basis=rad)
     flat = validate_algebra(pres, label=label or f"tri({A.label},{B.label})")
     is_t2 = A is B and bimodule._cache.get("is_regular_bimodule", False)
     return TriangularAlgebra(A, B, bimodule, flat, is_t2)
@@ -251,29 +230,16 @@ def triple_to_module(t):
     parent = t.parent
     field = parent.flat.field
     dX, dY = t.X.dim, t.Y.dim
-    n = dX + dY
-    acts = []
-    zXY = Matrix.zero(field, dX, dY)
-    zYX = Matrix.zero(field, dY, dX)
-    zXX = Matrix.zero(field, dX, dX)
-    zYY = Matrix.zero(field, dY, dY)
-    for i in range(parent.nA):
-        top = t.X.actions[i].hstack(zXY)
-        bot = zYX.hstack(zYY)
-        acts.append(top.vstack(bot))
-    for mIdx in range(parent.nM):
-        cols = []
-        for j in range(dY):
-            pure = t.tensor.pure(mIdx, j)
-            cols.append(t.phi.matrix.apply(pure))
-        C = Matrix.from_columns(field, cols, dX)
-        top = zXX.hstack(C)
-        bot = zYX.hstack(zYY)
-        acts.append(top.vstack(bot))
-    for i in range(parent.nB):
-        top = zXX.hstack(zXY)
-        bot = zYX.hstack(t.Y.actions[i])
-        acts.append(top.vstack(bot))
+    dims = [dX, dY]
+    # phi on the pure tensors m_k (x) y_j, one dX x dY block per k
+    L = t.phi.matrix * t.tensor.pure_matrix
+    acts = [Matrix.from_blocks(field, dims, dims, {(0, 0): a}) for a in t.X.actions]
+    acts += [
+        Matrix.from_blocks(field, dims, dims,
+                           {(0, 1): L.submatrix(range(dX), range(k * dY, (k + 1) * dY))})
+        for k in range(parent.nM)
+    ]
+    acts += [Matrix.from_blocks(field, dims, dims, {(1, 1): b}) for b in t.Y.actions]
     return validate_module(acts, "left", parent.flat, label=t.label)
 
 
@@ -283,42 +249,25 @@ def module_to_triple(parent, m):
     if m.algebra is not parent.flat or m.side != "left":
         raise ValidationError("module is not a left module over this triangular algebra")
     field = m.field
-    E1 = m.action_of_vector(parent.e1)
-    E2 = m.action_of_vector(parent.e2)
-    XB = E1.column_space_matrix()
-    YB = E2.column_space_matrix()
-    if XB.ncols + YB.ncols != m.dim:
-        raise ValidationError("idempotent parts do not decompose the module")
-    xsolver = Eliminator(XB)
-    ysolver = Eliminator(YB)
-    xacts = []
-    for i in range(parent.nA):
-        img = m.action_of_vector(parent.embed_A(_basis_vec(field, parent.nA, i))) * XB
-        sol = xsolver.solve_matrix(img)
-        if sol is None:
-            raise ValidationError("X part is not A-invariant")
-        xacts.append(sol)
-    X = Module(parent.A, "left", XB.ncols, xacts, label=f"{m.label}.X", _validated=True)
-    yacts = []
-    for i in range(parent.nB):
-        img = m.action_of_vector(parent.embed_B(_basis_vec(field, parent.nB, i))) * YB
-        sol = ysolver.solve_matrix(img)
-        if sol is None:
-            raise ValidationError("Y part is not B-invariant")
-        yacts.append(sol)
-    Y = Module(parent.B, "left", YB.ncols, yacts, label=f"{m.label}.Y", _validated=True)
+    xs, ys = idempotent_slices(m, [parent.e1, parent.e2])
+
+    def part_actions(part, source, target, message):
+        n = len(parent.parts[part])
+        return [restricted_action(m, parent.embed(part, basis_vector(field, n, i)),
+                                  source, target, message)
+                for i in range(n)]
+
+    X = Module(parent.A, "left", xs[0].ncols,
+               part_actions("A", xs, xs, "X part is not A-invariant"),
+               label=f"{m.label}.X", _validated=True)
+    Y = Module(parent.B, "left", ys[0].ncols,
+               part_actions("B", ys, ys, "Y part is not B-invariant"),
+               label=f"{m.label}.Y", _validated=True)
     tens = tensor_over(parent.bimodule, Y, validate=False)
-    # phi on pure tensors: m_idx (x) y_j  |->  (embedded m_idx) . y_j
-    cols = []
-    for mIdx in range(parent.nM):
-        act = m.action_of_vector(parent.embed_M(_basis_vec(field, parent.nM, mIdx)))
-        for j in range(Y.dim):
-            w = act.apply(list(YB.column(j)))
-            sol = xsolver.solve(w)
-            if sol is None:
-                raise ValidationError("bimodule action does not land in the X part")
-            cols.append(sol)
-    L = Matrix.from_columns(field, cols, X.dim)
+    # phi on pure tensors: m_k (x) y_j  |->  (embedded m_k) . y_j
+    blocks = part_actions("M", ys, xs, "bimodule action does not land in the X part")
+    L = Matrix.from_blocks(field, [X.dim], [Y.dim] * parent.nM,
+                           {(0, k): b for k, b in enumerate(blocks)})
     phi_mat = L * tens.section
     # well-definedness: L must factor through the tensor quotient
     if phi_mat * tens.pure_matrix != L:
@@ -367,19 +316,13 @@ def right_triple_to_module(t):
     if not parent.is_t2:
         raise ValidationError("right triples are implemented for T2 parents")
     field = parent.flat.field
-    dU, dV = t.U.dim, t.V.dim
-    zUV = Matrix.zero(field, dU, dV)
-    zVU = Matrix.zero(field, dV, dU)
-    zUU = Matrix.zero(field, dU, dU)
-    zVV = Matrix.zero(field, dV, dV)
-    acts = []
-    for i in range(parent.nA):
-        acts.append(t.U.actions[i].hstack(zUV).vstack(zVU.hstack(zVV)))
-    for mIdx in range(parent.nM):
-        C = t.V.actions[mIdx] * t.psibar.matrix
-        acts.append(zUU.hstack(zUV).vstack(C.hstack(zVV)))
-    for i in range(parent.nB):
-        acts.append(zUU.hstack(zUV).vstack(zVU.hstack(t.V.actions[i])))
+    dims = [t.U.dim, t.V.dim]
+    acts = [Matrix.from_blocks(field, dims, dims, {(0, 0): a}) for a in t.U.actions]
+    acts += [
+        Matrix.from_blocks(field, dims, dims, {(1, 0): t.V.actions[k] * t.psibar.matrix})
+        for k in range(parent.nM)
+    ]
+    acts += [Matrix.from_blocks(field, dims, dims, {(1, 1): b}) for b in t.V.actions]
     return validate_module(acts, "right", parent.flat, label=t.label)
 
 
@@ -408,20 +351,19 @@ def _decompose_flat_dual_basis(parent, t, flat):
     on the X part and its Y component; check the shape forced by
     Lambda-linearity (Y component = alpha2 o phibar, B-rows only, ...)."""
     dd = a_dual(flat)
-    nA, nM, nB = parent.nA, parent.nM, parent.nB
-    dX, dY = t.X.dim, t.Y.dim
+    pA, pM, pB = parent.parts["A"], parent.parts["M"], parent.parts["B"]
+    xr = range(t.X.dim)
+    yr = range(t.X.dim, t.X.dim + t.Y.dim)
     phibar = t.phibar()
     out = []
     for f in dd.basis:
         F = f.matrix
-        xcols = F.submatrix(range(F.nrows), range(dX))
-        ycols = F.submatrix(range(F.nrows), range(dX, dX + dY))
-        a1 = xcols.submatrix(range(nA), range(dX))
-        a2 = xcols.submatrix(range(nA, nA + nM), range(dX))
-        if not xcols.submatrix(range(nA + nM, nA + nM + nB), range(dX)).is_zero():
+        a1 = F.submatrix(pA, xr)
+        a2 = F.submatrix(pM, xr)
+        if not F.submatrix(pB, xr).is_zero():
             raise ValidationError("flat dual basis has an X component outside e1.Lambda")
-        yb = ycols.submatrix(range(nA + nM, nA + nM + nB), range(dY))
-        if not ycols.submatrix(range(nA + nM), range(dY)).is_zero():
+        yb = F.submatrix(pB, yr)
+        if not F.submatrix(range(pB.start), yr).is_zero():
             raise ValidationError("flat dual basis has a Y component outside e2.Lambda")
         if yb != a2 * phibar.matrix:
             raise ValidationError("Y component is not alpha2 o phibar")
@@ -505,9 +447,10 @@ def _right_dual_identification(parent, rt, Nflat, ddt, p_psi, coker_psi):
     """h2: Hom(Nflat, Lambda) -> flatten(ddt) for a right triple (U, V)_psi:
     each dual basis element splits as (beta1 o psi, (beta1; g o p_psi))."""
     field = parent.flat.field
-    nA, nM, nB = parent.nA, parent.nM, parent.nB
+    pA, pM, pB = parent.parts["A"], parent.parts["M"], parent.parts["B"]
     U, V, psibar = rt.U, rt.V, rt.psibar
-    dU, dV = U.dim, V.dim
+    ur = range(U.dim)
+    vr = range(U.dim, U.dim + V.dim)
     ddn = a_dual(Nflat)
     dV_data = a_dual(V)
     dCpsi = a_dual(coker_psi)
@@ -515,14 +458,12 @@ def _right_dual_identification(parent, rt, Nflat, ddt, p_psi, coker_psi):
     cols = []
     for f in ddn.basis:
         F = f.matrix
-        ucols = F.submatrix(range(F.nrows), range(dU))
-        vcols = F.submatrix(range(F.nrows), range(dU, dU + dV))
-        alpha = ucols.submatrix(range(nA), range(dU))
-        if not ucols.submatrix(range(nA, nA + nM + nB), range(dU)).is_zero():
+        alpha = F.submatrix(pA, ur)
+        if not F.submatrix(range(pM.start, pB.stop), ur).is_zero():
             raise ValidationError("U component escapes Lambda.e1")
-        b1 = vcols.submatrix(range(nA, nA + nM), range(dV))
-        b2 = vcols.submatrix(range(nA + nM, nA + nM + nB), range(dV))
-        if not vcols.submatrix(range(nA), range(dV)).is_zero():
+        b1 = F.submatrix(pM, vr)
+        b2 = F.submatrix(pB, vr)
+        if not F.submatrix(pA, vr).is_zero():
             raise ValidationError("V component escapes Lambda.e2")
         if alpha != b1 * psibar.matrix:
             raise ValidationError("U component is not beta1 o psi")
@@ -566,8 +507,6 @@ def _bimodule_hypotheses(parent, bound):
     """Bounded checks of the standing hypotheses on the bimodule:
     finite projective dimension on the left, projectivity on the right
     (which makes its dual injective)."""
-    from .homology import resolution
-
     left = parent.bimodule.as_left_module()
     res = resolution(left)
     pd = None
@@ -597,8 +536,6 @@ def classify_triple(t, bound=6, seed=0):
     phi*-epi) are asserted outright; bounded perpendicular conditions are
     compared only when both sides are definite.
     """
-    from .homology import ext_comparison_table, is_semi_gp
-
     parent = t.parent
     A = parent.A
     flat = t.flatten()

@@ -21,6 +21,7 @@ from monomod.gallery import (
 from monomod.linalg import QQ, Matrix
 from monomod.modules import (
     Verdict,
+    direct_sum,
     hom_space,
     is_isomorphic,
     simples_and_projectives,
@@ -141,6 +142,22 @@ def test_approximation_projective_split(loop_arrow):
     assert ap.map.is_injective()
     assert len(ap.components) == 1  # P(2) is cyclic: one generator of the dual?
     # split: some retraction exists since P2 is projective and phi injective
+
+
+def test_approximation_of_free_module_stacks_components(loop_arrow):
+    # A (+) A over the loop-arrow algebra: its dual A_A (+) A_A needs one
+    # generator per summand e_i A, four in all, and phi stacks the four
+    # components
+    A = loop_arrow["algebra"]
+    reg = regular_modules(A)[0]
+    AA, _inc, _pr = direct_sum([reg, reg])
+    ap = left_add_approximation(AA)
+    assert len(ap.components) == 4
+    assert ap.map.is_injective()
+    stacked = ap.components[0].matrix
+    for c in ap.components[1:]:
+        stacked = stacked.vstack(c.matrix)
+    assert ap.map.matrix == stacked
 
 
 def test_approximation_of_simples(loop_arrow):

@@ -7,6 +7,7 @@ from monomod.algebra import AlgebraPresentation, regular_modules, validate_algeb
 from monomod.errors import ValidationError
 from monomod.gallery import ideal_A_w_A, lambda_element, lambda_q, module_M1qc
 from monomod.homology import (
+    ext_comparison_table,
     ext_dims,
     ext_induced_map,
     hom_space_via_presentation,
@@ -198,6 +199,23 @@ def test_ext_induced_split_projection(kx2, rng):
     M, tdim, sdim = ext_induced_map(f, reg, 1)
     assert sdim == 0  # Ext^1(A, A) = 0
     assert tdim == ext_dims(total, reg, 1).dims[1]
+
+
+def test_ext_induced_map_on_nonzero_ext(loop_arrow):
+    # Ext^1(S(2), P(2)) is one-dimensional: the identity of S(2) induces the
+    # 1 x 1 identity on it and the zero map induces zero
+    S1, S2, P2, I1, _I2 = loop_arrow["modules"]
+    M, tdim, sdim = ext_induced_map(ModuleMap.identity(S2), P2, 1)
+    assert (tdim, sdim) == (1, 1)
+    assert M == Matrix.identity(QQ, 1)
+    M, tdim, sdim = ext_induced_map(ModuleMap.zero(S2, S2), P2, 1)
+    assert (tdim, sdim) == (1, 1)
+    assert M.is_zero()
+    # Ext^2(I(1), S(1)) is one-dimensional and the identity is invertible on it
+    table = ext_comparison_table(ModuleMap.identity(I1), S1, 2)
+    assert table[1]["degree"] == 2
+    assert table[1]["dim_target_side"] == 1
+    assert all(row["invertible"] for row in table)
 
 
 def test_minimality_needs_one_dimensional_slot_tops():

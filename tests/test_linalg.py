@@ -317,3 +317,15 @@ def test_inverse_and_kron():
     assert k.nrows == 4 and k.rank() == 4
     with pytest.raises(InconsistentSystem):
         Matrix.from_rows(QQ, [[1, 2], [2, 4]]).inverse()
+
+
+def test_from_blocks_places_blocks_and_checks_shapes():
+    a = Matrix.from_rows(QQ, [[1, 2]])
+    b = Matrix.from_rows(QQ, [[3], [4]])
+    m = Matrix.from_blocks(QQ, [1, 2], [1, 2], {(0, 1): a, (1, 0): b})
+    assert m == Matrix.from_rows(QQ, [[0, 1, 2], [3, 0, 0], [4, 0, 0]])
+    assert Matrix.from_blocks(QQ, [0, 1], [2], {}) == Matrix.zero(QQ, 1, 2)
+    assert Matrix.block_diag(QQ, [a, b]) == Matrix.from_rows(
+        QQ, [[1, 2, 0], [0, 0, 3], [0, 0, 4]])
+    with pytest.raises(DimensionMismatch):
+        Matrix.from_blocks(QQ, [1, 2], [1, 2], {(0, 0): a})
