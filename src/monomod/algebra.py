@@ -8,7 +8,7 @@ which is then verified.
 """
 
 from .errors import DimensionMismatch, ValidationError
-from .linalg import Eliminator, Matrix, basis_vector, kernel_intersection
+from .linalg import Eliminator, Matrix, basis_vector, sparse_kernel
 
 
 class AlgebraPresentation:
@@ -532,14 +532,11 @@ def radical_and_socle(A, m=None):
     rad = A.radical_basis()
     if m is None:
         m = regular_modules(A)[0]
-    if not rad:
-        eye = Matrix.identity(A.field, m.dim)
-        socle_cols = [eye.column(j) for j in range(m.dim)]
-    else:
-        K = kernel_intersection(
-            A.field, m.dim, (m.action_of_vector(jv) for jv in rad)
-        )
-        socle_cols = [K.column(j) for j in range(K.ncols)]
+    rows = (
+        {j: x for j, x in enumerate(row) if x}
+        for jv in rad for row in m.action_of_vector(jv).rows
+    )
+    socle_cols = sparse_kernel(A.field, m.dim, rows).columns()
     return {
         "radical_basis": [tuple(v) for v in rad],
         "socle_basis": socle_cols,

@@ -32,11 +32,11 @@ class DualData:
 
     __slots__ = ("module", "dual", "basis", "_pivots")
 
-    def __init__(self, module, dual, basis):
+    def __init__(self, module, dual, basis, pivots):
         self.module = module
         self.dual = dual
         self.basis = basis
-        self._pivots = None
+        self._pivots = pivots
 
     def evaluate(self, m_vector, dual_coords):
         """The algebra element f(v) for f given by coordinates."""
@@ -56,12 +56,6 @@ class DualData:
         The stored basis is RREF in row-major vec coordinates, so the
         coefficient on basis[i] is the entry at its pivot; the expansion is
         then verified exactly."""
-        if self._pivots is None:
-            pivots = []
-            for f in self.basis:
-                vec = [x for row in f.matrix.rows for x in row]
-                pivots.append(next(j for j, x in enumerate(vec) if x))
-            self._pivots = pivots
         dm = self.module.dim
         coords = []
         for p in self._pivots:
@@ -83,17 +77,28 @@ class DualData:
 
 
 def a_dual(m):
-    """DualData of m; cached on the module.  a_dual(a_dual(m).dual) is M**."""
+    """DualData of m.  a_dual(a_dual(m).dual) is M**.
+
+    The module's cache holds the dual module, the basis matrices and their
+    pivots, and each call rebuilds the DualData view on them: the view and
+    its basis maps point back at m, and a cache entry that did would be a
+    cycle that only the cyclic garbage collector frees."""
+    algebra = m.algebra
+    reg = regular_modules(algebra)[0 if m.side == "left" else 1]
     got = m._cache.get("a_dual")
     if got is not None:
-        return got
-    algebra = m.algebra
+        dual, mats, pivots = got
+        return DualData(m, dual, [ModuleMap(m, reg, F, check=False) for F in mats], pivots)
     field = m.field
-    reg = regular_modules(algebra)[0 if m.side == "left" else 1]
     basis = hom_space(m, reg)
+    # the RREF basis is read off at the first nonzero of each row-major vec
+    pivots = [
+        next(j for j, x in enumerate(x for row in f.matrix.rows for x in row) if x)
+        for f in basis
+    ]
     dual_side = "right" if m.side == "left" else "left"
     h = len(basis)
-    dd = DualData(m, None, basis)
+    dd = DualData(m, None, basis, pivots)
     acts = []
     for i in range(algebra.dim):
         mult = algebra.right_matrix(i) if m.side == "left" else algebra.left_matrix(i)
@@ -102,13 +107,12 @@ def a_dual(m):
             transformed = mult * f.matrix
             cols.append(dd.coords_of_map(transformed) if h else [])
         acts.append(Matrix.from_columns(field, cols, h))
-    dual = Module(
+    dd.dual = Module(
         algebra, dual_side, h, acts,
         label=f"({m.label})*" if m.label else "dual",
         _validated=True,
     )
-    dd.dual = dual
-    m._cache["a_dual"] = dd
+    m._cache["a_dual"] = (dd.dual, [f.matrix for f in basis], pivots)
     return dd
 
 
@@ -122,10 +126,12 @@ def dual_map(f):
 
 
 def canonical_map(m):
-    """phi_M: M -> M**, phi(v)(f) = f(v), as an explicit ModuleMap."""
+    """phi_M: M -> M**, phi(v)(f) = f(v), as an explicit ModuleMap.  The
+    module's cache holds its target and matrix, not the map, whose source
+    is m."""
     got = m._cache.get("canonical_map")
     if got is not None:
-        return got
+        return ModuleMap(m, *got, check=False)
     dd = a_dual(m)
     ddd = a_dual(dd.dual)
     field = m.field
@@ -140,9 +146,8 @@ def canonical_map(m):
         )
         cols.append(ddd.coords_of_map(values) if len(ddd.basis) else [])
     mat = Matrix.from_columns(field, cols, len(ddd.basis))
-    phi = ModuleMap(m, ddd.dual, mat, check=False)
-    m._cache["canonical_map"] = phi
-    return phi
+    m._cache["canonical_map"] = (ddd.dual, mat)
+    return ModuleMap(m, ddd.dual, mat, check=False)
 
 
 class ClassificationReport:

@@ -113,7 +113,7 @@ def generic_M(A, a, b, c):
         reg, [w, basis_vector(field, 6, _YX), basis_vector(field, 6, _ZX)]
     )
     M, proj, _ = quotient_module(reg, incl.matrix, label=f"M({field.render(a)},{field.render(b)},{field.render(c)})")
-    M._cache["regular_projection"] = proj
+    M._cache["regular_projection"] = proj.matrix
     return M
 
 
@@ -129,7 +129,7 @@ def generic_M_prime(A, a, b, c):
         reg, [w, basis_vector(field, 6, _YX), basis_vector(field, 6, _ZX)]
     )
     M, proj, _ = quotient_module(reg, incl.matrix, label=f"M'({field.render(a)},{field.render(b)},{field.render(c)})")
-    M._cache["regular_projection"] = proj
+    M._cache["regular_projection"] = proj.matrix
     return M
 
 
@@ -295,7 +295,7 @@ def dual_iso_chain(fam):
         a = solver.solve(list(f.matrix.column(0)))
         if a is None:
             raise ValidationError("f(1~) is not in (x-y)A")
-        cols.append(projMp.matrix.apply(a))
+        cols.append(projMp.apply(a))
     theta = ModuleMap(dd.dual, Mp, Matrix.from_columns(field, cols, Mp.dim))
     AwA, inclAwA = ideal_A_w_A(A, lambda_element(A, {"x": 1, "y": -1}))
     ddp = a_dual(Mp)

@@ -196,13 +196,15 @@ class _Step:
 class Resolution:
     """Internal resolution state; extended lazily and cached on the module.
     Its own lock serializes extensions, so resolving one module never waits
-    on another."""
+    on another.  Step 0 is built here, so the resolution keeps no reference
+    to its target: the module's cache holds the resolution, and a reference
+    back would be a cycle that only the cyclic garbage collector frees."""
 
     def __init__(self, target, minimal):
-        self.target = target
         self.minimal = minimal
         self.steps = []
         self._lock = threading.Lock()
+        self._add_step(target)
 
     def proj(self, i):
         return self.steps[i].proj
@@ -211,11 +213,11 @@ class Resolution:
         """Ensure steps 0..n_steps exist."""
         with self._lock:
             while len(self.steps) <= n_steps:
-                self._add_step()
+                self._add_step(self.steps[-1].kernel)
         return self
 
-    def _add_step(self):
-        m = self.target if not self.steps else self.steps[-1].kernel
+    def _add_step(self, m):
+        """Cover m, the target at step 0 and the last kernel after it."""
         step = _build_cover_step(m, self.minimal)
         if self.steps:
             prev = self.steps[-1]

@@ -224,6 +224,19 @@ class Matrix:
         self.rows = tuple(rows)
         self._rref = None
 
+    @classmethod
+    def _trusted(cls, field, rows, ncols):
+        """A matrix on a tuple of row tuples of length ncols that a kernel
+        has just built, with a shape bounded by checked inputs: no copy and
+        no checks."""
+        self = object.__new__(cls)
+        self.field = field
+        self.nrows = len(rows)
+        self.ncols = ncols
+        self.rows = rows
+        self._rref = None
+        return self
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -303,28 +316,23 @@ class Matrix:
     def __add__(self, other):
         self._same_shape(other)
         add = self.field.add
-        return Matrix(
-            self.field,
-            [tuple(add(a, b) for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows)],
-            self.ncols,
-        )
+        rows = tuple(tuple(map(add, r1, r2)) for r1, r2 in zip(self.rows, other.rows))
+        return Matrix._trusted(self.field, rows, self.ncols)
 
     def __sub__(self, other):
         self._same_shape(other)
         sub = self.field.sub
-        return Matrix(
-            self.field,
-            [tuple(sub(a, b) for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows)],
-            self.ncols,
-        )
+        rows = tuple(tuple(map(sub, r1, r2)) for r1, r2 in zip(self.rows, other.rows))
+        return Matrix._trusted(self.field, rows, self.ncols)
 
     def __neg__(self):
         neg = self.field.neg
-        return Matrix(self.field, [tuple(neg(a) for a in r) for r in self.rows], self.ncols)
+        return Matrix._trusted(self.field, tuple(tuple(map(neg, r)) for r in self.rows), self.ncols)
 
     def scale(self, c):
         mul = self.field.mul
-        return Matrix(self.field, [tuple(mul(c, a) for a in r) for r in self.rows], self.ncols)
+        rows = tuple(tuple(mul(c, a) for a in r) for r in self.rows)
+        return Matrix._trusted(self.field, rows, self.ncols)
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -354,7 +362,7 @@ class Matrix:
                         acc[j] += a * brow[j]
                     field.reduce(acc, support)
             out.append(tuple(acc))
-        return Matrix(field, out, n)
+        return Matrix._trusted(field, tuple(out), n)
 
     def apply(self, vec):
         """Matrix times a plain vector (list/tuple), returns a list."""
@@ -373,7 +381,8 @@ class Matrix:
         return out
 
     def transpose(self):
-        return Matrix(self.field, [self.column(j) for j in range(self.ncols)], self.nrows)
+        return Matrix._trusted(self.field, tuple(zip(*self.rows)) if self.nrows else
+                               ((),) * self.ncols, self.nrows)
 
     def trace(self):
         if self.nrows != self.ncols:
@@ -442,23 +451,26 @@ class Matrix:
         return Matrix(self.field, rows, self.ncols * other.ncols)
 
     def submatrix(self, row_idx, col_idx):
-        return Matrix(
-            self.field,
-            [tuple(self.rows[i][j] for j in col_idx) for i in row_idx],
-            len(col_idx),
+        rows = self.rows
+        return Matrix._trusted(
+            self.field, tuple(tuple(rows[i][j] for j in col_idx) for i in row_idx), len(col_idx)
         )
 
     # -- elimination ----------------------------------------------------
 
     def _compute_rref(self):
-        if self._rref is not None:
-            return self._rref
-        rows = [list(r) for r in self.rows]
-        pivots = _rref(self.field, rows, self.ncols)
-        R = Matrix(self.field, rows, self.ncols)
-        R._rref = (R, tuple(pivots))
-        self._rref = (R, tuple(pivots))
-        return self._rref
+        """(rref, pivot columns), cached.  A matrix that is its own rref
+        caches (None, pivots): a reference to itself would be a cycle that
+        only the cyclic garbage collector frees."""
+        got = self._rref
+        if got is None:
+            rows = [list(r) for r in self.rows]
+            pivots = tuple(_rref(self.field, rows, self.ncols))
+            R = Matrix._trusted(self.field, tuple(map(tuple, rows)), self.ncols)
+            R._rref = (None, pivots)
+            got = self._rref = (R, pivots)
+        R, pivots = got
+        return (self if R is None else R), pivots
 
     def rref(self):
         return self._compute_rref()[0]
@@ -597,7 +609,7 @@ class Eliminator:
         rows = [zero_row] * self.A.ncols
         for c, row in zip(self.pivots, Y.rows):
             rows[c] = row
-        return Matrix(self.field, rows, B.ncols)
+        return Matrix._trusted(self.field, tuple(rows), B.ncols)
 
 
 class SpanAccumulator:
@@ -657,18 +669,60 @@ class SpanAccumulator:
         return Matrix.from_columns(self.field, [list(r) for r in self.rows], self.length)
 
 
-def kernel_intersection(field, dim, matrices):
-    """Basis (columns) of the common kernel of a family of dim-column
-    matrices, intersecting one kernel at a time; the identity when the
-    family is empty."""
-    K = None
-    for M in matrices:
-        K = M.kernel_matrix() if K is None else K * (M * K).kernel_matrix()
-        # M (and the rref it caches) is not needed while the next one is built
-        del M
-        if K.ncols == 0:
-            break
-    return Matrix.identity(field, dim) if K is None else K
+def sparse_kernel(field, nvars, rows):
+    """Basis (columns) of the common kernel of linear forms in nvars
+    variables, each row a {column: value} map; the identity when there are
+    no rows.
+
+    Rows are reduced one at a time against the stored pivot rows, which are
+    kept in reduced row echelon form: each starts at its pivot column with
+    1, and no other stored row has an entry there.  That form is unique, so
+    the basis is the one kernel_matrix gives for the stacked rows.  Stops
+    reading rows once the rank reaches nvars.
+    """
+    pivots = {}  # pivot column -> {column: value} with 1 at the pivot
+    if nvars:
+        for row in rows:
+            v = {j: x for j, x in row.items() if x}
+            # subtracting a stored row leaves the entries at the other pivots
+            for c in [c for c in v if c in pivots]:
+                _sparse_eliminate(field, v, v[c], pivots[c])
+            if not v:
+                continue
+            p = min(v)
+            pv = v[p]
+            if pv != 1:
+                inv = field.inv(pv)
+                for j in v:
+                    v[j] *= inv
+                field.reduce(v, v)
+            for prow in pivots.values():
+                f = prow.get(p)
+                if f:
+                    _sparse_eliminate(field, prow, f, v)
+            pivots[p] = v
+            if len(pivots) == nvars:
+                break
+    free = [j for j in range(nvars) if j not in pivots]
+    place = {f: k for k, f in enumerate(free)}
+    cols = [basis_vector(field, nvars, f) for f in free]
+    for pc, prow in pivots.items():
+        for j, x in prow.items():
+            if j != pc:
+                cols[place[j]][pc] = field.neg(x)
+    return Matrix.from_columns(field, cols, nvars)
+
+
+def _sparse_eliminate(field, v, f, prow):
+    """v -= f * prow on {column: value} rows, dropping the entries that
+    cancel."""
+    get = v.get
+    for j, b in prow.items():
+        v[j] = get(j, 0) - f * b
+    field.reduce(v, prow)
+    for j in prow:
+        if not v[j]:
+            del v[j]
 
 
 class ToolkitResult:

@@ -12,7 +12,7 @@ import random
 
 from .algebra import regular_modules
 from .errors import DimensionMismatch, ValidationError
-from .linalg import Eliminator, Matrix, SpanAccumulator, basis_vector, kernel_intersection
+from .linalg import Eliminator, Matrix, SpanAccumulator, basis_vector, sparse_kernel
 
 
 class Verdict:
@@ -440,9 +440,10 @@ def direct_sum(mods, label=""):
 def hom_space(m, n):
     """A basis of Hom(m, n) as ModuleMaps (deterministic RREF basis).
 
-    Solves the intertwiner system over a generating set of the algebra
-    (hom_space_direct) for every pair of modules; the tests check it against
-    the projective-presentation route homology.hom_space_via_presentation.
+    Solves the intertwiner system over a generating set of the algebra by
+    sparse row elimination (hom_space_direct) for every pair of modules, then
+    brings the basis to RREF; the tests check it against the
+    projective-presentation route homology.hom_space_via_presentation.
     """
     _hom_compatible(m, n)
     if m.dim == 0 or n.dim == 0:
@@ -459,35 +460,29 @@ def _hom_compatible(m, n):
 
 
 def hom_space_direct(m, n):
-    """Solve the intertwiner system rho_n(g) F = F rho_m(g) over generators,
-    intersecting one kernel at a time so no matrix exceeds dm*dn."""
+    """A basis of the solutions F (dn x dm) of rho_n(g) F = F rho_m(g) over
+    the generators g of the algebra.  F[s][c] is variable s*dm + c; the
+    constraint at (r, c) has one entry per nonzero of row r of rho_n(g) and
+    of column c of rho_m(g), and linalg.sparse_kernel reduces the
+    constraints as they are made."""
     field = m.field
     dm, dn = m.dim, n.dim
-    nvars = dm * dn
 
-    def constraints(g):
-        An = n.actions[g].rows
-        Am = m.actions[g].rows
-        rows = []
-        for r in range(dn):
-            Anr = An[r]
-            for c in range(dm):
-                row = [field.zero] * nvars
-                for s in range(dn):
-                    a = Anr[s]
-                    if a:
-                        row[s * dm + c] = field.add(row[s * dm + c], a)
-                for s in range(dm):
-                    b = Am[s][c]
-                    if b:
-                        idx = r * dm + s
-                        row[idx] = field.sub(row[idx], b)
-                rows.append(row)
-        return Matrix(field, rows, nvars)
+    def constraints():
+        sub, zero = field.sub, field.zero
+        for g in m.algebra.generators():
+            n_rows = [[(s, a) for s, a in enumerate(row) if a] for row in n.actions[g].rows]
+            m_cols = [[(s, b) for s, b in enumerate(col) if b]
+                      for col in m.actions[g].columns()]
+            for r in range(dn):
+                for c in range(dm):
+                    row = {s * dm + c: a for s, a in n_rows[r]}
+                    for s, b in m_cols[c]:
+                        j = r * dm + s
+                        row[j] = sub(row.get(j, zero), b)
+                    yield row
 
-    K = kernel_intersection(
-        field, nvars, (constraints(g) for g in m.algebra.generators())
-    )
+    K = sparse_kernel(field, dm * dn, constraints())
     mats = []
     for j in range(K.ncols):
         v = K.column(j)

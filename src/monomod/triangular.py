@@ -336,7 +336,7 @@ class T2DualBundle:
     tilde_h (double dual) to the generic Hom-space realizations."""
 
     __slots__ = (
-        "triple", "pi", "pi_star", "p", "beta",
+        "pi", "pi_star", "p", "beta",
         "dual_triple", "double_dual_triple",
         "h", "h2", "tilde_h", "phi_components", "coker",
     )
@@ -435,7 +435,7 @@ def t2_dual_bundle(t):
     if tilde_h.compose(phi_components).matrix != generic_phi.matrix:
         raise ValidationError("canonical-map formula disagrees with the generic map")
     bundle = T2DualBundle(
-        triple=t, pi=pi, pi_star=pi_star, p=p, beta=beta,
+        pi=pi, pi_star=pi_star, p=p, beta=beta,
         dual_triple=dual_triple, double_dual_triple=ddt,
         h=h, h2=h2, tilde_h=tilde_h, phi_components=phi_components, coker=coker,
     )

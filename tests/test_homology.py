@@ -12,6 +12,7 @@ from monomod.homology import (
     ext_induced_map,
     hom_space_via_presentation,
     is_semi_gp,
+    lift_chain_map,
     resolution,
     resolve,
     tor_dims,
@@ -216,6 +217,27 @@ def test_ext_induced_map_on_nonzero_ext(loop_arrow):
     assert table[1]["degree"] == 2
     assert table[1]["dim_target_side"] == 1
     assert all(row["invertible"] for row in table)
+
+
+def test_chain_lift_through_free_slots():
+    # without declared idempotents the covers are free: every slot has no
+    # idempotent, and each lift is solved in the whole of P_i(m')
+    A = validate_algebra(AlgebraPresentation(
+        QQ, 2, ["1", "x"], [1, 0], [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)],
+    ))
+    assert not A.has_idempotents_and_radical()
+    S = validate_module([Matrix.from_rows(QQ, [[1]]), Matrix.from_rows(QQ, [[0]])], "left", A)
+    f = hom_space(regular_modules(A)[0], S)[0]
+    lifts, res_s, res_t = lift_chain_map(f, 2)
+    assert all(st.e_index is None
+               for step in res_s.steps + res_t.steps for st in step.slot_types)
+    assert res_t.steps[0].d_matrix * lifts[0] == f.matrix * res_s.steps[0].d_matrix
+    for i in (1, 2):
+        assert res_t.steps[i].d_matrix * lifts[i] == lifts[i - 1] * res_s.steps[i].d_matrix
+    # Ext^1(S, S) = k, and the identity of S induces the identity on it
+    M, tdim, sdim = ext_induced_map(ModuleMap.identity(S), S, 1)
+    assert (tdim, sdim) == (1, 1)
+    assert M == Matrix.identity(QQ, 1)
 
 
 def test_minimality_needs_one_dimensional_slot_tops():

@@ -14,7 +14,9 @@ from monomod.linalg import (
     Field,
     Matrix,
     SpanAccumulator,
+    basis_vector,
     linear_toolkit,
+    sparse_kernel,
 )
 
 
@@ -196,6 +198,48 @@ def test_matrix_kernels_match_reduce_every_step_reference(field):
         for M in (AB, A.rref(), K):
             _assert_canonical(field, [x for r in M.rows for x in r])
         _assert_canonical(field, out)
+
+
+def _sparse_cases(field, rng):
+    """(nvars, dense rows): empty systems, rows that reduce to zero, all-(p-1)
+    entries, random deficient systems and full-rank ones."""
+    top = field.of(-1)
+    z = field.zero
+    yield 0, []
+    yield 0, [[]]
+    yield 3, []
+    yield 3, [[z] * 3]
+    yield 4, [[top] * 4 for _ in range(3)]
+    for n in (1, 4, 7):
+        rows = [list(r) for r in _random_matrix(field, rng, n, n).rows]
+        # a sum of two rows, a multiple of another and a zero row reduce away
+        rows.append([field.add(a, b) for a, b in zip(rows[0], rows[-1])])
+        rows.append([field.mul(top, a) for a in rows[1 % n]])
+        rows.append([z] * n)
+        yield n, rows
+        low_rank = _random_matrix(field, rng, 2, n) * _random_matrix(field, rng, n, n)
+        yield n, [list(r) for r in low_rank.rows]
+    yield 5, [basis_vector(field, 5, i) for i in (4, 2, 0, 3, 1)]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(7)])
+def test_sparse_kernel_matches_dense_reference(field):
+    rng = random.Random(31)
+    for nvars, rows in _sparse_cases(field, rng):
+        K = sparse_kernel(field, nvars, [{j: x for j, x in enumerate(r) if x} for r in rows])
+        assert K.nrows == nvars
+        assert K.columns() == _ref_kernel_columns(field, rows, nvars)
+        _assert_canonical(field, [x for r in K.rows for x in r])
+
+
+def test_sparse_kernel_stops_at_full_rank():
+    def rows():
+        for i in range(3):
+            yield {i: QQ.of(2), (i + 1) % 3: QQ.one}
+        raise AssertionError("read a row past full rank")
+
+    K = sparse_kernel(QQ, 3, rows())
+    assert (K.nrows, K.ncols) == (3, 0)
 
 
 def test_dimension_cap_refusal():

@@ -26,6 +26,7 @@ from monomod.quiver import (
     gathered_arrow_kernels,
     mon_membership,
     monic_check,
+    monic_check_perp_form,
     module_to_rep,
     outer_tensor,
     path_algebra,
@@ -186,6 +187,28 @@ def test_zero_arrow_not_monic(kx2):
     assert gathered_arrow_kernels(rep)[1] == reg.dim
 
 
+def test_monic_checks_read_flat_modules_as_reps(kx2):
+    # a flat module over a tensor algebra built here is checked as its rep
+    T = build_tensor(kx2, A2)
+    reg = regular_modules(kx2)[0]
+    reps = [QuiverRep(T, {1: reg, 2: reg}, {"g": ModuleMap.zero(reg, reg)}),
+            QuiverRep(T, {1: reg, 2: reg}, {"g": ModuleMap.identity(reg)})]
+    statuses = []
+    for rep in reps:
+        flat = rep_to_module(rep)
+        for mode in ("combinatorial", "homological"):
+            got = monic_check(flat, mode, bound=3).describe()
+            assert got == monic_check(rep, mode, bound=3).describe()
+            statuses.append(got["status"])
+        got = monic_check_perp_form(flat, bound=3).describe()
+        assert got == monic_check_perp_form(rep, bound=3).describe()
+    assert statuses == [Verdict.FAILS, Verdict.FAILS, Verdict.HOLDS, Verdict.UNKNOWN]
+    # a module over any other algebra has no representation to read
+    for check in (monic_check, monic_check_perp_form):
+        with pytest.raises(ValidationError, match="not over a tensor algebra"):
+            check(reg)
+
+
 def test_modes_agree_relation_free(kx2, rng):
     T = build_tensor(kx2, A2)
     done = 0
@@ -336,8 +359,6 @@ def test_gp_description_sampled(kx2, rng):
 def test_perp_form_agrees_with_other_modes(kx2, rng):
     # the Ext-against-D(A)(x)B form: a witness refutes monicity, and exact
     # monic modules are clean at every bound
-    from monomod.quiver import monic_check_perp_form
-
     T = build_tensor(kx2, A2)
     done = 0
     saw_fail = 0
@@ -361,8 +382,6 @@ def test_perp_form_agrees_with_other_modes(kx2, rng):
 
 
 def test_perp_form_on_relation_instance(trivial_k):
-    from monomod.quiver import monic_check_perp_form
-
     Q = Quiver([1, 2, 3], [("a", 3, 2), ("b", 2, 1)], relations=[("a", "b")])
     T = build_tensor(trivial_k, Q)
     kmod = regular_modules(trivial_k)[0]

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -7,7 +9,7 @@ from monomod.algebra import AlgebraPresentation, regular_modules, validate_algeb
 from monomod.duality import a_dual, canonical_map, classify, dual_map
 from monomod.errors import ValidationError
 from monomod.gallery import f1_map, module_M1qc
-from monomod.homology import is_semi_gp
+from monomod.homology import is_semi_gp, resolution
 from monomod.linalg import QQ, Matrix
 from monomod.modules import (
     Bimodule,
@@ -107,6 +109,28 @@ def test_monic_xc(lambda2):
     mono, wit = is_monic_bimodule(Xc)
     assert not mono
     assert wit == [QQ.of(0), QQ.of(0), QQ.of(1)]  # the class of z spans the kernel
+
+
+def test_cached_work_is_freed_by_reference_counting(lambda2):
+    # what a module or triple caches holds no reference back to it, so the
+    # last reference going away frees it without the cyclic collector
+    T = t2_algebra(lambda2)
+    reg = regular_modules(lambda2)[0]
+    gc.collect()
+    gc.disable()
+    try:
+        M = module_M1qc(lambda2, Fraction(3))
+        resolution(M, length=2)
+        assert a_dual(M).dual.dim == 3
+        t = t2_triple(T, reg, M, f1_map(lambda2, Fraction(3)))
+        t2_dual_bundle(t)
+        refs = [weakref.ref(M), weakref.ref(t)]
+        del M, t
+        assert [r() for r in refs] == [None, None]
+        # nor is anything else left in a cycle, a cached rref included
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_remark_nonprojective_bimodule_not_monic(trivial_k):
