@@ -8,7 +8,7 @@ which is then verified.
 """
 
 from .errors import DimensionMismatch, ValidationError
-from .linalg import Eliminator, Matrix, basis_vector, sparse_kernel
+from .linalg import Matrix, SpanAccumulator, basis_vector, sparse_kernel
 
 
 class AlgebraPresentation:
@@ -46,6 +46,8 @@ class AlgebraPresentation:
         self.radical_basis = None
         if radical_basis is not None:
             self.radical_basis = [[field.of(x) for x in v] for v in radical_basis]
+            if any(len(v) != dim for v in self.radical_basis):
+                raise ValidationError("radical vector length != dim")
 
 
 class Element:
@@ -351,19 +353,14 @@ class Algebra:
 
     def _verify_declared_radical(self):
         field = self.field
-        decl = [list(v) for v in self._declared_radical]
-        J = Matrix(field, decl, self.dim) if decl else Matrix(field, [], self.dim)
-        Jr = J.rref().submatrix(range(J.rank()), range(self.dim))
-        solver = Eliminator(Jr.transpose())
-        jvecs = [list(r) for r in Jr.rows]
-
-        def in_J(v):
-            return solver.solve(v) is not None
-
+        J = SpanAccumulator(field, self.dim)
+        for v in self._declared_radical:
+            J.add(v)
+        jvecs = [list(r) for r in J.rows]
         for i in range(self.dim):
             e = basis_vector(field, self.dim, i)
             for jv in jvecs:
-                if not in_J(self.product_vectors(e, jv)) or not in_J(
+                if not J.contains(self.product_vectors(e, jv)) or not J.contains(
                     self.product_vectors(jv, e)
                 ):
                     raise ValidationError(
@@ -371,36 +368,22 @@ class Algebra:
                         witness=(i, jv),
                     )
         self._check_radical_nilpotent(jvecs)
-        self._check_semisimple_quotient(Jr)
-        return [tuple(r) for r in Jr.rows]
+        self._check_semisimple_quotient(J)
+        return [tuple(v) for v in jvecs]
 
-    def _check_semisimple_quotient(self, Jr):
+    def _check_semisimple_quotient(self, J):
         # trace form of A/J must be nondegenerate -- only checkable for
         # char 0 or char p > dim(A/J)
         field = self.field
-        qdim = self.dim - Jr.nrows
+        qdim = self.dim - J.dim
         if not self._characteristic_ok(qdim):
             return  # declared radical accepted with the unverifiable part skipped
-        # Jr is in RREF: eliminating the pivot coordinates of v with its rows
-        # leaves the coordinates of v + J on the complement basis
-        pivots = [next(j for j, x in enumerate(row) if x) for row in Jr.rows]
-        pivset = set(pivots)
-        comp = [j for j in range(self.dim) if j not in pivset]
-
-        def reduce_mod_J(v):
-            red = list(v)
-            for row, pc in zip(Jr.rows, pivots):
-                f = red[pc]
-                if f:
-                    for j, x in enumerate(row):
-                        if x:
-                            red[j] = field.sub(red[j], field.mul(f, x))
-            return [red[c] for c in comp]
+        comp = J.complement
 
         def qprod(i, j):
             ei = basis_vector(field, self.dim, comp[i])
             ej = basis_vector(field, self.dim, comp[j])
-            vec = reduce_mod_J(self.product_vectors(ei, ej))
+            vec = J.project(self.product_vectors(ei, ej))
             return [(k, c) for k, c in enumerate(vec) if c]
 
         # quotient left-multiplication traces

@@ -16,9 +16,8 @@ import threading
 
 from .algebra import regular_modules
 from .errors import ValidationError
-from .linalg import Eliminator, Matrix, basis_vector
+from .linalg import Eliminator, Matrix, SpanAccumulator, basis_vector
 from .modules import (
-    EchelonComplement,
     Module,
     ModuleMap,
     Verdict,
@@ -290,16 +289,16 @@ def _minimal_generators(m):
     rad_image = radical_image(m)  # raises when the radical is unavailable
     if m.dim == 0:
         return []
-    ech = EchelonComplement(field, m.dim, accumulator=rad_image)
+    top_dim = m.dim - rad_image.dim
     gens = []
     for e_idx, e in enumerate(algebra.idempotents):
         E = m.action_of_vector(list(e))
         projected = Matrix.from_columns(
-            field, [ech.project(E.column(j)) for j in range(m.dim)], ech.dim
+            field, [rad_image.project(E.column(j)) for j in range(m.dim)], top_dim
         )
         for j in projected.pivot_columns():
             gens.append((e_idx, E.column(j)))
-    if len(gens) != ech.dim:
+    if len(gens) != top_dim:
         raise ValidationError(
             "minimal-unavailable: idempotent parts do not exhaust the top"
         )
@@ -433,22 +432,20 @@ class HomComplex:
         return _homology_dim(self.space_dims, self.deltas, i)
 
     def cohomology(self, i):
-        """(representative basis in C_i coords, coordinate projector) at degree i."""
+        """(cocycle basis K in C_i coords, span of the coboundaries in K
+        coords) at degree i: cohomology is the quotient by that span."""
+        field = self.n.field
         K = self.deltas[i].kernel_matrix() if i < len(self.deltas) else Matrix.identity(
-            self.n.field, self.space_dims[i]
+            field, self.space_dims[i]
         )
         # image of delta_{i-1} expressed inside the kernel
-        if i == 0:
-            img_in_K = Matrix.from_columns(self.n.field, [], K.ncols)
-        else:
-            ksolver = Eliminator(K)
-            img = self.deltas[i - 1]
-            sols = ksolver.solve_matrix(img)
+        boundaries = SpanAccumulator(field, K.ncols)
+        if i > 0:
+            sols = Eliminator(K).solve_matrix(self.deltas[i - 1])
             if sols is None:
                 raise ValidationError("image escapes kernel: complex broken")
-            img_in_K = sols.column_space_matrix()
-        ech = EchelonComplement(self.n.field, K.ncols, img_in_K)
-        return K, ech
+            boundaries.add_columns(sols)
+        return K, boundaries
 
 
 class ExtTable:
@@ -592,18 +589,17 @@ def _cochain_map(res_s, res_t, F, n_mod, i):
 def _cohomology_descent(Cs, Ct, G, i):
     """Matrix of the map on cohomology at degree i, plus (tgt_dim, src_dim)."""
     field = Cs.n.field
-    Kt, echt = Ct.cohomology(i)
-    Ks, echs = Cs.cohomology(i)
+    Kt, bt = Ct.cohomology(i)
+    Ks, bs = Cs.cohomology(i)
     ks_solver = Eliminator(Ks)
     cols = []
-    for c in range(echt.dim):
-        rep = list(Kt.column(echt.complement[c]))
-        image = G.apply(rep)
-        in_k = ks_solver.solve(image)
+    for c in bt.complement:
+        in_k = ks_solver.solve(G.apply(list(Kt.column(c))))
         if in_k is None:
             raise ValidationError("induced cochain map does not preserve cocycles")
-        cols.append(echs.project(in_k))
-    return Matrix.from_columns(field, cols, echs.dim), echt.dim, echs.dim
+        cols.append(bs.project(in_k))
+    src_dim = Ks.ncols - bs.dim
+    return Matrix.from_columns(field, cols, src_dim), Kt.ncols - bt.dim, src_dim
 
 
 def ext_induced_map(f, n, degree, lifts=None, res_s=None, res_t=None):

@@ -9,6 +9,12 @@ The two fields differ only in their scalars, so every matrix kernel
 multiplies raw entries with Python's operators and then calls the field's
 `reduce` hook on the positions it wrote, which is a no-op over Q and takes
 residues mod p over F_p.
+
+There are two eliminations.  `_rref` reduces the rows of a whole matrix at
+once (`Matrix.rref`, `kernel_matrix`, `inverse`).  `SpanAccumulator` takes
+vectors one at a time and keeps a sparse reduced echelon basis of their
+span; spans, quotients by a span and kernels of streamed linear forms
+(`sparse_kernel`) are all read off it.
 """
 
 from fractions import Fraction
@@ -507,11 +513,15 @@ class Matrix:
     def inverse(self):
         if self.nrows != self.ncols:
             raise DimensionMismatch("inverse of non-square matrix")
-        aug = self.hstack(Matrix.identity(self.field, self.nrows))
-        R = aug.rref()
-        if R.pivot_columns()[: self.nrows] != tuple(range(self.nrows)):
+        # reduce the plain rows of [self | I]; no n x 2n Matrix is formed, so
+        # the dimension cap bounds only n
+        n = self.nrows
+        field = self.field
+        z, o = field.zero, field.one
+        rows = [list(r) + [o if i == j else z for j in range(n)] for i, r in enumerate(self.rows)]
+        if len(_rref(field, rows, n)) != n:
             raise InconsistentSystem("matrix not invertible")
-        return R.submatrix(range(self.nrows), range(self.nrows, 2 * self.nrows))
+        return Matrix._trusted(field, tuple(tuple(r[n:]) for r in rows), n)
 
 
 def _normalize(field, row, start):
@@ -569,10 +579,10 @@ class Eliminator:
     A[:, C], and inverts the r x r block S = A[I, C] once.  A solution
     supported on C, if there is one, is unique and has x_C = S^-1 b_I, so
     solve() computes that candidate and keeps it only when A x == b holds
-    exactly.  Apart from pieces of A, the only scratch matrix is the r x 2r
-    [S | I] that inverts S.  Used wherever many systems share a coefficient
-    matrix (coordinate solvers for stored bases, induced actions on
-    subquotients, ...).
+    exactly.  Apart from pieces of A, the only scratch is the row lists that
+    invert S.  Used wherever many systems share a coefficient matrix
+    (coordinate solvers for stored bases, induced actions on subquotients,
+    ...).
     """
 
     def __init__(self, A):
@@ -613,51 +623,82 @@ class Eliminator:
 
 
 class SpanAccumulator:
-    """Incremental row-echelon span of vectors of a fixed length.
+    """Incremental basis of the span of vectors of a fixed length, kept in
+    reduced row echelon form.
 
-    Lets large families of vectors be reduced as they arrive, so no wide
-    scratch matrix is ever materialized.  Rows are kept fully reduced with
-    pivot 1, ordered by pivot position (deterministic basis).
+    Vectors arrive one at a time, as dense sequences or as sparse
+    {column: value} maps, so no wide scratch matrix is ever built.  Each
+    stored row is a {column: value} map keyed by its pivot column: it is 1
+    there, and no other stored row has an entry there.  That form is unique,
+    so the rows are the nonzero rows of the batch rref of the vectors, in
+    whatever order they arrived.  The same rows give the quotient by the
+    span (coordinates on the non-pivot columns, `complement`) and the common
+    kernel of the rows read as linear forms (`kernel_matrix`).
     """
 
     def __init__(self, field, length):
         self.field = field
         self.length = length
-        self.rows = []     # reduced rows
-        self.pivots = []   # pivot column per row, increasing
+        self._rows = {}  # pivot column -> {column: value} with 1 at the pivot
 
     @property
     def dim(self):
-        return len(self.rows)
+        return len(self._rows)
 
-    def reduce(self, vec):
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            f = v[p]
-            if f:
-                _eliminate(self.field, v, f, row, [j for j in range(p, self.length) if row[j]])
+    @property
+    def complement(self):
+        """The non-pivot columns, increasing: the coordinates of the quotient."""
+        rows = self._rows
+        return [j for j in range(self.length) if j not in rows]
+
+    @property
+    def rows(self):
+        """The basis as dense row tuples, by increasing pivot."""
+        z = self.field.zero
+        out = []
+        for p in sorted(self._rows):
+            v = [z] * self.length
+            for j, x in self._rows[p].items():
+                v[j] = x
+            out.append(tuple(v))
+        return out
+
+    def _reduce(self, vec):
+        """vec reduced against the stored rows, as a {column: value} map
+        with no entry at a pivot."""
+        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+        v = {j: x for j, x in items if x}
+        rows = self._rows
+        # subtracting a stored row leaves the entries at the other pivots
+        for c in [c for c in v if c in rows]:
+            _sparse_eliminate(self.field, v, v[c], rows[c])
         return v
 
     def contains(self, vec):
-        return not any(self.reduce(vec))
+        return not self._reduce(vec)
 
     def add(self, vec):
-        """Add a vector to the span; returns True if the span grew."""
-        v = self.reduce(vec)
-        p = next((j for j, x in enumerate(v) if x), None)
-        if p is None:
+        """Add a vector to the span; returns True if the span grew.  Once the
+        span is the whole space, returns False without reading vec."""
+        rows = self._rows
+        if len(rows) == self.length:
             return False
-        support = _normalize(self.field, v, p)
-        # back-eliminate the new pivot from existing rows
-        for row in self.rows:
-            f = row[p]
+        v = self._reduce(vec)
+        if not v:
+            return False
+        field = self.field
+        p = min(v)
+        pv = v[p]
+        if pv != 1:
+            inv = field.inv(pv)
+            for j in v:
+                v[j] *= inv
+            field.reduce(v, v)
+        for row in rows.values():
+            f = row.get(p)
             if f:
-                _eliminate(self.field, row, f, v, support)
-        idx = 0
-        while idx < len(self.pivots) and self.pivots[idx] < p:
-            idx += 1
-        self.rows.insert(idx, v)
-        self.pivots.insert(idx, p)
+                _sparse_eliminate(field, row, f, v)
+        rows[p] = v
         return True
 
     def add_columns(self, matrix):
@@ -666,51 +707,53 @@ class SpanAccumulator:
 
     def basis_columns_matrix(self):
         """Basis vectors as columns (echelon rows transposed)."""
-        return Matrix.from_columns(self.field, [list(r) for r in self.rows], self.length)
+        return Matrix.from_columns(self.field, self.rows, self.length)
+
+    def project(self, vec):
+        """Coordinates of vec + span on the complement columns."""
+        v = self._reduce(vec)
+        z = self.field.zero
+        return [v.get(c, z) for c in self.complement]
+
+    def projection_matrix(self):
+        """The matrix of project: column j is the image of the j-th
+        standard basis vector."""
+        field = self.field
+        z, o, neg = field.zero, field.one, field.neg
+        place = {c: k for k, c in enumerate(self.complement)}
+        rows = [[z] * self.length for _ in place]
+        for c, k in place.items():
+            rows[k][c] = o
+        for p, row in self._rows.items():
+            for j, x in row.items():
+                if j != p:
+                    rows[place[j]][p] = neg(x)
+        return Matrix(field, rows, self.length)
+
+    def section_matrix(self):
+        """Columns: the standard basis vectors at the complement columns,
+        a right inverse of projection_matrix."""
+        return Matrix.from_columns(
+            self.field, [basis_vector(self.field, self.length, c) for c in self.complement],
+            self.length)
+
+    def kernel_matrix(self):
+        """Columns form a basis of the vectors that every stored row sends
+        to 0, one per complement column: the basis kernel_matrix gives for
+        the stacked rows.  It is the transpose of projection_matrix."""
+        return self.projection_matrix().transpose()
 
 
 def sparse_kernel(field, nvars, rows):
     """Basis (columns) of the common kernel of linear forms in nvars
     variables, each row a {column: value} map; the identity when there are
-    no rows.
-
-    Rows are reduced one at a time against the stored pivot rows, which are
-    kept in reduced row echelon form: each starts at its pivot column with
-    1, and no other stored row has an entry there.  That form is unique, so
-    the basis is the one kernel_matrix gives for the stacked rows.  Stops
-    reading rows once the rank reaches nvars.
-    """
-    pivots = {}  # pivot column -> {column: value} with 1 at the pivot
-    if nvars:
-        for row in rows:
-            v = {j: x for j, x in row.items() if x}
-            # subtracting a stored row leaves the entries at the other pivots
-            for c in [c for c in v if c in pivots]:
-                _sparse_eliminate(field, v, v[c], pivots[c])
-            if not v:
-                continue
-            p = min(v)
-            pv = v[p]
-            if pv != 1:
-                inv = field.inv(pv)
-                for j in v:
-                    v[j] *= inv
-                field.reduce(v, v)
-            for prow in pivots.values():
-                f = prow.get(p)
-                if f:
-                    _sparse_eliminate(field, prow, f, v)
-            pivots[p] = v
-            if len(pivots) == nvars:
-                break
-    free = [j for j in range(nvars) if j not in pivots]
-    place = {f: k for k, f in enumerate(free)}
-    cols = [basis_vector(field, nvars, f) for f in free]
-    for pc, prow in pivots.items():
-        for j, x in prow.items():
-            if j != pc:
-                cols[place[j]][pc] = field.neg(x)
-    return Matrix.from_columns(field, cols, nvars)
+    no rows.  Stops reading rows once the rank reaches nvars."""
+    acc = SpanAccumulator(field, nvars)
+    for row in rows:
+        acc.add(row)
+        if acc.dim == nvars:
+            break
+    return acc.kernel_matrix()
 
 
 def _sparse_eliminate(field, v, f, prow):

@@ -12,7 +12,7 @@ import random
 
 from .algebra import regular_modules
 from .errors import DimensionMismatch, ValidationError
-from .linalg import Eliminator, Matrix, SpanAccumulator, basis_vector, sparse_kernel
+from .linalg import Eliminator, Matrix, SpanAccumulator, sparse_kernel
 
 
 class Verdict:
@@ -272,43 +272,6 @@ class ModuleMap:
 # sub/quotient machinery
 
 
-class EchelonComplement:
-    """Quotient-coordinate bookkeeping for V / span(columns of B).
-
-    project(v) gives coordinates on the complement of the pivot coordinates;
-    section embeds them back.
-    """
-
-    def __init__(self, field, big_dim, subspace_columns=None, accumulator=None):
-        self.field = field
-        self.big_dim = big_dim
-        if accumulator is None:
-            accumulator = SpanAccumulator(field, big_dim)
-            if subspace_columns is not None:
-                accumulator.add_columns(subspace_columns)
-        self.span = accumulator
-        pivset = set(accumulator.pivots)
-        self.complement = [j for j in range(big_dim) if j not in pivset]
-        self.dim = len(self.complement)
-
-    def project(self, vec):
-        red = self.span.reduce(vec)
-        return [red[c] for c in self.complement]
-
-    def projection_matrix(self):
-        cols = []
-        for j in range(self.big_dim):
-            v = basis_vector(self.field, self.big_dim, j)
-            cols.append(self.project(v))
-        return Matrix.from_columns(self.field, cols, self.dim)
-
-    def section_matrix(self):
-        cols = []
-        for c in self.complement:
-            cols.append(basis_vector(self.field, self.big_dim, c))
-        return Matrix.from_columns(self.field, cols, self.big_dim)
-
-
 def submodule_generated(m, vectors, label=""):
     """Smallest submodule containing the vectors; returns (sub, inclusion).
 
@@ -339,12 +302,16 @@ def module_on_invariant_columns(m, basis_matrix, label=""):
 
 
 def quotient_module(m, subspace_columns, label="", accumulator=None):
-    """(quotient, projection, section_matrix) of m by an invariant subspace."""
-    ech = EchelonComplement(m.field, m.dim, subspace_columns, accumulator=accumulator)
-    Q = ech.projection_matrix()
-    S = ech.section_matrix()
+    """(quotient, projection, section_matrix) of m by an invariant subspace,
+    given by its columns or, when subspace_columns is None, as a
+    SpanAccumulator."""
+    if accumulator is None:
+        accumulator = SpanAccumulator(m.field, m.dim)
+        accumulator.add_columns(subspace_columns)
+    Q = accumulator.projection_matrix()
+    S = accumulator.section_matrix()
     acts = [Q * (m.actions[i] * S) for i in range(m.algebra.dim)]
-    quot = Module(m.algebra, m.side, ech.dim, acts, label=label, _validated=True)
+    quot = Module(m.algebra, m.side, Q.nrows, acts, label=label, _validated=True)
     proj = ModuleMap(m, quot, Q, check=False)
     return quot, proj, S
 
@@ -441,15 +408,14 @@ def hom_space(m, n):
     """A basis of Hom(m, n) as ModuleMaps (deterministic RREF basis).
 
     Solves the intertwiner system over a generating set of the algebra by
-    sparse row elimination (hom_space_direct) for every pair of modules, then
-    brings the basis to RREF; the tests check it against the
-    projective-presentation route homology.hom_space_via_presentation.
+    sparse row elimination (hom_space_direct) for every pair of modules; the
+    tests check it against the projective-presentation route
+    homology.hom_space_via_presentation.
     """
     _hom_compatible(m, n)
     if m.dim == 0 or n.dim == 0:
         return []
-    mats = _canonical_map_basis(m, n, hom_space_direct(m, n))
-    return [ModuleMap(m, n, F, check=False) for F in mats]
+    return [ModuleMap(m, n, F, check=False) for F in hom_space_direct(m, n)]
 
 
 def _hom_compatible(m, n):
@@ -460,13 +426,19 @@ def _hom_compatible(m, n):
 
 
 def hom_space_direct(m, n):
-    """A basis of the solutions F (dn x dm) of rho_n(g) F = F rho_m(g) over
-    the generators g of the algebra.  F[s][c] is variable s*dm + c; the
-    constraint at (r, c) has one entry per nonzero of row r of rho_n(g) and
-    of column c of rho_m(g), and linalg.sparse_kernel reduces the
-    constraints as they are made."""
+    """The RREF basis, as row-major vecs, of the solutions F (dn x dm) of
+    rho_n(g) F = F rho_m(g) over the generators g of the algebra.
+
+    The unknowns are numbered from the last vec entry: F[s][c] is variable
+    last - (s*dm + c).  The constraint at (r, c) has one entry per nonzero
+    of row r of rho_n(g) and of column c of rho_m(g), and
+    linalg.sparse_kernel reduces the constraints as they are made.  Its
+    kernel basis vector for a free variable is 1 there and 0 at the other
+    free variables, with its other entries at smaller variables, so read in
+    reverse it is the RREF basis."""
     field = m.field
     dm, dn = m.dim, n.dim
+    last = dm * dn - 1
 
     def constraints():
         sub, zero = field.sub, field.zero
@@ -476,33 +448,18 @@ def hom_space_direct(m, n):
                       for col in m.actions[g].columns()]
             for r in range(dn):
                 for c in range(dm):
-                    row = {s * dm + c: a for s, a in n_rows[r]}
+                    row = {last - (s * dm + c): a for s, a in n_rows[r]}
                     for s, b in m_cols[c]:
-                        j = r * dm + s
+                        j = last - (r * dm + s)
                         row[j] = sub(row.get(j, zero), b)
                     yield row
 
     K = sparse_kernel(field, dm * dn, constraints())
     mats = []
-    for j in range(K.ncols):
-        v = K.column(j)
-        mats.append(Matrix(field, [tuple(v[r * dm + c] for c in range(dm)) for r in range(dn)], dm))
+    for j in reversed(range(K.ncols)):
+        v = K.column(j)[::-1]
+        mats.append(Matrix(field, [v[r * dm:(r + 1) * dm] for r in range(dn)], dm))
     return mats
-
-
-def _canonical_map_basis(m, n, mats):
-    """RREF-canonicalize a list of map matrices spanning a Hom space."""
-    if not mats:
-        return []
-    field = m.field
-    dm, dn = m.dim, n.dim
-    rows = [[F.rows[r][c] for r in range(dn) for c in range(dm)] for F in mats]
-    R = Matrix(field, rows, dm * dn).rref()
-    out = []
-    for i in range(R.rank()):
-        v = R.rows[i]
-        out.append(Matrix(field, [tuple(v[r * dm + c] for c in range(dm)) for r in range(dn)], dm))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -745,19 +702,15 @@ def tensor_over(u, y, validate=True):
             ucol = Ru.column(i)
             for j in range(dy):
                 vcol = Ly.column(j)
-                vec = [field.zero] * N
-                for s, a in enumerate(ucol):
-                    if a:
-                        vec[s * dy + j] = field.add(vec[s * dy + j], a)
+                vec = {s * dy + j: a for s, a in enumerate(ucol) if a}
                 for t, b in enumerate(vcol):
                     if b:
                         idx = i * dy + t
-                        vec[idx] = field.sub(vec[idx], b)
-                if any(vec):
-                    acc.add(vec)
-    ech = EchelonComplement(field, N, accumulator=acc)
-    Q = ech.projection_matrix()
-    S = ech.section_matrix()
+                        vec[idx] = field.sub(vec.get(idx, field.zero), b)
+                acc.add(vec)
+    Q = acc.projection_matrix()
+    S = acc.section_matrix()
+    dim = Q.nrows
     module = None
     if left_acts is not None:
         eye = Matrix.identity(field, dy)
@@ -765,6 +718,6 @@ def tensor_over(u, y, validate=True):
         if validate:
             module = validate_module(acts, "left", A, label=f"{u.label}(x){y.label}")
         else:
-            module = Module(A, "left", ech.dim, acts, label=f"{u.label}(x){y.label}",
+            module = Module(A, "left", dim, acts, label=f"{u.label}(x){y.label}",
                             _validated=True)
-    return TensorResult(ech.dim, Q, S, module, du, dy)
+    return TensorResult(dim, Q, S, module, du, dy)

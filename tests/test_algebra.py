@@ -157,6 +157,12 @@ def test_declared_radical_verified(kx2):
     )
     with pytest.raises(ValidationError):
         validate_algebra(not_nilpotent).radical_basis()
+    with pytest.raises(ValidationError, match="radical vector length"):
+        AlgebraPresentation(
+            QQ, 2, ["1", "x"], [1, 0],
+            [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)],
+            radical_basis=[[0, 1, 0]],
+        )
 
 
 def test_unsupported_characteristic():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from monomod.algebra import regular_modules
+from monomod.algebra import AlgebraPresentation, regular_modules, validate_algebra
 from monomod.duality import (
     a_dual,
     canonical_map,
@@ -18,7 +18,7 @@ from monomod.gallery import (
     lambda_element,
     module_M1qc,
 )
-from monomod.linalg import QQ, Matrix
+from monomod.linalg import QQ, Eliminator, Matrix
 from monomod.modules import (
     Verdict,
     direct_sum,
@@ -120,8 +120,6 @@ def test_left_add_approximation_M(lambda2):
     assert Matrix.from_columns(QQ, [img, xy], 6).rank() == 1
     # approximation property: every f: M -> A factors through phi
     reg = regular_modules(lambda2)[0]
-    from monomod.linalg import Eliminator
-
     for f in hom_space(M, reg):
         # need g: A^t -> A with g o phi = f, i.e. f = sum components . a_i
         t = len(ap.components)
@@ -133,6 +131,29 @@ def test_left_add_approximation_M(lambda2):
         sysm = Matrix.from_columns(QQ, cols, 6 * M.dim)
         vec = [x for row in f.matrix.rows for x in row]
         assert Eliminator(sysm).solve(vec) is not None
+
+
+def test_approximation_without_idempotents_keeps_every_dual_basis_vector():
+    # k[x]/(x^2) declared without idempotents has no minimal generators, so
+    # phi has one component per basis vector of A* = Hom(A, A): two
+    pres = AlgebraPresentation(QQ, 2, ["1", "x"], [1, 0],
+                               [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)])
+    A = validate_algebra(pres, label="k[x]/(x^2) without idempotents")
+    reg = regular_modules(A)[0]
+    ap = left_add_approximation(reg)
+    assert not ap.minimal
+    assert len(ap.components) == 2
+    # every f: A -> A is sum_k (right multiplication by a_k) o component_k
+    cols = []
+    for comp in ap.components:
+        for i in range(A.dim):
+            moved = A.right_matrix(i) * comp.matrix
+            cols.append([x for row in moved.rows for x in row])
+    solver = Eliminator(Matrix.from_columns(QQ, cols, A.dim * reg.dim))
+    maps = hom_space(reg, reg)
+    assert len(maps) == 2
+    for f in maps:
+        assert solver.solve([x for row in f.matrix.rows for x in row]) is not None
 
 
 def test_approximation_projective_split(loop_arrow):

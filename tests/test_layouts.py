@@ -8,8 +8,9 @@ coordinate order that round trips consistently still fails here.
 
 import random
 
-from monomod.algebra import regular_modules
-from monomod.linalg import QQ, Matrix
+from monomod.algebra import AlgebraPresentation, regular_modules, validate_algebra
+from monomod.homology import resolution
+from monomod.linalg import GF, QQ, Matrix
 from monomod.modules import (
     ModuleMap,
     direct_sum,
@@ -236,3 +237,23 @@ def test_right_triple_to_module_matches_oracle(kx2):
         U, V = rng.choice(pool), rng.choice(pool)
         t = RightTriple(parent, U, V, random_map(rng, U, V))
         assert list(right_triple_to_module(t).actions) == _right_triple_oracle(t)
+
+
+def test_builds_without_a_radical_fall_back_to_free_covers():
+    # over GF(2) the trace form cannot find the radical of k[x]/(x^2) and
+    # none is declared, so neither construction can declare one
+    F2 = GF(2)
+    pres = AlgebraPresentation(F2, 2, ["1", "x"], [1, 0],
+                               [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)],
+                               idempotents=[[1, 0]])
+    A = validate_algebra(pres, label="k[x]/(x^2) over F2")
+    assert not A.has_radical()
+    flats = [t2_algebra(A).flat, build_tensor(A, Quiver([1, 2], [("g", 2, 1)])).flat]
+    assert [B.dim for B in flats] == [6, 6]
+    for B in flats:
+        assert B._declared_radical is None
+        assert not B.has_idempotents_and_radical()
+        # a free cover of B takes one copy of B per basis vector of B
+        res = resolution(regular_modules(B)[0], length=1)
+        assert res.minimal is False
+        assert [res.proj(i).dim for i in range(2)] == [36, 180]

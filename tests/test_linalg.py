@@ -252,20 +252,52 @@ def test_dimension_cap_refusal():
         set_dimension_cap(512)
 
 
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(7)])
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2 ** 31 - 1))
-def test_span_accumulator_matches_batch_rref(seed):
+@given(seed=st.integers(0, 2 ** 31 - 1))
+def test_span_accumulator_matches_batch_rref(field, seed):
     rng = random.Random(seed)
     n = rng.randint(1, 8)
-    vecs = [[QQ.of(rng.randint(-2, 2)) for _ in range(n)] for _ in range(rng.randint(1, 10))]
-    acc = SpanAccumulator(QQ, n)
-    for v in vecs:
-        acc.add(v)
-    batch = Matrix.from_rows(QQ, vecs, n).rref()
-    expected = [batch.rows[i] for i in range(batch.rank())]
-    assert [tuple(r) for r in acc.rows] == expected
-    for v in vecs:
-        assert acc.contains(v)
+
+    def vector():
+        return list(_random_matrix(field, rng, 1, n).rows[0])
+
+    vecs = [vector() for _ in range(rng.randint(1, 10))]
+    acc = SpanAccumulator(field, n)
+    # shuffled order, each vector dense or as a {column: value} map
+    for v in rng.sample(vecs, len(vecs)):
+        acc.add({j: x for j, x in enumerate(v) if x} if rng.random() < 0.5 else v)
+    stacked = Matrix(field, vecs, n)
+    batch = stacked.rref()
+    rank = batch.rank()
+    assert acc.rows == [batch.rows[i] for i in range(rank)]
+    assert acc.complement == [j for j in range(n) if j not in batch.pivot_columns()]
+    assert acc.kernel_matrix() == stacked.kernel_matrix()
+    # quotient: Q kills the span, S is a section of Q, and project(w) is
+    # the class of w: w - S project(w) lies in the span
+    Q, S = acc.projection_matrix(), acc.section_matrix()
+    assert (Q.nrows, S.ncols) == (n - rank, n - rank)
+    assert (Q * S).is_identity()
+    assert (Q * stacked.transpose()).is_zero()
+    for w in vecs + [vector() for _ in range(4)]:
+        q = acc.project(w)
+        assert q == Q.apply(w)
+        rest = [field.sub(a, b) for a, b in zip(w, S.apply(q))]
+        assert Matrix(field, vecs + [rest], n).rank() == rank
+        assert acc.contains(w) == (Matrix(field, vecs + [w], n).rank() == rank)
+    for M in (Q, S, acc.kernel_matrix()):
+        _assert_canonical(field, [x for r in M.rows for x in r])
+
+
+def test_span_accumulator_stops_at_full_rank():
+    class Unread:
+        def __iter__(self):
+            raise AssertionError("read a vector after full rank")
+
+    acc = SpanAccumulator(QQ, 2)
+    assert acc.add([QQ.one, QQ.zero]) and acc.add({1: QQ.of(3)})
+    assert acc.add(Unread()) is False
+    assert (acc.dim, acc.complement) == (2, [])
 
 
 def test_eliminator_reusable_solver():
@@ -361,6 +393,20 @@ def test_inverse_and_kron():
     assert k.nrows == 4 and k.rank() == 4
     with pytest.raises(InconsistentSystem):
         Matrix.from_rows(QQ, [[1, 2], [2, 4]]).inverse()
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)])
+def test_inverse_stays_within_dimension_cap(field):
+    # a 6x6 Vandermonde matrix: [S | I] would be 6x12, above a cap of 8
+    S = Matrix.from_rows(field, [[(i + 1) ** j for j in range(6)] for i in range(6)])
+    set_dimension_cap(8)
+    try:
+        inv = S.inverse()
+        assert (inv * S).is_identity() and (S * inv).is_identity()
+        with pytest.raises(InconsistentSystem):
+            Matrix.from_rows(field, [[1, 2], [2, 4]]).inverse()
+    finally:
+        set_dimension_cap(512)
 
 
 def test_from_blocks_places_blocks_and_checks_shapes():
