@@ -16,11 +16,12 @@ import threading
 
 from .algebra import regular_modules
 from .errors import ValidationError
-from .linalg import Eliminator, Matrix, SpanAccumulator, basis_vector
+from .linalg import Eliminator, Matrix, SpanAccumulator
 from .modules import (
     Module,
     ModuleMap,
     Verdict,
+    generated_span,
     idempotent_slice,
     is_isomorphic,
     module_on_invariant_columns,
@@ -247,12 +248,11 @@ def _build_cover_step(m, minimal):
         gens = _minimal_generators(m)
     else:
         # free covers: slots are copies of the whole algebra; use a
-        # minimal-size generating set when the radical is known, otherwise
-        # fall back to the full spanning set
+        # minimal-size generating set when the radical is known
         try:
             gens = [(None, g) for (_e, g) in _minimal_generators(m)]
         except ValidationError:
-            gens = [(None, basis_vector(field, m.dim, j)) for j in range(m.dim)]
+            gens = [(None, g) for g in _free_generators(m)]
     if not gens:
         return _Step([], [], zero_module(algebra, m.side), Matrix.from_columns(field, [], m.dim))
     slot_types = [slot_type(algebra, m.side, e_idx) for (e_idx, _) in gens]
@@ -278,6 +278,45 @@ def _build_cover_step(m, minimal):
     if dmat.rank() != m.dim:
         raise ValidationError("cover is not surjective")  # cannot happen
     return _Step(slot_types, offsets, proj, dmat)
+
+
+def _free_generators(m):
+    """Vectors generating m, for free covers when the radical is unknown.
+
+    The candidates are the columns of the idempotent actions (the basis
+    vectors when there are no idempotents).  They are tried in order of the
+    dimension of the submodule each generates, largest first, and one that
+    the earlier picks already generate is skipped.  The order matters: taken
+    in basis order, the picks for the regular module of T2(k[x]/(x^2)) over
+    GF(2), free of rank 1, give P_0 of dimension 12 instead of 6, and every
+    later term 12 instead of 0.  The t-th picks of the idempotent parts are
+    summed into one generator g: the idempotents are orthogonal, so e times g
+    is the pick in part e, and the one free slot of g covers what the picks
+    generate."""
+    field = m.field
+    idempotents = m.algebra.idempotents or [m.algebra.unit]
+    candidates = []
+    for k, e in enumerate(idempotents):
+        for v in m.action_of_vector(list(e)).columns():
+            span = generated_span(m, [v])
+            if span.dim:
+                candidates.append((-span.dim, k, v, span))
+    candidates.sort(key=lambda c: c[0])
+    generated = SpanAccumulator(field, m.dim)
+    picks = [[] for _ in idempotents]
+    for _neg_dim, k, v, span in candidates:
+        if not generated.contains(v):
+            picks[k].append(v)
+            for row in span.rows:
+                generated.add(row)
+    gens = []
+    for t in range(max(map(len, picks))):
+        g = [field.zero] * m.dim
+        for part in picks:
+            if t < len(part):
+                g = [field.add(x, y) for x, y in zip(g, part[t])]
+        gens.append(g)
+    return gens
 
 
 def _minimal_generators(m):
@@ -648,6 +687,14 @@ def is_semi_gp(m, bound, seed=0):
     holds  -> certificate: zero syzygy (finite projective dimension) or a
               syzygy periodicity pair proving vanishing in all degrees.
     unknown-> clean up to the bound but no certificate found.
+
+    The periodicity search first tests only the pairs (i, bound).  In a
+    minimal resolution an isomorphism Omega^i ~ Omega^j shifts to
+    Omega^(i+bound-j) ~ Omega^bound, so when every one of these pairs is
+    refuted no pair is isomorphic and the verdict is unknown at once.
+    Otherwise all pairs are searched in lexicographic order, reusing the
+    verdicts already computed, and the first isomorphic pair is the
+    certificate.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -668,11 +715,25 @@ def is_semi_gp(m, bound, seed=0):
     for i, s in enumerate(syzygies, start=1):
         if s.dim == 0:
             return Verdict.holds({"zero_syzygy_at": i, "finite_projective_dimension": True})
+    verdicts = {}
+
+    def pair(i, j):
+        v = verdicts.get((i, j))
+        if v is None:
+            v = verdicts[i, j] = is_isomorphic(syzygies[i - 1], syzygies[j - 1], seed=seed)
+        return v
+
+    # Omega^i ~ Omega^j gives Omega^(i+1) ~ Omega^(j+1) in a minimal
+    # resolution, so an isomorphic pair (i, j) shifts to (i + bound - j, bound)
+    last = syzygies[-1].dim
+    if all(syzygies[i - 1].dim != last or pair(i, bound).status == Verdict.FAILS
+           for i in range(1, bound)):
+        return Verdict.unknown(bound)
     for i in range(1, bound + 1):
         for j in range(i + 1, bound + 1):
             if syzygies[i - 1].dim != syzygies[j - 1].dim:
                 continue
-            v = is_isomorphic(syzygies[i - 1], syzygies[j - 1], seed=seed)
+            v = pair(i, j)
             if v.status == Verdict.HOLDS:
                 return Verdict.holds(
                     {"syzygy_period": (i, j), "isomorphism": v.certificate}

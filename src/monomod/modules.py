@@ -278,12 +278,18 @@ def submodule_generated(m, vectors, label=""):
     One pass suffices: span{rho(b_i) v} is already action-invariant because
     the action matrices realize an algebra map.
     """
+    basis = generated_span(m, vectors).basis_columns_matrix()
+    return module_on_invariant_columns(m, basis, label=label)
+
+
+def generated_span(m, vectors):
+    """The SpanAccumulator of span{rho(b_i) v}, the submodule the vectors
+    generate (the unit is a combination of the basis b_i)."""
     acc = SpanAccumulator(m.field, m.dim)
     for v in vectors:
-        for i in range(m.algebra.dim):
-            acc.add(m.actions[i].apply(v))
-    basis = acc.basis_columns_matrix()
-    return module_on_invariant_columns(m, basis, label=label)
+        for act in m.actions:
+            acc.add(act.apply(v))
+    return acc
 
 
 def module_on_invariant_columns(m, basis_matrix, label=""):
@@ -471,9 +477,20 @@ def is_isomorphic(m, n, seed=0, trials=64):
 
     holds -> certificate is an explicit invertible intertwiner (ModuleMap).
     fails -> witness is a rank argument (dimension or Hom-space obstruction),
-             or exhaustion over a small prime field.
+             exhaustion over a small prime field, or "composites lie in the
+             trace radical of End" (see below).
     unknown -> randomized search over an infinite field gave up after
                `trials` seeded attempts.
+
+    Before the random search, over Q or F_p with p > d = dim m, the test
+    forms every composite g.f of a basis map f: m -> n and a basis map
+    g: n -> m.  If tr(g.f.e) = 0 for every basis element e of E = End(m),
+    all composites lie in the subspace I = {x in E : tr(xy) = 0 for all y
+    in E}.  Each z in I has tr(z^k) = tr(z.z^(k-1)) = 0 for k = 1..d, so by
+    Newton's identities (char 0 or p > d) z is nilpotent.  Every g.f is a
+    combination of the basis composites, so none is invertible and m is not
+    isomorphic to n.  The refutation never fires on isomorphic modules, where
+    1 = f^-1.f lies in the span and tr(1.1) = d is nonzero.
     """
     _hom_compatible(m, n)
     if m.dim != n.dim:
@@ -540,12 +557,41 @@ def is_isomorphic(m, n, seed=0, trials=64):
             {"reason": "exhaustive search over F_p found no invertible combination"}
         )
 
+    if field.characteristic == 0 or field.characteristic > d:
+        E = hom_space_direct(m, m)
+        if _composites_in_trace_radical(field, H, Hback, E):
+            return Verdict.fails(
+                {"reason": "composites lie in the trace radical of End",
+                 "dims": (len(H), len(Hback), len(E))}
+            )
+
     rng = random.Random(seed)
     for _ in range(trials):
         got = attempt([field.random_element(rng) for _ in H])
         if got is not None:
             return Verdict.holds(got)
     return Verdict.unknown(trials)
+
+
+def _composites_in_trace_radical(field, H, Hback, E):
+    """Whether tr(g.f.e) = 0 for every g in Hback, f in H and e in E: every
+    composite g.f then lies in I = {x in E : tr(xy) = 0 for all y in E}."""
+    add, mul, zero = field.add, field.mul, field.zero
+    # tr(C.e) = sum over (i, j) of C[i][j] * e[j][i]
+    transposed = [e.transpose().rows for e in E]
+    for g in Hback:
+        for f in H:
+            C = g.matrix * f.matrix
+            entries = [(i, j, x) for i, row in enumerate(C.rows) for j, x in enumerate(row) if x]
+            for eT in transposed:
+                s = zero
+                for i, j, x in entries:
+                    y = eT[i][j]
+                    if y:
+                        s = add(s, mul(x, y))
+                if s:
+                    return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -294,3 +294,14 @@ def test_verify_output_matches_golden_bytes(scenario, capsys, monkeypatch):
     assert cli.main(["verify", scenario]) == 0
     with open(os.path.join(GOLDEN, scenario + ".json"), "rb") as fh:
         assert capsys.readouterr().out.encode("utf-8") == fh.read()
+
+
+def test_verify_pinned_invocation_matches_golden_bytes(capsys, monkeypatch):
+    # the pinned x-family invocation is compared against its golden file in CI
+    from monomod import cli, config
+
+    monkeypatch.delenv(cli.ENV_CONFIG, raising=False)
+    monkeypatch.setattr(config, "_dimension_cap", config.dimension_cap())
+    assert cli.main(["verify", "t2-lift-sampled", "--seed", "3", "--samples", "4"]) == 0
+    with open(os.path.join(GOLDEN, "pinned", "t2-lift-sampled_seed3_samples4.json"), "rb") as fh:
+        assert capsys.readouterr().out.encode("utf-8") == fh.read()

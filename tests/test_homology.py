@@ -290,3 +290,93 @@ def test_resolution_uses_minimal_covers_exactly_when_available():
         assert resolution(S, minimal) is res
         # periodic syzygies certify vanishing only over minimal resolutions
         assert is_semi_gp(S, 3).status == (Verdict.HOLDS if minimal else Verdict.UNKNOWN)
+
+
+def _x0_flats():
+    from monomod.gallery import standard_family
+    from monomod.triangular import t2_dual_bundle
+
+    Xc = standard_family(QQ, Fraction(2), Fraction(0))["X_c"]
+    return Xc.flatten(), t2_dual_bundle(Xc).dual_triple.flatten()
+
+
+def test_trace_radical_refutations_of_x0_syzygies_are_nilpotent():
+    # an independent check of the refutation: sampled combinations g.f of
+    # the Hom bases are nilpotent on the syzygy pairs it refutes
+    flat, _dual = _x0_flats()
+    res = resolution(flat, length=6)
+    syz = [res.syzygy(i) for i in range(1, 7)]
+    rng = random.Random(5)
+    refuted = 0
+    for i, m in enumerate(syz):
+        for n in syz[i + 1:]:
+            v = is_isomorphic(m, n, seed=0)
+            assert v.status == Verdict.FAILS
+            if v.witness["reason"] != "composites lie in the trace radical of End":
+                continue
+            refuted += 1
+            H, Hback = hom_space(m, n), hom_space(n, m)
+            for _ in range(3):
+                F = sum((h.matrix.scale(QQ.random_element(rng)) for h in H[1:]),
+                        H[0].matrix.scale(QQ.random_element(rng)))
+                G = sum((h.matrix.scale(QQ.random_element(rng)) for h in Hback[1:]),
+                        Hback[0].matrix.scale(QQ.random_element(rng)))
+                C = G * F
+                power = C
+                for _ in range(m.dim - 1):
+                    power = power * C
+                assert power.is_zero()
+    assert refuted == 15
+
+
+def _semi_gp_by_every_pair(m, bound, seed=0):
+    """is_semi_gp's verdict by the full lexicographic loop over the syzygy
+    pairs, with no pruning: the oracle for the pruned search."""
+    reg = regular_modules(m.algebra)[0 if m.side == "left" else 1]
+    if m.dim == 0:
+        return Verdict.holds({"zero_module": True})
+    dims = ext_dims(m, reg, bound).dims
+    for i in range(1, bound + 1):
+        if dims[i]:
+            return Verdict.fails({"degree": i, "ext_dim": dims[i]})
+    res = resolution(m, length=bound)
+    if not res.minimal:
+        return Verdict.unknown(bound)
+    syz = [res.syzygy(i) for i in range(1, bound + 1)]
+    for i, s in enumerate(syz, start=1):
+        if s.dim == 0:
+            return Verdict.holds({"zero_syzygy_at": i, "finite_projective_dimension": True})
+    for i in range(1, bound + 1):
+        for j in range(i + 1, bound + 1):
+            if syz[i - 1].dim == syz[j - 1].dim:
+                v = is_isomorphic(syz[i - 1], syz[j - 1], seed=seed)
+                if v.status == Verdict.HOLDS:
+                    return Verdict.holds({"syzygy_period": (i, j), "isomorphism": v.certificate})
+    return Verdict.unknown(bound)
+
+
+def _nakayama_simple():
+    """S1 over the path algebra of 1 -a-> 2 -b-> 1 modulo paths of length 3.
+    Its syzygies [2;1], S2, [1;2], S1, [2;1], S2 have dimensions 2, 1, 2, 1,
+    2, 1, and the first isomorphic pair is (1, 5)."""
+    pres = AlgebraPresentation(
+        QQ, 6, ["e1", "e2", "a", "b", "ba", "ab"], [1, 1, 0, 0, 0, 0],
+        [(0, 0, 0, 1), (1, 1, 1, 1), (2, 0, 2, 1), (1, 2, 2, 1), (3, 1, 3, 1),
+         (0, 3, 3, 1), (3, 2, 4, 1), (4, 0, 4, 1), (0, 4, 4, 1), (2, 3, 5, 1),
+         (5, 1, 5, 1), (1, 5, 5, 1)],
+        idempotents=[[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0]],
+    )
+    A = validate_algebra(pres, label="Nakayama")
+    acts = [Matrix.from_rows(QQ, [[int(i == 0)]]) for i in range(6)]
+    return validate_module(acts, "left", A, label="S1")
+
+
+def test_pruned_periodicity_search_matches_every_pair(kx2, loop_arrow):
+    periodic = simples_and_projectives(kx2)["simples"][0]   # period (1, 2)
+    S1 = _nakayama_simple()
+    v = is_semi_gp(S1, 6)
+    assert v.certificate["syzygy_period"] == (1, 5)
+    mods = list(_x0_flats()) + loop_arrow["modules"] + [periodic, S1]
+    for m in mods:
+        for bound in (1, 2, 6):
+            assert is_semi_gp(m, bound).describe() == _semi_gp_by_every_pair(m, bound).describe()

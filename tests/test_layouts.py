@@ -9,8 +9,8 @@ coordinate order that round trips consistently still fails here.
 import random
 
 from monomod.algebra import AlgebraPresentation, regular_modules, validate_algebra
-from monomod.homology import resolution
-from monomod.linalg import GF, QQ, Matrix
+from monomod.homology import resolution, resolve
+from monomod.linalg import GF, QQ, Matrix, basis_vector
 from monomod.modules import (
     ModuleMap,
     direct_sum,
@@ -253,7 +253,17 @@ def test_builds_without_a_radical_fall_back_to_free_covers():
     for B in flats:
         assert B._declared_radical is None
         assert not B.has_idempotents_and_radical()
-        # a free cover of B takes one copy of B per basis vector of B
-        res = resolution(regular_modules(B)[0], length=1)
+        # the free cover of B, itself free of rank 1, is one copy of B:
+        # the picks in the idempotent parts sum to a generator
+        res = resolution(regular_modules(B)[0], length=3)
         assert res.minimal is False
-        assert [res.proj(i).dim for i in range(2)] == [36, 180]
+        assert [res.proj(i).dim for i in range(4)] == [6, 0, 0, 0]
+        # cyclic submodules: the free covers are exact and stay far below the
+        # one-copy-per-basis-vector size
+        reg = regular_modules(B)[0]
+        for j in range(B.dim):
+            M, _ = submodule_generated(reg, [basis_vector(F2, B.dim, j)])
+            if M.dim:
+                P = resolve(M, 3, minimal=False)
+                P.check_certificates()
+                assert all(t.dim <= B.dim * M.dim for t in P.terms)

@@ -4,12 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from monomod.algebra import regular_modules
+from monomod.algebra import AlgebraPresentation, regular_modules, validate_algebra
 from monomod.errors import DimensionMismatch, ValidationError
 from monomod.gallery import (
     generic_M,
     generic_M_prime,
     lambda_element,
+    lambda_q,
     module_M1qc,
 )
 from monomod.linalg import GF, QQ, Matrix
@@ -17,11 +18,13 @@ from monomod.modules import (
     Module,
     ModuleMap,
     Verdict,
+    _composites_in_trace_radical,
     direct_sum,
     hom_space,
     hom_space_direct,
     is_isomorphic,
     k_dual,
+    radical_image,
     regular_bimodule,
     simples_and_projectives,
     submodule_generated,
@@ -267,8 +270,6 @@ def test_is_isomorphic_exhaustive_over_f3():
     # invariant (dim, action ranks, radical image, Hom dimensions) yet are
     # not isomorphic; with 3^2 candidate combinations the exhaustive search
     # refutes them definitively
-    from monomod.gallery import lambda_q, module_M1qc
-
     F = GF(3)
     A = lambda_q(F, 2)
     M0 = module_M1qc(A, F.of(0))
@@ -334,16 +335,92 @@ def test_submodule_generated_invariant(lambda2, rng):
 
 
 def test_is_isomorphic_unknown_over_rationals(lambda2):
-    # M(1,-q,0) and M(1,-q,1) share dimension, all action ranks, the
-    # radical image and both Hom dimensions, but are not isomorphic; over
-    # the rationals the seeded search cannot refute, so the verdict is an
-    # honest unknown with its trial budget
-    M0 = module_M1qc(lambda2, Fraction(0))
-    M1 = module_M1qc(lambda2, Fraction(1))
-    assert len(hom_space(M0, M1)) == len(hom_space(M1, M0)) == 2
-    v = is_isomorphic(M0, M1, seed=0, trials=12)
+    # M(1,-q,0) (+) S and M(1,-q,1) (+) S share dimension, all action ranks,
+    # the radical image and both Hom dimensions, but are not isomorphic.  The
+    # identity of S is among the composites and escapes the trace radical,
+    # so the refutation does not apply and the seeded search over the
+    # rationals ends in an honest unknown with its trial budget
+    S = simples_and_projectives(lambda2)["simples"][0]
+    X, _inc, _pr = direct_sum([module_M1qc(lambda2, Fraction(0)), S])
+    Y, _inc, _pr = direct_sum([module_M1qc(lambda2, Fraction(1)), S])
+    assert X.dim == Y.dim
+    for g in lambda2.generators():
+        assert X.actions[g].rank() == Y.actions[g].rank()
+    assert radical_image(X).dim == radical_image(Y).dim
+    H, Hback = hom_space(X, Y), hom_space(Y, X)
+    assert len(H) == len(Hback) > 0
+    assert not _composites_in_trace_radical(QQ, H, Hback, hom_space_direct(X, X))
+    v = is_isomorphic(X, Y, seed=0, trials=12)
     assert v.status == Verdict.UNKNOWN
     assert v.bound == 12
+
+
+def test_is_isomorphic_trace_radical_refutation(lambda2):
+    # every composite M0 -> M1 -> M0 lies in the trace radical of End(M0)
+    M0 = module_M1qc(lambda2, Fraction(0))
+    M1 = module_M1qc(lambda2, Fraction(1))
+    v = is_isomorphic(M0, M1, seed=0, trials=12)
+    assert v.status == Verdict.FAILS
+    assert v.witness == {"reason": "composites lie in the trace radical of End",
+                         "dims": (2, 2, 3)}
+
+
+def _base_change(m, rng):
+    """m with its actions conjugated by a seeded invertible matrix."""
+    field = m.field
+    while True:
+        P = Matrix(field, [[field.random_element(rng) for _ in range(m.dim)]
+                           for _ in range(m.dim)], m.dim)
+        if P.rank() == m.dim:
+            break
+    Pinv = P.inverse()
+    return validate_module([P * a * Pinv for a in m.actions], m.side, m.algebra)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "F7"])
+def test_trace_radical_refutation_never_fires_on_isomorphic_pairs(field, loop_arrow):
+    A = lambda_q(field, 2)
+    S = simples_and_projectives(A)["simples"][0]
+    M0 = module_M1qc(A, field.of(0))
+    mods = [M0, S, regular_modules(A)[0], direct_sum([M0, S])[0],
+            module_M1qc(A, field.of(3))]
+    if field == QQ:
+        mods += loop_arrow["modules"] + [direct_sum([M0, M0, S])[0]]
+    rng = random.Random(7)
+    for m in mods:
+        assert field.characteristic == 0 or field.characteristic > m.dim
+        for _ in range(3):
+            n = _base_change(m, rng)
+            H, Hback = hom_space(m, n), hom_space(n, m)
+            assert not _composites_in_trace_radical(field, H, Hback, hom_space_direct(m, m))
+            assert is_isomorphic(m, n, seed=0).status != Verdict.FAILS
+
+
+def test_trace_radical_refutation_needs_p_above_the_dimension():
+    # over F_2 the trace form of End(k[x]/(x^2)) vanishes on all of End, the
+    # identity included, so without the guard p > d it would refute the
+    # regular module against itself
+    F2 = GF(2)
+    A = validate_algebra(AlgebraPresentation(
+        F2, 2, ["1", "x"], [1, 0], [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)],
+        idempotents=[[1, 0]],
+    ))
+    reg = regular_modules(A)[0]
+    H = hom_space(reg, reg)
+    assert _composites_in_trace_radical(F2, H, H, hom_space_direct(reg, reg))
+    assert is_isomorphic(reg, reg, seed=0).status == Verdict.HOLDS
+    # M0^3 against M1^3 (d = 9, Hom dimension 18, too many combinations to
+    # exhaust): refuted over F_11, skipped over F_3 and F_7, where the
+    # search ends unknown
+    for p, status in ((3, Verdict.UNKNOWN), (7, Verdict.UNKNOWN), (11, Verdict.FAILS)):
+        F = GF(p)
+        L = lambda_q(F, 2)
+        X = direct_sum([module_M1qc(L, F.of(0))] * 3)[0]
+        Y = direct_sum([module_M1qc(L, F.of(1))] * 3)[0]
+        v = is_isomorphic(X, Y, seed=0, trials=4)
+        assert v.status == status
+        if status == Verdict.FAILS:
+            assert v.witness["reason"] == "composites lie in the trace radical of End"
 
 
 def test_resolution_cache_thread_safety(kx2):
