@@ -10,6 +10,14 @@ Tor complexes never solve intertwiner systems: every differential is one
 slot-block matrix of multiplications by stored algebra elements
 (_slot_block_matrix).  A cover is minimal exactly when each of its slots has
 a one-dimensional top, a fact computed once per slot type.
+
+The kernel of each differential, the next syzygy, is read off the slots too
+(_kernel_module).  Its basis K is the kernel basis of the differential,
+which is the identity on the free (non-pivot) rows, so an algebra element
+acts on the kernel by the free rows of a.K.  a.K is formed one slot block
+at a time from the small slot modules' actions, and the pivot rows of a.K
+are checked exactly against K times that action, which holds exactly when
+K is invariant.
 """
 
 import threading
@@ -24,7 +32,6 @@ from .modules import (
     generated_span,
     idempotent_slice,
     is_isomorphic,
-    module_on_invariant_columns,
     radical_image,
     submodule_generated,
     zero_module,
@@ -170,7 +177,9 @@ def _homology_dim(dims, maps, i):
 
 class _Step:
     """One term P_i = (+) slots, assembled block-diagonally from the slot
-    modules, with its differential."""
+    modules, with its differential and the kernel of that differential.
+    The kernel's actions are the free rows of a.K, formed slot block by slot
+    block, after a check of the pivot rows (_kernel_module)."""
 
     __slots__ = ("slot_types", "offsets", "proj", "d_matrix", "d_elems",
                  "kernel", "kernel_incl")
@@ -228,10 +237,7 @@ class Resolution:
             assert (prev.d_matrix * step.d_matrix).is_zero()
         self.steps.append(step)
         # precompute the next kernel so syzygies line up with step indices
-        K = step.d_matrix.kernel_matrix()
-        kernel, kincl = module_on_invariant_columns(step.proj, K)
-        step.kernel = kernel
-        step.kernel_incl = kincl
+        step.kernel, step.kernel_incl = _kernel_module(step)
 
     def syzygy(self, i):
         """Omega^i of the target (i >= 1)."""
@@ -342,6 +348,58 @@ def _minimal_generators(m):
             "minimal-unavailable: idempotent parts do not exhaust the top"
         )
     return gens
+
+
+def _kernel_module(step):
+    """(ker d_i as a module, its inclusion into P_i), read from the slots.
+
+    K = d_matrix.kernel_matrix() is the identity on the free (non-pivot)
+    rows of d_matrix, so the action X of a basis vector a of the algebra on
+    the kernel is the free rows of a.K, and K is a-invariant exactly when
+    the pivot rows of a.K equal those of K.X.  a acts on P_i slot by slot,
+    so each slot block of a.K is the slot module's action on that block of
+    K: no P_i-sized product and no solve."""
+    d = step.d_matrix
+    field = d.field
+    z = field.zero
+    K = d.kernel_matrix()
+    k = K.ncols
+    pivots = d.pivot_columns()
+    pivset = set(pivots)
+    free = [j for j in range(d.ncols) if j not in pivset]
+    k_rows = K.rows
+    k_supports = [[c for c, x in enumerate(row) if x] for row in k_rows]
+    acts = []
+    for i in range(step.proj.algebra.dim):
+        aK = []  # the rows of a_i.K
+        for st, off in zip(step.slot_types, step.offsets):
+            for arow in st.module.actions[i].rows:
+                acc = [z] * k
+                for l, a in enumerate(arow):
+                    if a:
+                        krow, support = k_rows[off + l], k_supports[off + l]
+                        for c in support:
+                            acc[c] += a * krow[c]
+                        field.reduce(acc, support)
+                aK.append(tuple(acc))
+        X = tuple(aK[f] for f in free)
+        x_supports = [None] * k  # nonzero positions of each row of X, on first use
+        for pc in pivots:
+            acc = [z] * k
+            krow = k_rows[pc]
+            for c in k_supports[pc]:
+                x, xrow = krow[c], X[c]
+                support = x_supports[c]
+                if support is None:
+                    support = x_supports[c] = [j for j, y in enumerate(xrow) if y]
+                for j in support:
+                    acc[j] += x * xrow[j]
+                field.reduce(acc, support)
+            if tuple(acc) != aK[pc]:
+                raise ValidationError("subspace is not action-invariant", witness=i)
+        acts.append(Matrix._trusted(field, X, k))
+    sub = Module(step.proj.algebra, step.proj.side, k, acts, _validated=True)
+    return sub, ModuleMap(sub, step.proj, K, check=False)
 
 
 def _elem_grid(matrix, src, tgt):

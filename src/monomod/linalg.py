@@ -371,16 +371,20 @@ class Matrix:
         return Matrix._trusted(field, tuple(out), n)
 
     def apply(self, vec):
-        """Matrix times a plain vector (list/tuple), returns a list."""
+        """Matrix times a plain vector (list/tuple), returns a list.  The
+        vector's nonzero positions are found once, and each row is read only
+        there."""
         if len(vec) != self.ncols:
             raise DimensionMismatch("vector length mismatch")
         field = self.field
         z = field.zero
+        support = [(j, v) for j, v in enumerate(vec) if v]
         out = []
         for row in self.rows:
             s = z
-            for a, v in zip(row, vec):
-                if a and v:
+            for j, v in support:
+                a = row[j]
+                if a:
                     s += a * v
             out.append(s)
         field.reduce(out, range(self.nrows))
@@ -488,7 +492,10 @@ class Matrix:
         return len(self._compute_rref()[1])
 
     def kernel_matrix(self):
-        """Columns form a basis of the right kernel (echelon-style, deterministic)."""
+        """Columns form a basis of the right kernel, one per free (non-pivot)
+        column f: 1 at f, 0 at the other free columns and minus column f of
+        the rref at the pivots.  So its rows at the free columns are the
+        identity, which homology._kernel_module relies on."""
         R, pivots = self._compute_rref()
         field = self.field
         z, o = field.zero, field.one

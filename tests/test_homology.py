@@ -7,6 +7,8 @@ from monomod.algebra import AlgebraPresentation, regular_modules, validate_algeb
 from monomod.errors import ValidationError
 from monomod.gallery import ideal_A_w_A, lambda_element, lambda_q, module_M1qc
 from monomod.homology import (
+    _kernel_module,
+    _Step,
     ext_comparison_table,
     ext_dims,
     ext_induced_map,
@@ -17,18 +19,22 @@ from monomod.homology import (
     resolve,
     tor_dims,
 )
-from monomod.linalg import GF, QQ, Matrix
+from monomod.linalg import GF, QQ, Matrix, basis_vector
 from monomod.modules import (
     ModuleMap,
     Verdict,
     hom_space,
     is_isomorphic,
     k_dual,
+    module_on_invariant_columns,
     simples_and_projectives,
+    submodule_generated,
     tensor_over,
     validate_module,
 )
+from monomod.quiver import Quiver, build_tensor
 from monomod.sampling import random_map, random_module
+from monomod.triangular import t2_algebra
 
 
 def test_periodic_resolution_kx2(kx2):
@@ -380,3 +386,66 @@ def test_pruned_periodicity_search_matches_every_pair(kx2, loop_arrow):
     for m in mods:
         for bound in (1, 2, 6):
             assert is_semi_gp(m, bound).describe() == _semi_gp_by_every_pair(m, bound).describe()
+
+
+def _kernels_by_invariant_columns(step):
+    """The kernel of a step by the route it was read by before: one solve of
+    a.K = K.X per algebra basis vector a.  The oracle for _kernel_module."""
+    return module_on_invariant_columns(step.proj, step.d_matrix.kernel_matrix())
+
+
+def test_step_kernels_match_invariant_column_oracle(kx2, lambda2):
+    flat, _dual = _x0_flats()
+    cases = [
+        resolution(flat, length=4),
+        resolution(module_M1qc(lambda2, Fraction(1)), length=4),
+        resolution(regular_modules(kx2)[0], length=2),        # zero kernels
+    ]
+    # free covers over GF(2), where no radical is known
+    F2 = GF(2)
+    pres = AlgebraPresentation(F2, 2, ["1", "x"], [1, 0],
+                               [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)],
+                               idempotents=[[1, 0]])
+    T2 = t2_algebra(validate_algebra(pres, label="k[x]/(x^2) over F2")).flat
+    reg2 = regular_modules(T2)[0]
+    for j in range(T2.dim):
+        M, _ = submodule_generated(reg2, [basis_vector(F2, T2.dim, j)])
+        cases.append(resolution(M, minimal=False, length=3))
+    # minimal covers over Lambda(2) (x) kA2 over GF(5)
+    F5 = GF(5)
+    L = build_tensor(lambda_q(F5, 2), Quiver([1, 2], [("g", 2, 1)])).flat
+    reg5 = regular_modules(L)[0]
+    rng = random.Random(4)
+    for _ in range(4):
+        v = [F5.of(rng.randint(-2, 2)) if rng.random() < 0.3 else 0 for _ in range(L.dim)]
+        M, _ = submodule_generated(reg5, [v])
+        cases.append(resolution(M, length=3))
+    zero_kernels = 0
+    for res in cases:
+        for step in res.steps:
+            kernel, incl = _kernels_by_invariant_columns(step)
+            assert step.kernel.dim == kernel.dim
+            assert step.kernel.actions == kernel.actions
+            assert step.kernel_incl.matrix == incl.matrix
+            assert step.kernel_incl.source is step.kernel
+            assert step.kernel_incl.target is step.proj
+            zero_kernels += kernel.dim == 0
+    assert {res.minimal for res in cases} == {True, False}
+    assert {res.steps[0].proj.field for res in cases} == {QQ, F2, F5}
+    assert zero_kernels >= 3
+    assert max(step.kernel.dim for res in cases for step in res.steps) >= 50
+    # columns that are not action-invariant are refused: over k[x]/(x^2),
+    # with P_0 = A on the basis 1, x, the kernel of the form "coefficient of
+    # x" is spanned by 1, and x.1 = x leaves it; and a seeded linear form on
+    # P_0 of X(0).flatten()
+    small = cases[2].steps[0]
+    big = cases[0].steps[0]
+    rng = random.Random(3)
+    forms = [Matrix.from_rows(QQ, [[0, 1]]),
+             Matrix.from_rows(QQ, [[rng.randint(-2, 2) for _ in range(big.proj.dim)]])]
+    for st, form in ((small, forms[0]), (big, forms[1])):
+        bad = _Step(st.slot_types, st.offsets, st.proj, form)
+        with pytest.raises(ValidationError, match="subspace is not action-invariant"):
+            _kernel_module(bad)
+        with pytest.raises(ValidationError, match="subspace is not action-invariant"):
+            _kernels_by_invariant_columns(bad)

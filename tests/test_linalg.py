@@ -182,13 +182,25 @@ def _assert_canonical(field, entries):
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(7)])
 def test_matrix_kernels_match_reduce_every_step_reference(field):
     rng = random.Random(17)
+    top = field.of(-1)
     for A, B in _kernel_cases(field, rng):
         AB = A * B
         assert [list(r) for r in AB.rows] == _ref_mul(field, A.rows, B.rows, B.ncols)
         assert (AB.nrows, AB.ncols) == (A.nrows, B.ncols)
-        vec = list(B.column(0)) if B.ncols else [field.one] * A.ncols
-        out = A.apply(vec)
-        assert out == [_ref_dot(field, row, vec) for row in A.rows]
+        for M in (A, B):
+            # sparse vectors: zero, one nonzero entry, and all-(p-1) entries
+            # whose partial sums pass p; A or B has 0 columns in some shapes
+            n = M.ncols
+            vecs = [[field.zero] * n, [top] * n,
+                    [top if j == n // 2 else field.zero for j in range(n)]]
+            if M is A:
+                vecs.append(list(B.column(0)) if B.ncols else [field.one] * n)
+            for vec in vecs:
+                out = M.apply(vec)
+                assert out == [_ref_dot(field, row, vec) for row in M.rows]
+                _assert_canonical(field, out)
+            with pytest.raises(DimensionMismatch):
+                M.apply([field.one] * (n + 1))
         R_rows, pivots = _ref_rref(field, A.rows, A.ncols)
         assert A.rref() == Matrix(field, R_rows, A.ncols)
         assert list(A.pivot_columns()) == pivots
@@ -197,7 +209,6 @@ def test_matrix_kernels_match_reduce_every_step_reference(field):
         assert (A * K).is_zero()
         for M in (AB, A.rref(), K):
             _assert_canonical(field, [x for r in M.rows for x in r])
-        _assert_canonical(field, out)
 
 
 def _sparse_cases(field, rng):
