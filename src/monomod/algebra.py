@@ -8,7 +8,7 @@ which is then verified.
 """
 
 from .errors import DimensionMismatch, ValidationError
-from .linalg import Matrix, SpanAccumulator, basis_vector, sparse_kernel
+from .linalg import Matrix, SpanAccumulator, basis_vector, combination, sparse_kernel
 
 
 class AlgebraPresentation:
@@ -109,7 +109,7 @@ class Element:
 class Algebra:
     """Sealed handle produced by validate_algebra; immutable after that."""
 
-    def __init__(self, presentation, _skip_validation=False):
+    def __init__(self, presentation):
         p = presentation
         self.field = p.field
         self.dim = p.dim
@@ -196,12 +196,8 @@ class Algebra:
 
     def left_multiplication(self, vec):
         """L_v for a coefficient vector v."""
-        out = None
-        for i, a in enumerate(vec):
-            if a:
-                term = self.left_matrix(i).scale(a)
-                out = term if out is None else out + term
-        return out if out is not None else Matrix.zero(self.field, self.dim, self.dim)
+        mats = [self.left_matrix(i) for i in range(self.dim)]
+        return combination(self.field, vec, mats, self.dim, self.dim)
 
     # -- generating set ---------------------------------------------------
 
@@ -493,7 +489,6 @@ def regular_modules(A):
         A.dim,
         [A.left_matrix(i) for i in range(A.dim)],
         label=(A.label or "A") + "_left_regular",
-        _validated=True,
     )
     right = Module(
         A,
@@ -501,7 +496,6 @@ def regular_modules(A):
         A.dim,
         [A.right_matrix(i) for i in range(A.dim)],
         label=(A.label or "A") + "_right_regular",
-        _validated=True,
     )
     return A._cache.setdefault("regular_modules", (left, right))
 

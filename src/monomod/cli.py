@@ -177,7 +177,7 @@ def main(argv=None):
             payload["witness"] = _json_safe(e.witness)
         _emit(payload, "json")
         return 3
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as e:
+    except (OSError, json.JSONDecodeError, KeyError, ValueError, ZeroDivisionError) as e:
         _emit({"error": f"{type(e).__name__}: {e}"}, "json")
         return 3
 

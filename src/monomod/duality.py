@@ -9,7 +9,7 @@ identification downstream is an explicit matrix in these coordinates.
 from .algebra import regular_modules
 from .errors import ValidationError
 from .homology import _minimal_generators, is_semi_gp
-from .linalg import Matrix, basis_vector
+from .linalg import Matrix, basis_vector, combination
 from .modules import (
     Module,
     ModuleMap,
@@ -40,15 +40,7 @@ class DualData:
 
     def evaluate(self, m_vector, dual_coords):
         """The algebra element f(v) for f given by coordinates."""
-        field = self.module.field
-        out = [field.zero] * self.module.algebra.dim
-        for c, f in zip(dual_coords, self.basis):
-            if c:
-                w = f.matrix.apply(m_vector)
-                for r, x in enumerate(w):
-                    if x:
-                        out[r] = field.add(out[r], field.mul(c, x))
-        return out
+        return self.map_from_coords(dual_coords).apply(m_vector)
 
     def coords_of_map(self, matrix):
         """Coordinates of a Hom-space element given as a full matrix.
@@ -65,15 +57,9 @@ class DualData:
         return coords
 
     def map_from_coords(self, coords):
-        field = self.module.field
-        out = None
-        for c, f in zip(coords, self.basis):
-            if c:
-                t = f.matrix.scale(c)
-                out = t if out is None else out + t
-        if out is None:
-            out = Matrix.zero(field, self.module.algebra.dim, self.module.dim)
-        return out
+        m = self.module
+        return combination(m.field, coords, [f.matrix for f in self.basis],
+                           m.algebra.dim, m.dim)
 
 
 def a_dual(m):
@@ -110,7 +96,6 @@ def a_dual(m):
     dd.dual = Module(
         algebra, dual_side, h, acts,
         label=f"({m.label})*" if m.label else "dual",
-        _validated=True,
     )
     m._cache["a_dual"] = (dd.dual, [f.matrix for f in basis], pivots)
     return dd

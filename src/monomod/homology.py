@@ -146,21 +146,11 @@ def _slot_block_matrix(n, src_slots, tgt_slots, lam):
 
 def _slot_image_columns(x, p, st):
     """Columns a_l . p in x over the basis a_l of slot st: the images of the
-    slot basis under the map slot -> x sending its generator to p."""
-    field = x.field
-    applied = [x.actions[i].apply(p) for i in range(x.algebra.dim)]
-    cols = []
-    for l in range(st.dim):
-        a_l = st.basis_in_A.column(l)
-        col = [field.zero] * x.dim
-        for i, c in enumerate(a_l):
-            if c:
-                w = applied[i]
-                for r in range(x.dim):
-                    if w[r]:
-                        col[r] = field.add(col[r], field.mul(c, w[r]))
-        cols.append(col)
-    return cols
+    slot basis under the map slot -> x sending its generator to p.  They are
+    the rows of B^T R, where B holds the a_l as columns and row i of R is
+    b_i . p for the algebra basis b_i."""
+    applied = Matrix(x.field, [act.apply(p) for act in x.actions], x.dim)
+    return (st.basis_in_A.transpose() * applied).rows
 
 
 def _homology_dim(dims, maps, i):
@@ -270,8 +260,7 @@ def _build_cover_step(m, minimal):
         Matrix.block_diag(field, [st.module.actions[i] for st in slot_types])
         for i in range(algebra.dim)
     ]
-    proj = Module(algebra, m.side, sum(st.dim for st in slot_types), acts, label="P",
-                  _validated=True)
+    proj = Module(algebra, m.side, sum(st.dim for st in slot_types), acts, label="P")
     offsets = []
     off = 0
     for st in slot_types:
@@ -398,7 +387,7 @@ def _kernel_module(step):
             if tuple(acc) != aK[pc]:
                 raise ValidationError("subspace is not action-invariant", witness=i)
         acts.append(Matrix._trusted(field, X, k))
-    sub = Module(step.proj.algebra, step.proj.side, k, acts, _validated=True)
+    sub = Module(step.proj.algebra, step.proj.side, k, acts)
     return sub, ModuleMap(sub, step.proj, K, check=False)
 
 

@@ -108,6 +108,8 @@ def dump_algebra(A, path):
     }
     if A.idempotents is not None:
         data["idempotents"] = [[A.field.render(x) for x in e] for e in A.idempotents]
+    if A._declared_radical is not None:
+        data["radical_basis"] = [[A.field.render(x) for x in v] for v in A._declared_radical]
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh, sort_keys=True, indent=1)
 

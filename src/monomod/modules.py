@@ -12,7 +12,7 @@ import random
 
 from .algebra import regular_modules
 from .errors import DimensionMismatch, ValidationError
-from .linalg import Eliminator, Matrix, SpanAccumulator, sparse_kernel
+from .linalg import Eliminator, Matrix, SpanAccumulator, combination, sparse_kernel
 
 
 class Verdict:
@@ -108,7 +108,7 @@ def _json_safe(obj):
 class Module:
     """A left or right module given by one action matrix per basis vector."""
 
-    def __init__(self, algebra, side, dim, actions, label="", _validated=False):
+    def __init__(self, algebra, side, dim, actions, label=""):
         if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
         self.algebra = algebra
@@ -132,16 +132,7 @@ class Module:
 
     def action_of_vector(self, vec):
         """Sum of c * action over the nonzero coordinates c of vec."""
-        field = self.field
-        add, mul = field.add, field.mul
-        acc = [[field.zero] * self.dim for _ in range(self.dim)]
-        for c, act in zip(vec, self.actions):
-            if c:
-                for arow, row in zip(acc, act.rows):
-                    for j, x in enumerate(row):
-                        if x:
-                            arow[j] = add(arow[j], mul(c, x))
-        return Matrix(field, acc, self.dim)
+        return combination(self.field, vec, self.actions, self.dim, self.dim)
 
     def __repr__(self):
         name = self.label or "Module"
@@ -166,7 +157,7 @@ def validate_module(actions, side, algebra, label=""):
         dim = d
     else:
         dim = 0
-    m = Module(algebra, side, dim, actions, label=label, _validated=True)
+    m = Module(algebra, side, dim, actions, label=label)
     ident = m.action_of_vector(algebra.unit)
     if not ident.is_identity():
         raise ValidationError("action of the unit is not the identity")
@@ -189,7 +180,7 @@ def zero_module(algebra, side="left"):
     return Module(
         algebra, side, 0,
         [Matrix(algebra.field, [], 0) for _ in range(algebra.dim)],
-        label="0", _validated=True,
+        label="0",
     )
 
 
@@ -302,7 +293,7 @@ def module_on_invariant_columns(m, basis_matrix, label=""):
         if X is None:
             raise ValidationError("subspace is not action-invariant", witness=i)
         acts.append(X)
-    sub = Module(m.algebra, m.side, basis_matrix.ncols, acts, label=label, _validated=True)
+    sub = Module(m.algebra, m.side, basis_matrix.ncols, acts, label=label)
     incl = ModuleMap(sub, m, basis_matrix, check=False)
     return sub, incl
 
@@ -317,7 +308,7 @@ def quotient_module(m, subspace_columns, label="", accumulator=None):
     Q = accumulator.projection_matrix()
     S = accumulator.section_matrix()
     acts = [Q * (m.actions[i] * S) for i in range(m.algebra.dim)]
-    quot = Module(m.algebra, m.side, Q.nrows, acts, label=label, _validated=True)
+    quot = Module(m.algebra, m.side, Q.nrows, acts, label=label)
     proj = ModuleMap(m, quot, Q, check=False)
     return quot, proj, S
 
@@ -395,7 +386,7 @@ def direct_sum(mods, label=""):
     ]
     dims = [m.dim for m in mods]
     out = Module(algebra, side, sum(dims), acts,
-                 label=label or "(+)".join(m.label for m in mods), _validated=True)
+                 label=label or "(+)".join(m.label for m in mods))
     inclusions, projections = [], []
     for k, m in enumerate(mods):
         eye = Matrix.identity(field, m.dim)
@@ -521,21 +512,12 @@ def is_isomorphic(m, n, seed=0, trials=64):
         )
     field = m.field
     d = m.dim
+    H_mats = [h.matrix for h in H]
 
     def attempt(coeffs):
-        rows = [[field.zero] * d for _ in range(d)]
-        nonzero = False
-        for c, h in zip(coeffs, H):
-            if c:
-                nonzero = True
-                for r, hrow in enumerate(h.matrix.rows):
-                    row = rows[r]
-                    for j, x in enumerate(hrow):
-                        if x:
-                            row[j] = field.add(row[j], field.mul(c, x))
-        if not nonzero:
+        if not any(coeffs):
             return None
-        F = Matrix(field, rows, d)
+        F = combination(field, coeffs, H_mats, d, d)
         if F.rank() == d:
             return ModuleMap(m, n, F, check=False)
         return None
@@ -606,7 +588,6 @@ def k_dual(m):
         m.algebra, side, m.dim,
         [a.transpose() for a in m.actions],
         label=f"D({m.label})" if m.label else "D",
-        _validated=True,
     )
 
 
@@ -633,8 +614,7 @@ def simples_and_projectives(A, side="left"):
 class Bimodule:
     """An (A, B)-bimodule: commuting left-A and right-B action families."""
 
-    def __init__(self, left_algebra, right_algebra, dim, left_actions, right_actions,
-                 label="", _validated=False):
+    def __init__(self, left_algebra, right_algebra, dim, left_actions, right_actions, label=""):
         self.left_algebra = left_algebra
         self.right_algebra = right_algebra
         self.dim = dim
@@ -651,7 +631,7 @@ class Bimodule:
         v = self._cache.get("as_left")
         if v is None:
             v = Module(self.left_algebra, "left", self.dim, self.left_actions,
-                       label=self.label, _validated=True)
+                       label=self.label)
             self._cache["as_left"] = v
         return v
 
@@ -659,7 +639,7 @@ class Bimodule:
         v = self._cache.get("as_right")
         if v is None:
             v = Module(self.right_algebra, "right", self.dim, self.right_actions,
-                       label=self.label, _validated=True)
+                       label=self.label)
             self._cache["as_right"] = v
         return v
 
@@ -679,7 +659,7 @@ def validate_bimodule(left_algebra, right_algebra, left_actions, right_actions, 
                     "left and right actions do not commute", witness=(g, h)
                 )
     bm = Bimodule(left_algebra, right_algebra, left.dim, left_actions, right_actions,
-                  label=label, _validated=True)
+                  label=label)
     return bm
 
 
@@ -690,7 +670,6 @@ def regular_bimodule(A):
         [A.left_matrix(i) for i in range(A.dim)],
         [A.right_matrix(i) for i in range(A.dim)],
         label=(A.label or "A"),
-        _validated=True,
     )
 
 
@@ -764,6 +743,5 @@ def tensor_over(u, y, validate=True):
         if validate:
             module = validate_module(acts, "left", A, label=f"{u.label}(x){y.label}")
         else:
-            module = Module(A, "left", dim, acts, label=f"{u.label}(x){y.label}",
-                            _validated=True)
+            module = Module(A, "left", dim, acts, label=f"{u.label}(x){y.label}")
     return TensorResult(dim, Q, S, module, du, dy)

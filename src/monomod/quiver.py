@@ -12,7 +12,7 @@ kQ/I exactly when it contains a relation as a contiguous subsequence.
 from .algebra import AlgebraPresentation, regular_modules, validate_algebra
 from .errors import DimensionMismatch, ValidationError
 from .homology import _homology_dim, ext_dims, resolution, tor_dims
-from .linalg import Matrix, basis_vector
+from .linalg import Matrix, basis_vector, combination
 from .modules import (
     Bimodule,
     Module,
@@ -319,7 +319,7 @@ def module_to_rep(parent, m):
             for i in range(nA)
         ]
         mods[v] = Module(parent.A, "left", sl[0].ncols, acts,
-                         label=f"{m.label}@{v}", _validated=True)
+                         label=f"{m.label}@{v}")
     maps = {}
     for nm, s, t in q.arrows:
         sol = restricted_action(m, parent.embed(parent.A.unit, index[(s, (nm,))]),
@@ -348,7 +348,7 @@ def outer_tensor(parent, u, v):
             acts.append(ai.kronecker(v.actions[j]))
     return Module(
         parent.flat, u.side, u.dim * v.dim, acts,
-        label=f"{u.label}(x){v.label}", _validated=True,
+        label=f"{u.label}(x){v.label}",
     )
 
 
@@ -388,49 +388,28 @@ def _right_simple_resolutions(B):
 
 def _slice_complex_homology(parent, rep, res, length):
     """Homology of (vertex slices of rep) against a right-B resolution:
-    T_i = (+) X_{v(slot)} with maps given by the resolution elements acting
-    through the representation."""
-    q = parent.quiver
+    T_i = (+) X_{v(slot)}, where the vertex of a slot is that of its
+    idempotent, and the block of T_i -> T_{i-1} from slot j to slot j2 is
+    sum of c * X(p) over the terms c.p of the resolution element
+    d_elems[j][j2] of kQ/I."""
     field = parent.flat.field
-    B = parent.B
-    # vertex of a right slot: e_index is an idempotent index = vertex position
-    def slot_vertex(st):
-        return q.vertices[st.e_index]
-
-    spaces = []
-    for i in range(length + 1):
-        spaces.append([slot_vertex(st) for st in res.steps[i].slot_types])
+    vertices = parent.quiver.vertices
+    dims = [[rep.vertex_modules[vertices[st.e_index]].dim for st in res.steps[i].slot_types]
+            for i in range(length + 1)]
+    grids = [res.steps[i].d_elems for i in range(1, length + 1)]
+    # only the paths that occur in some d_elems are composed
+    used = {k for grid in grids for row in grid for lam in row for k, c in enumerate(lam) if c}
+    path_maps = [rep.path_map(src, arrs).matrix if k in used else None
+                 for k, (src, arrs) in enumerate(parent.paths)]
     mats = []
-    for i in range(1, length + 1):
-        step = res.steps[i]
-        prev = res.steps[i - 1]
-        tgt_dim = sum(rep.vertex_modules[v].dim for v in spaces[i - 1])
-        # build columns per source slot basis vector
-        cols = []
-        for j, st in enumerate(step.slot_types):
-            vj = spaces[i][j]
-            Xj = rep.vertex_modules[vj]
-            for bidx in range(Xj.dim):
-                xcol = basis_vector(field, Xj.dim, bidx)
-                out = []
-                for j2, st2 in enumerate(prev.slot_types):
-                    v2 = spaces[i - 1][j2]
-                    X2 = rep.vertex_modules[v2]
-                    lam = step.d_elems[j][j2]   # an element of kQ/I
-                    block = [field.zero] * X2.dim
-                    for pidx, c in enumerate(lam):
-                        if c:
-                            (src, arrs) = B._paths[pidx]
-                            pm = rep.path_map(src, arrs)
-                            w = pm.matrix.apply(xcol)
-                            for r, x in enumerate(w):
-                                if x:
-                                    block[r] = field.add(block[r], field.mul(c, x))
-                    out.extend(block)
-                cols.append(out)
-        mats.append(Matrix.from_columns(field, cols, tgt_dim))
-    dims = [sum(rep.vertex_modules[v].dim for v in sp) for sp in spaces]
-    return [_homology_dim(dims, mats, i) for i in range(length + 1)]
+    for i, grid in enumerate(grids, 1):
+        blocks = {
+            (j2, j): combination(field, lam, path_maps, dims[i - 1][j2], dims[i][j])
+            for j, row in enumerate(grid) for j2, lam in enumerate(row)
+        }
+        mats.append(Matrix.from_blocks(field, dims[i - 1], dims[i], blocks))
+    totals = [sum(d) for d in dims]
+    return [_homology_dim(totals, mats, i) for i in range(length + 1)]
 
 
 def _gathered_arrows(rep, v):
@@ -549,7 +528,6 @@ def simple_slices(rep):
              for i in range(parent.A.dim)],
             u.actions,
             label=f"A(x)S'({v})",
-            _validated=True,
         )
         out[v] = tensor_over(bim, flat).module
     return out

@@ -7,7 +7,7 @@ random.Random instance for reproducibility.
 """
 
 from .algebra import regular_modules
-from .linalg import Matrix
+from .linalg import combination
 from .modules import (
     ModuleMap,
     direct_sum,
@@ -66,16 +66,8 @@ def random_module(A, rng, side="left", max_dim=8, allow_zero=True):
 def random_map(rng, m, n, lo=-2, hi=2):
     """A random combination of a Hom-space basis."""
     H = hom_space(m, n)
-    if not H:
-        return ModuleMap.zero(m, n)
-    out = None
-    for h in H:
-        c = _random_scalar(m.field, rng, lo, hi)
-        if c:
-            t = h.matrix.scale(c)
-            out = t if out is None else out + t
-    if out is None:
-        out = Matrix.zero(m.field, n.dim, m.dim)
+    coeffs = [_random_scalar(m.field, rng, lo, hi) for _ in H]
+    out = combination(m.field, coeffs, [h.matrix for h in H], n.dim, m.dim)
     return ModuleMap(m, n, out, check=False)
 
 

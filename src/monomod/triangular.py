@@ -259,10 +259,10 @@ def module_to_triple(parent, m):
 
     X = Module(parent.A, "left", xs[0].ncols,
                part_actions("A", xs, xs, "X part is not A-invariant"),
-               label=f"{m.label}.X", _validated=True)
+               label=f"{m.label}.X")
     Y = Module(parent.B, "left", ys[0].ncols,
                part_actions("B", ys, ys, "Y part is not B-invariant"),
-               label=f"{m.label}.Y", _validated=True)
+               label=f"{m.label}.Y")
     tens = tensor_over(parent.bimodule, Y, validate=False)
     # phi on pure tensors: m_k (x) y_j  |->  (embedded m_k) . y_j
     blocks = part_actions("M", ys, xs, "bimodule action does not land in the X part")

@@ -41,6 +41,17 @@ def files(tmp_path_factory):
         "struct_consts": [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"]],
         "idempotents": [["1", "0"]],
     })
+    dump("kx2_f5.json", {
+        "field": "F5", "dim": 2, "labels": ["1", "x"], "unit": ["1", "0"],
+        "struct_consts": [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"]],
+        "idempotents": [["1", "0"]],
+    })
+    # x acting by 1/5, which has no image in F_5; read as 0 it would be the
+    # valid module k + k
+    dump("bad_entry_f5.json", {
+        "algebra_ref": "kx2_f5.json", "side": "left", "dim": 2,
+        "actions": {"1": [[0, 0, "1"], [1, 1, "1"]], "x": [[1, 0, "1/5"]]},
+    })
     dump("bad_algebra.json", {
         "field": "Q", "dim": 3, "labels": ["1", "u", "v"],
         "unit": ["1", "0", "0"],
@@ -119,6 +130,16 @@ def test_module_validate_and_classify(files):
     rep = json.loads(r.stdout)
     assert rep["torsionless"] and rep["reflexive"]
     assert rep["gp"]["status"] == "holds"
+
+
+def test_entry_with_no_image_in_the_field_fails_to_load(files):
+    import monomod.io as mio
+
+    with pytest.raises(ZeroDivisionError, match="1/5 has no image in F_5"):
+        mio.load_module(str(files / "bad_entry_f5.json"))
+    r = run_cli(["module", "validate", "bad_entry_f5.json"], files)
+    assert r.returncode == 3
+    assert "has no image in F_5" in json.loads(r.stdout)["error"]
 
 
 def test_module_dual_and_resolve(files):
@@ -225,6 +246,22 @@ def test_algebra_cache_follows_file_bytes(tmp_path):
     mio.dump_algebra(lsgp_example()["algebra"], path)
     assert mio.load_algebra(str(path)).dim == 4
     assert len(mio._algebra_cache) == entries  # one entry per path
+
+
+def test_dump_algebra_keeps_a_declared_radical(tmp_path):
+    import monomod.io as mio
+    from monomod.gallery import lambda_q
+    from monomod.linalg import GF
+    from monomod.quiver import Quiver, build_tensor
+
+    T = build_tensor(lambda_q(GF(5), 2), Quiver([1, 2], [("g", 2, 1)])).flat
+    assert T.has_idempotents_and_radical()
+    path = tmp_path / "tensor.json"
+    mio.dump_algebra(T, path)
+    loaded = mio.load_algebra(str(path))
+    assert loaded.has_idempotents_and_radical()
+    assert loaded.radical_basis() == T.radical_basis()
+    assert loaded.idempotents == T.idempotents
 
 
 def test_load_triple_with_bimodule_file(tmp_path):

@@ -15,6 +15,7 @@ from monomod.linalg import (
     Matrix,
     SpanAccumulator,
     basis_vector,
+    combination,
     linear_toolkit,
     sparse_kernel,
 )
@@ -89,6 +90,29 @@ def test_scalar_canonical_forms():
     assert F.of(-1) == 6
     assert F.of("3/2") == 3 * 4 % 7  # 2^{-1} = 4 mod 7
     assert F.render(F.of(10)) == "3"
+
+
+@pytest.mark.parametrize("p", [2, 5])
+def test_prime_field_reads_a_string_as_the_fraction_it_names(p):
+    F = GF(p)
+    for num in range(-12, 13):
+        for den in range(1, 13):
+            q = Fraction(num, den)
+            for text in (f"{num}/{den}", str(q)):
+                if q.denominator % p == 0:
+                    with pytest.raises(ZeroDivisionError, match="has no image"):
+                        F.of(text)
+                else:
+                    x = F.of(text)
+                    assert x == F.of(q) and 0 <= x < p
+                    assert x * den % p == num % p
+    with pytest.raises(ZeroDivisionError):
+        F.of(Fraction(1, p))
+    with pytest.raises(ZeroDivisionError):
+        F.of(f"-3/{p * p}")
+    # a factor p cancels first: 5/10 = 1/2 and 10/4 = 5/2 over F_5
+    assert GF(5).of("5/10") == 3
+    assert GF(5).of("10/4") == 0
 
 
 def test_field_spec_parsing():
@@ -209,6 +233,52 @@ def test_matrix_kernels_match_reduce_every_step_reference(field):
         assert (A * K).is_zero()
         for M in (AB, A.rref(), K):
             _assert_canonical(field, [x for r in M.rows for x in r])
+
+
+def _ref_combination(field, coeffs, matrices, nrows, ncols):
+    out = Matrix.zero(field, nrows, ncols)
+    for c, m in zip(coeffs, matrices):
+        out = out + m.scale(c)
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(5)])
+def test_combination_matches_scale_and_add(field):
+    rng = random.Random(23)
+    top = field.of(-1)
+    for nrows, ncols, count in ((0, 0, 3), (0, 4, 2), (3, 0, 2), (1, 1, 1),
+                                (3, 3, 4), (2, 5, 6), (6, 4, 3)):
+        mats = [_random_matrix(field, rng, nrows, ncols) for _ in range(count)]
+        # all-(p-1) matrices, whose sums pass p, and a zero matrix
+        mats += [Matrix(field, [[top] * ncols for _ in range(nrows)], ncols),
+                 Matrix.zero(field, nrows, ncols)]
+        n = len(mats)
+        cases = [[field.zero] * n, [top] * n, [field.one] + [field.zero] * (n - 1)]
+        cases += [[field.of(rng.choice([0, 0, 1, -1, 2, 3])) for _ in range(n)]
+                  for _ in range(8)]
+        for coeffs in cases:
+            got = combination(field, coeffs, mats, nrows, ncols)
+            assert got == _ref_combination(field, coeffs, mats, nrows, ncols)
+            assert (got.nrows, got.ncols) == (nrows, ncols)
+            _assert_canonical(field, [x for r in got.rows for x in r])
+        assert combination(field, [field.zero] * n, mats, nrows, ncols).is_zero()
+    # no terms at all: the zero matrix of the requested shape
+    assert combination(field, [], [], 2, 3) == Matrix.zero(field, 2, 3)
+    assert combination(field, [], [], 0, 0) == Matrix.zero(field, 0, 0)
+
+
+def test_combination_checks_the_matrices_it_reads():
+    A = Matrix.identity(GF(5), 2)
+    wrong_shape = Matrix.identity(GF(5), 3)
+    # a matrix whose coefficient is zero is not read
+    assert combination(GF(5), [2, 0], [A, wrong_shape], 2, 2) == A.scale(2)
+    assert combination(GF(5), [0, 3], [None, A], 2, 2) == A.scale(3)
+    with pytest.raises(DimensionMismatch):
+        combination(GF(5), [2, 1], [A, wrong_shape], 2, 2)
+    with pytest.raises(DimensionMismatch):
+        combination(GF(5), [1], [Matrix.identity(GF(7), 2)], 2, 2)
+    with pytest.raises(DimensionMismatch):
+        combination(GF(5), [1], [A], 2, 3)
 
 
 def _sparse_cases(field, rng):
