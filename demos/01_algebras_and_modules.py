@@ -32,8 +32,8 @@ for row in left.action(1).rows:
     print("   ", [str(v) for v in row])
 
 rs = radical_and_socle(A)
-print("radical basis:", rs["radical_basis"])
-print("socle basis:  ", rs["socle_basis"])
+print("radical basis:", [[A.field.render(v) for v in b] for b in rs["radical_basis"]])
+print("socle basis:  ", [[A.field.render(v) for v in b] for b in rs["socle_basis"]])
 
 # --- the six-dimensional local algebra with parameter q ------------------
 L = lambda_q(QQ, Fraction(2))

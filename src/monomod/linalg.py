@@ -2,7 +2,9 @@
 
 Everything downstream (Hom spaces, resolutions, Ext/Tor) reduces to ranks,
 kernels and exact solves of the matrices built here.  No floating point:
-Q entries are `fractions.Fraction`, F_p entries are ints in [0, p).
+over Q an integral entry is a Python int and any other entry a
+`fractions.Fraction` with denominator greater than 1; F_p entries are ints
+in [0, p).
 
 The two fields differ only in their scalars, so every matrix kernel is
 written once, for both: the product (`Matrix.__mul__`), the matrix-vector
@@ -11,9 +13,9 @@ matrices (`combination`, which is how an algebra element acts, how a Hom
 space's coordinates become a map, and how path maps are summed), and the
 eliminations below.  The product, `apply` and the eliminations add and
 multiply raw entries with Python's operators and then call the field's
-`reduce` hook on the positions they wrote, which is a no-op over Q and takes
-residues mod p over F_p; `combination` goes through the field's `add` and
-`mul`.
+`reduce` hook on the positions they wrote, which over Q turns an integral
+Fraction back into an int and over F_p takes residues mod p; `combination`
+goes through the field's `add` and `mul`, which return the same forms.
 
 There are two eliminations.  `_rref` reduces the rows of a whole matrix at
 once (`Matrix.rref`, `kernel_matrix`, `inverse`).  `SpanAccumulator` takes
@@ -44,18 +46,27 @@ def _is_prime(p):
 class Field:
     """The ground field: `QQ` (the rationals) or `GF(p)` (p prime).
 
-    Elements are raw values, Fractions over Q and ints in [0, p) over F_p.
-    A subclass supplies the scalar operations (`of`, `add`, `sub`, `mul`,
-    `neg`, `inv`, `render`, `spec_string`), the constants `zero` and `one`,
+    Elements are raw values.  Over Q an integral element is an int and any
+    other a Fraction with denominator greater than 1, so the arithmetic of
+    the mostly integral matrices downstream stays in ints; over F_p
+    elements are ints in [0, p).  Both fields share the constants `zero`
+    (0) and `one` (1).  A subclass supplies the scalar operations (`of`,
+    `add`, `sub`, `mul`, `neg`, `inv`, `render`, `spec_string`),
     `random_element(rng)` for randomized searches, and `reduce(row,
     positions)`, which brings sums of products of elements at those
-    positions of a list back to canonical elements in place.
+    positions of a list back to canonical elements in place.  `of` is the
+    one exception to the canonical form: over Q it returns a Fraction, so a
+    value a caller reads back (a parameter such as `Lambda(q).q_value`)
+    divides exactly with `/`.
 
     `kind` ('Q' or 'Fp'), `p` (None over Q), `characteristic` and
     `elements` (None over Q, range(p) over F_p) are plain data.
     """
 
     __slots__ = ()
+
+    zero = 0
+    one = 1
 
     @classmethod
     def parse_spec(cls, text):
@@ -78,17 +89,19 @@ class Field:
 
 
 class Rationals(Field):
+    """Q, with each integral result written as an int: every operation
+    below but `of` returns that form, and `reduce` restores it at the
+    positions a kernel wrote with raw `+` and `*`."""
+
     __slots__ = ()
 
     kind = "Q"
     p = None
     characteristic = 0
     elements = None
-    zero = Fraction(0)
-    one = Fraction(1)
 
     def of(self, n):
-        """Canonical element from an int / Fraction / string."""
+        """The Fraction for an int / Fraction / string."""
         if isinstance(n, Fraction):
             return n
         if isinstance(n, (int, str)):
@@ -96,13 +109,16 @@ class Rationals(Field):
         raise TypeError(f"cannot coerce {n!r} into Q")
 
     def add(self, a, b):
-        return a + b
+        s = a + b
+        return s.numerator if type(s) is Fraction and s.denominator == 1 else s
 
     def sub(self, a, b):
-        return a - b
+        s = a - b
+        return s.numerator if type(s) is Fraction and s.denominator == 1 else s
 
     def mul(self, a, b):
-        return a * b
+        s = a * b
+        return s.numerator if type(s) is Fraction and s.denominator == 1 else s
 
     def neg(self, a):
         return -a
@@ -110,10 +126,14 @@ class Rationals(Field):
     def inv(self, a):
         if not a:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a
+        s = Fraction(1) / a
+        return s.numerator if s.denominator == 1 else s
 
     def reduce(self, row, positions):
-        pass
+        for j in positions:
+            x = row[j]
+            if type(x) is Fraction and x.denominator == 1:
+                row[j] = x.numerator
 
     def render(self, a):
         return str(a.numerator) if a.denominator == 1 else f"{a.numerator}/{a.denominator}"
@@ -123,15 +143,13 @@ class Rationals(Field):
 
     def random_element(self, rng):
         """A small integer in [-5, 5]."""
-        return Fraction(rng.randint(-5, 5))
+        return rng.randint(-5, 5)
 
 
 class PrimeField(Field):
     __slots__ = ("p", "characteristic", "elements")
 
     kind = "Fp"
-    zero = 0
-    one = 1
 
     def __init__(self, p):
         if not _is_prime(p):
@@ -251,8 +269,15 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, field, rows, ncols=None):
-        conv = field.of
-        return cls(field, [[conv(x) for x in r] for r in rows], ncols)
+        """The matrix of rows of ints, Fractions or strings, read through
+        `field.of` and brought to canonical elements."""
+        conv, reduce = field.of, field.reduce
+        out = []
+        for r in rows:
+            row = [conv(x) for x in r]
+            reduce(row, range(len(row)))
+            out.append(row)
+        return cls(field, out, ncols)
 
     @classmethod
     def zero(cls, field, nrows, ncols):
@@ -266,14 +291,12 @@ class Matrix:
 
     @classmethod
     def from_columns(cls, field, cols, nrows):
-        z = field.zero
-        rows = [[z] * len(cols) for _ in range(nrows)]
-        for j, c in enumerate(cols):
+        for c in cols:
             if len(c) != nrows:
                 raise DimensionMismatch("column length mismatch")
-            for i, x in enumerate(c):
-                rows[i][j] = x
-        return cls(field, rows, len(cols))
+        _check_cap(nrows, len(cols))
+        rows = tuple(zip(*cols)) if cols else ((),) * nrows
+        return cls._trusted(field, rows, len(cols))
 
     # -- basic structure ----------------------------------------------
 
@@ -300,7 +323,7 @@ class Matrix:
         return tuple(r[j] for r in self.rows)
 
     def columns(self):
-        return [self.column(j) for j in range(self.ncols)]
+        return list(self.transpose().rows)
 
     def is_zero(self):
         return all(not x for r in self.rows for x in r)
@@ -541,7 +564,8 @@ def combination(field, coeffs, matrices, nrows, ncols):
     entries of the matrices with a nonzero c are read, so a matrix whose
     coefficient is zero may be None.  The sums go through the field's add
     and mul: on the action matrices of the benchmark workloads that measured
-    faster than raw sums followed by `reduce` over the written positions."""
+    faster than raw sums followed by `reduce` over the written positions,
+    over Q (where add and mul check for an integral Fraction) as over F_p."""
     _check_cap(nrows, ncols)
     add, mul = field.add, field.mul
     acc = [[field.zero] * ncols for _ in range(nrows)]
@@ -736,8 +760,8 @@ class SpanAccumulator:
         return True
 
     def add_columns(self, matrix):
-        for j in range(matrix.ncols):
-            self.add(matrix.column(j))
+        for c in matrix.columns():
+            self.add(c)
 
     def basis_columns_matrix(self):
         """Basis vectors as columns (echelon rows transposed)."""

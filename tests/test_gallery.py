@@ -30,6 +30,13 @@ def test_lambda_q_structure(lambda2):
     assert not lambda2.q_finite_order_warning
 
 
+def test_lambda_q_value_divides_exactly():
+    # callers compute with q_value by Python's operators, e.g. -1 / q
+    q = lambda_q(QQ, 2).q_value
+    assert type(q) is Fraction
+    assert type(-1 / q) is Fraction and -1 / q == Fraction(-1, 2)
+
+
 def test_lambda_q_errors_and_warnings():
     with pytest.raises(ValidationError):
         lambda_q(QQ, 0)

@@ -86,10 +86,102 @@ def test_scalar_canonical_forms():
     assert QQ.of("6/4") == Fraction(3, 2)
     assert QQ.render(Fraction(-3, 2)) == "-3/2"
     assert QQ.render(Fraction(4, 2)) == "2"
+    # integral rationals are written as ints
+    half = Fraction(1, 2)
+    for x in (QQ.add(half, half), QQ.sub(half, -half), QQ.mul(half, 4),
+              QQ.add(Fraction(1), 2), QQ.random_element(random.Random(1))):
+        assert type(x) is int
+    assert QQ.mul(half, 3) == Fraction(3, 2) and QQ.render(3) == "3"
     F = GF(7)
     assert F.of(-1) == 6
     assert F.of("3/2") == 3 * 4 % 7  # 2^{-1} = 4 mod 7
     assert F.render(F.of(10)) == "3"
+
+
+def test_rational_inverse_is_exact():
+    for a in (1, -1, 2, -2, 3, -3):
+        for x in (a, QQ.of(a), Fraction(1, a)):
+            inv = QQ.inv(x)
+            assert type(inv) is not float
+            assert inv * x == 1
+            _assert_canonical(QQ, [inv])
+    assert QQ.inv(-2) == Fraction(-1, 2) and QQ.inv(Fraction(-1, 3)) == -3
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(0)
+
+
+def test_rational_of_returns_a_fraction():
+    for n in (0, 1, -7, "3", "6/4", Fraction(5), Fraction(2, 3)):
+        assert type(QQ.of(n)) is Fraction
+    with pytest.raises(TypeError):
+        QQ.of(0.5)
+
+
+def test_fraction_and_int_entries_give_equal_results():
+    rng = random.Random(29)
+    for n, k, m in ((3, 4, 2), (5, 5, 5), (4, 2, 3), (2, 6, 1)):
+        ints = [[rng.choice([0, 0, 1, -1, 2, 3]) for _ in range(k)] for _ in range(n)]
+        ints_b = [[rng.choice([0, 0, 1, -1, 2]) for _ in range(m)] for _ in range(k)]
+        A_int, B_int = Matrix(QQ, ints, k), Matrix(QQ, ints_b, m)
+        A_frac = Matrix(QQ, [[QQ.of(x) for x in r] for r in ints], k)
+        B_frac = Matrix(QQ, [[QQ.of(x) for x in r] for r in ints_b], m)
+        assert A_frac == A_int and hash(A_frac) == hash(A_int)
+        assert Matrix.from_rows(QQ, ints, k) == A_frac
+        assert A_frac * B_frac == A_int * B_int
+        assert hash(A_frac * B_frac) == hash(A_int * B_int)
+        assert A_frac.rref() == A_int.rref()
+        assert A_frac.kernel_matrix() == A_int.kernel_matrix()
+        spans = []
+        for A in (A_frac, A_int):
+            acc = SpanAccumulator(QQ, k)
+            for row in A.rows:
+                acc.add(row)
+            spans.append((acc.rows, acc.complement, acc.kernel_matrix()))
+        assert spans[0] == spans[1]
+
+
+def _random_rational_matrix(rng, nrows, ncols):
+    """Half zeros; the rest ints and Fractions with denominators 2 and 3."""
+    return Matrix.from_rows(QQ, [
+        [0 if rng.random() < 0.5 else Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3]))
+         for _ in range(ncols)] for _ in range(nrows)], ncols)
+
+
+def test_every_rational_kernel_writes_canonical_entries():
+    from monomod.gallery import generic_M, lambda_q
+    from monomod.homology import resolution
+
+    rng = random.Random(41)
+    written = []
+    for _ in range(40):
+        n, k, m = (rng.randint(1, 7) for _ in range(3))
+        A = _random_rational_matrix(rng, n, k)
+        B = _random_rational_matrix(rng, k, m)
+        S = _random_rational_matrix(rng, n, n)
+        vec = list(_random_rational_matrix(rng, 1, k).rows[0])
+        coeffs = list(_random_rational_matrix(rng, 1, 3).rows[0])
+        mats = [A] + [_random_rational_matrix(rng, n, k) for _ in range(2)]
+        written += [A, B, A * B, A.rref(), A.kernel_matrix(), combination(QQ, coeffs, mats, n, k)]
+        written.append(Matrix(QQ, [A.apply(vec)], n))
+        if S.rank() == n:
+            written.append(S.inverse())
+            assert (S * S.inverse()).is_identity()
+        solved = Eliminator(A).solve(A.apply(vec))
+        written.append(Matrix(QQ, [solved], k))
+        acc = SpanAccumulator(QQ, k)
+        for row in A.rows:
+            acc.add(row)
+        written += [acc.projection_matrix(), acc.kernel_matrix(), acc.basis_columns_matrix()]
+        written.append(Matrix(QQ, [acc.project(vec)], k - acc.dim))
+        written.append(sparse_kernel(QQ, k, [{j: x for j, x in enumerate(r) if x} for r in A.rows]))
+    # _kernel_module: the kernels of a resolution of a module with
+    # non-integral entries
+    M = generic_M(lambda_q(QQ, Fraction(3, 2)), 1, Fraction(-3, 2), Fraction(1, 3))
+    for step in resolution(M, length=3).steps:
+        written += list(step.kernel.actions) + [step.kernel_incl.matrix, step.d_matrix]
+    entries = [x for M in written for r in M.rows for x in r]
+    assert any(type(x) is Fraction for x in entries)
+    _assert_canonical(QQ, entries)
 
 
 @pytest.mark.parametrize("p", [2, 5])
@@ -196,9 +288,11 @@ def _kernel_cases(field, rng):
 
 
 def _assert_canonical(field, entries):
+    """Over Q an int, or a Fraction that is not integral (never a float);
+    over F_p an int in [0, p)."""
     for x in entries:
         if field.p is None:
-            assert type(x) is Fraction
+            assert type(x) is int or (type(x) is Fraction and x.denominator != 1), x
         else:
             assert type(x) is int and 0 <= x < field.p
 
@@ -486,6 +580,31 @@ def test_inverse_stays_within_dimension_cap(field):
         assert (inv * S).is_identity() and (S * inv).is_identity()
         with pytest.raises(InconsistentSystem):
             Matrix.from_rows(field, [[1, 2], [2, 4]]).inverse()
+    finally:
+        set_dimension_cap(512)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+def test_from_columns_and_columns_transpose(field):
+    rng = random.Random(13)
+    for nrows, ncols in ((0, 0), (0, 3), (3, 0), (1, 1), (4, 2), (2, 5)):
+        m = _random_matrix(field, rng, nrows, ncols)
+        cols = m.columns()
+        assert cols == [m.column(j) for j in range(ncols)]
+        assert all(type(c) is tuple for c in cols)
+        assert Matrix.from_columns(field, cols, nrows) == m
+        assert Matrix.from_columns(field, [list(c) for c in cols], nrows) == m
+        assert m.transpose().rows == tuple(cols)
+    with pytest.raises(DimensionMismatch, match="column length mismatch"):
+        Matrix.from_columns(field, [[field.one, field.zero], [field.one]], 2)
+    with pytest.raises(DimensionMismatch, match="column length mismatch"):
+        Matrix.from_columns(field, [[field.one]], 0)
+    set_dimension_cap(3)
+    try:
+        with pytest.raises(DimensionCapExceeded):
+            Matrix.from_columns(field, [[field.one]] * 4, 1)
+        with pytest.raises(DimensionCapExceeded):
+            Matrix.from_columns(field, [], 4)
     finally:
         set_dimension_cap(512)
 

@@ -58,10 +58,15 @@ def test_mismatched_action_sizes(kx2):
 
 
 def test_action_law_violation_witness(kx2):
-    bad = [Matrix.identity(QQ, 2), Matrix.identity(QQ, 2)]  # x acting as 1
+    # x acting as 1 on k[x]/(x^2): x.1 = x holds, and x.x = 0 fails, at a
+    # pair whose product in the algebra is zero
+    bad = [Matrix.identity(QQ, 2), Matrix.identity(QQ, 2)]
+    assert list(kx2.generators()) == [1]
+    assert kx2.product_vectors([0, 1], [0, 1]) == [0, 0]
     with pytest.raises(ValidationError) as ei:
         validate_module(bad, "left", kx2)
-    assert ei.value.witness is not None
+    assert str(ei.value) == "action law fails at pair (x, x)"
+    assert ei.value.witness == (1, 1)
 
 
 def test_action_of_vector_matches_scale_and_add(lambda2, kx2):
