@@ -33,6 +33,7 @@ from .modules import (
     idempotent_slice,
     is_isomorphic,
     radical_image,
+    radical_image_dim,
     submodule_generated,
     zero_module,
 )
@@ -46,7 +47,7 @@ class SlotType:
     """One indecomposable-projective shape Ae (left) or eA (right): the block
     that every slot of this shape contributes to a projective P_i."""
 
-    __slots__ = ("e_index", "e_vec", "module", "basis_in_A", "gen_coord", "_top_dim")
+    __slots__ = ("e_index", "e_vec", "module", "basis_in_A", "gen_coord")
 
     def __init__(self, e_index, e_vec, module, basis_in_A, gen_coord):
         self.e_index = e_index        # idempotent index, None = unit (free slot)
@@ -54,7 +55,6 @@ class SlotType:
         self.module = module
         self.basis_in_A = basis_in_A  # columns: the slot basis as elements of A
         self.gen_coord = gen_coord    # coordinates of e in the slot basis
-        self._top_dim = None
 
     @property
     def dim(self):
@@ -63,9 +63,7 @@ class SlotType:
     @property
     def top_dim(self):
         """dim slot - dim J.slot; a cover is minimal iff this is 1 for every slot."""
-        if self._top_dim is None:
-            self._top_dim = self.dim - radical_image(self.module).dim
-        return self._top_dim
+        return self.dim - radical_image_dim(self.module)
 
 
 def slot_type(algebra, side, e_index):

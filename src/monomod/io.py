@@ -48,8 +48,8 @@ def _entries_to_matrix(field, entries, nrows, ncols):
     for r, c, val in entries:
         if not (0 <= r < nrows and 0 <= c < ncols):
             raise ValidationError(f"entry ({r},{c}) out of range for {nrows}x{ncols}")
-        rows[r][c] = field.of(val)
-    return Matrix(field, rows, ncols)
+        rows[r][c] = val
+    return Matrix.from_rows(field, rows, ncols)
 
 
 def matrix_to_entries(m):

@@ -264,6 +264,28 @@ def test_dump_algebra_keeps_a_declared_radical(tmp_path):
     assert loaded.idempotents == T.idempotents
 
 
+def test_loaded_module_entries_are_canonical(tmp_path):
+    # over Q a loaded integral entry is an int and any other a Fraction, as
+    # in modules built in memory; dumping what was loaded gives the same bytes
+    from fractions import Fraction
+
+    import monomod.io as mio
+    from monomod.gallery import lambda_q, module_M1qc
+    from test_linalg import _assert_canonical
+
+    A = lambda_q()
+    M = module_M1qc(A, Fraction(3, 2))
+    mio.dump_algebra(A, tmp_path / "lambda.json")
+    mio.dump_module(M, tmp_path / "M.json", "lambda.json")
+    loaded = mio.load_module(str(tmp_path / "M.json"))
+    entries = [x for act in loaded.actions for row in act.rows for x in row]
+    _assert_canonical(A.field, entries)
+    assert Fraction(3, 4) in entries  # y.1~ = q^-1 (x~ + c z~)
+    assert loaded.actions == M.actions
+    mio.dump_module(loaded, tmp_path / "again.json", "lambda.json")
+    assert (tmp_path / "again.json").read_bytes() == (tmp_path / "M.json").read_bytes()
+
+
 def test_load_triple_with_bimodule_file(tmp_path):
     # a general-bimodule triple file: [[A, P(2)], [0, k]] with phi given on
     # pure-tensor coordinates

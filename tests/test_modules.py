@@ -11,6 +11,7 @@ from monomod.gallery import (
     generic_M_prime,
     lambda_element,
     lambda_q,
+    lsgp_example,
     module_M1qc,
 )
 from monomod.linalg import GF, QQ, Matrix
@@ -34,6 +35,7 @@ from monomod.modules import (
     zero_module,
 )
 from monomod.sampling import random_map, random_module
+from test_linalg import _assert_canonical
 
 
 def test_validate_M1qc_matches_generic(lambda2):
@@ -152,6 +154,120 @@ def test_hom_routes_agree(kx2, loop_arrow, rng):
         assert direct == _rref_map_basis(m, n, direct)
         assert direct == _rref_map_basis(m, n, hom_space_via_presentation(m, n))
     assert direct  # the X(0) dual is nonzero
+
+
+def _dense_hom_reference(m, n):
+    """Test-only oracle: the RREF basis of Hom(m, n) from kernel_matrix of
+    the whole dense system rho_n(g) F - F rho_m(g) = 0, all dm*dn unknowns
+    F[s][c] (column s*dm + c) and every (r, c) of every generator g."""
+    field, dm, dn = m.field, m.dim, n.dim
+    rows = []
+    for g in m.algebra.generators():
+        N, M = n.actions[g].rows, m.actions[g].rows
+        for r in range(dn):
+            for c in range(dm):
+                row = [field.zero] * (dm * dn)
+                for s in range(dn):
+                    row[s * dm + c] = field.add(row[s * dm + c], N[r][s])
+                for s in range(dm):
+                    row[r * dm + s] = field.sub(row[r * dm + s], M[s][c])
+                rows.append(row)
+    K = Matrix(field, rows, dm * dn).kernel_matrix()
+    mats = [Matrix(field, [K.column(j)[r * dm:(r + 1) * dm] for r in range(dn)], dm)
+            for j in range(K.ncols)]
+    return _rref_map_basis(m, n, mats)
+
+
+def _base_changed(m, rng):
+    """m in a seeded random basis: actions P^-1 rho P, so that even the
+    idempotents act by dense matrices.  P = L U with unit triangular L and U
+    has determinant 1, so integral actions stay integral."""
+    field, d = m.field, m.dim
+
+    def unit_triangular(lower):
+        return Matrix.from_rows(field, [
+            [1 if i == j else rng.choice((0, 0, 1)) if (i > j) == lower else 0
+             for j in range(d)] for i in range(d)])
+
+    P = unit_triangular(True) * unit_triangular(False)
+    Pinv = P.inverse()
+    return validate_module([Pinv * (a * P) for a in m.actions], m.side, m.algebra)
+
+
+def _check_hom_pair(m, n):
+    from monomod.homology import hom_space_via_presentation
+
+    direct = hom_space_direct(m, n)
+    assert direct == _dense_hom_reference(m, n)
+    assert direct == _rref_map_basis(m, n, hom_space_via_presentation(m, n))
+    _assert_canonical(m.field, [x for F in direct for row in F.rows for x in row])
+    return direct
+
+
+def test_hom_direct_matches_dense_system_on_syzygies(monkeypatch):
+    # Omega^1..Omega^3 of X(c) and of its dual over T2(Lambda(2)): 9 x 9
+    # systems in 81 unknowns with Hom of dimension 5 or 6, then two of them
+    # in a random basis.  The dense reference stacks 8 generators x 81 rows,
+    # over the default dimension cap.
+    monkeypatch.setattr("monomod.config._dimension_cap", 1024)
+    from monomod.gallery import standard_family
+    from monomod.homology import resolution
+    from monomod.triangular import t2_dual_bundle
+
+    fam = standard_family(QQ, Fraction(2), Fraction(3, 2))
+    for top in (fam["X_c"].flatten(), t2_dual_bundle(fam["X_c"]).dual_triple.flatten()):
+        res = resolution(top, length=3)
+        syz = [res.syzygy(i) for i in (1, 2, 3)]
+        assert [s.dim for s in syz] == [9, 9, 9]
+        for a in syz:
+            for b in syz:
+                assert len(_check_hom_pair(a, b)) == (6 if a is b else 5)
+    # Omega^1 and Omega^2 of the dual in a random basis (one pair: the dense
+    # rref of a base-changed system runs in Fractions)
+    rng = random.Random(7)
+    mixed = [_base_changed(s, rng) for s in syz[:2]]
+    e = list(top.algebra.idempotents[0])
+    assert sum(1 for row in syz[0].action_of_vector(e).rows for x in row if x) == 3
+    assert sum(1 for row in mixed[0].action_of_vector(e).rows for x in row if x) > 40
+    assert len(_check_hom_pair(mixed[0], mixed[1])) == 5
+
+
+def test_hom_direct_all_variables_forced(loop_arrow, monkeypatch):
+    # e1 acts by 1 on S(1) and by 0 on S(2): the one constraint row of
+    # Hom(S(2), S(1)) has one entry, so nothing is left to eliminate
+    import monomod.modules as modules
+
+    real, seen = modules.sparse_kernel, []
+
+    def spy(field, nvars, rows):
+        seen.append(nvars)
+        return real(field, nvars, rows)
+
+    monkeypatch.setattr(modules, "sparse_kernel", spy)
+    S1, S2 = loop_arrow["modules"][:2]
+    assert _check_hom_pair(S2, S1) == []
+    assert seen == [0]
+
+
+@pytest.mark.parametrize("p", [2, 5])
+def test_hom_direct_matches_dense_system_over_fp(p):
+    # over F_p the diagonal terms n[r][r] F[r][c] - F[r][c] m[c][c] cancel
+    # whenever the two entries agree mod p
+    field = GF(p)
+    rng = random.Random(p)
+    ex = lsgp_example(field)
+    lam = lambda_q(field, 1 if p == 2 else 2)
+    mods = ex["modules"][2:] + [module_M1qc(lam, field.of(3)), regular_modules(lam)[0]]
+    pairs = [(a, b) for a in mods for b in mods if a.algebra is b.algebra]
+    pairs += [(_base_changed(a, rng), _base_changed(b, rng)) for a, b in pairs[:6]]
+    cancels = 0
+    for a, b in pairs:
+        _check_hom_pair(a, b)
+        for g in a.algebra.generators():
+            N, M = b.actions[g].rows, a.actions[g].rows
+            cancels += sum(1 for r in range(b.dim) for c in range(a.dim)
+                           if N[r][r] and N[r][r] == M[c][c])
+    assert cancels
 
 
 def test_hom_dual_symmetry(kx2, loop_arrow, rng):
