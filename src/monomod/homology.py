@@ -2,14 +2,21 @@
 Gorenstein-projectivity.
 
 Resolutions are built from idempotent-column projectives Ae (or eA on the
-right), one slot per generator: P_i is assembled from the slot blocks, with
-block-diagonal actions, and each differential is stored as the algebra
-elements it sends each slot generator to, one per slot of P_{i-1}.  That
-makes Hom(P, N) = eN and u (x) P = ue concrete coordinate spaces, so Ext and
-Tor complexes never solve intertwiner systems: every differential is one
-slot-block matrix of multiplications by stored algebra elements
-(_slot_block_matrix).  A cover is minimal exactly when each of its slots has
-a one-dimensional top, a fact computed once per slot type.
+right), one slot per generator: P_i is the direct sum of its slot blocks,
+and each differential is stored as the algebra elements it sends each slot
+generator to, one per slot of P_{i-1}.  That makes Hom(P, N) = eN and
+u (x) P = ue concrete coordinate spaces, so Ext and Tor complexes never
+solve intertwiner systems: every differential is one slot-block matrix of
+multiplications by stored algebra elements (_slot_block_matrix).  A cover is
+minimal exactly when each of its slots has a one-dimensional top, a fact
+computed once per slot type.
+
+P_i is still a Module (_SlotSum), so resolve() and the kernel inclusions
+can hand it out, but its dimension is all it knows at once: its
+block-diagonal action matrices are assembled from the slot modules only when
+something reads them.  Nothing that builds a resolution, a Hom complex, a
+Tor complex or a chain lift does; they all act on a vector of P_i one slot
+block at a time.
 
 The kernel of each differential, the next syzygy, is read off the slots too
 (_kernel_module).  Its basis K is the kernel basis of the differential,
@@ -35,7 +42,6 @@ from .modules import (
     radical_image,
     radical_image_dim,
     submodule_generated,
-    zero_module,
 )
 
 
@@ -142,12 +148,12 @@ def _slot_block_matrix(n, src_slots, tgt_slots, lam):
     return Matrix.from_columns(field, cols, sum(_e_dim(n, tt) for tt in tgt_slots))
 
 
-def _slot_image_columns(x, p, st):
-    """Columns a_l . p in x over the basis a_l of slot st: the images of the
-    slot basis under the map slot -> x sending its generator to p.  They are
-    the rows of B^T R, where B holds the a_l as columns and row i of R is
-    b_i . p for the algebra basis b_i."""
-    applied = Matrix(x.field, [act.apply(p) for act in x.actions], x.dim)
+def _slot_image_columns(field, images, st):
+    """Columns a_l . p over the basis a_l of slot st, given images[i] = b_i . p
+    for the algebra basis b_i: the images of the slot basis under the map
+    from the slot sending its generator to p.  They are the rows of B^T R,
+    where B holds the a_l as columns and R has the rows images."""
+    applied = Matrix(field, images, len(images[0]))
     return (st.basis_in_A.transpose() * applied).rows
 
 
@@ -163,11 +169,43 @@ def _homology_dim(dims, maps, i):
 # resolutions
 
 
+class _SlotSum(Module):
+    """P_i = (+) slots as a Module whose dimension is known at once and whose
+    block-diagonal action matrices are assembled from the slot modules only
+    on first read, then kept.
+
+    A concurrent first read is safe: the assembly reads only the slot
+    modules, which never change, and the finished tuple is stored with one
+    dict.setdefault, which is atomic, so every reader gets the same tuple."""
+
+    def __init__(self, algebra, side, slot_types):
+        self.algebra = algebra
+        self.side = side
+        self.dim = sum(st.dim for st in slot_types)
+        self.label = "P"
+        self._cache = {}
+        self.slot_types = slot_types
+
+    @property
+    def actions(self):
+        acts = self._cache.get("actions")
+        if acts is None:
+            acts = self._cache.setdefault("actions", self._assemble_actions())
+        return acts
+
+    def _assemble_actions(self):
+        field = self.field
+        return tuple(
+            Matrix.block_diag(field, [st.module.actions[i] for st in self.slot_types])
+            for i in range(self.algebra.dim)
+        )
+
+
 class _Step:
-    """One term P_i = (+) slots, assembled block-diagonally from the slot
-    modules, with its differential and the kernel of that differential.
-    The kernel's actions are the free rows of a.K, formed slot block by slot
-    block, after a check of the pivot rows (_kernel_module)."""
+    """One term P_i = (+) slots (a _SlotSum), with its differential and the
+    kernel of that differential.  The kernel's actions are the free rows of
+    a.K, formed slot block by slot block, after a check of the pivot rows
+    (_kernel_module)."""
 
     __slots__ = ("slot_types", "offsets", "proj", "d_matrix", "d_elems",
                  "kernel", "kernel_incl")
@@ -247,18 +285,12 @@ def _build_cover_step(m, minimal):
             gens = [(None, g) for (_e, g) in _minimal_generators(m)]
         except ValidationError:
             gens = [(None, g) for g in _free_generators(m)]
-    if not gens:
-        return _Step([], [], zero_module(algebra, m.side), Matrix.from_columns(field, [], m.dim))
     slot_types = [slot_type(algebra, m.side, e_idx) for (e_idx, _) in gens]
     # The cover sends J.P onto J.m and the generators lift a basis of top(m),
     # so its kernel lies in rad(P) exactly when every slot has a 1-dim top.
     if minimal and any(st.top_dim != 1 for st in slot_types):
         raise ValidationError("minimal-unavailable: kernel escapes rad(P)")
-    acts = [
-        Matrix.block_diag(field, [st.module.actions[i] for st in slot_types])
-        for i in range(algebra.dim)
-    ]
-    proj = Module(algebra, m.side, sum(st.dim for st in slot_types), acts, label="P")
+    proj = _SlotSum(algebra, m.side, slot_types)
     offsets = []
     off = 0
     for st in slot_types:
@@ -266,7 +298,7 @@ def _build_cover_step(m, minimal):
         off += st.dim
     cols = []
     for (_e, g), st in zip(gens, slot_types):
-        cols.extend(_slot_image_columns(m, g, st))
+        cols.extend(_slot_image_columns(field, [act.apply(g) for act in m.actions], st))
     dmat = Matrix.from_columns(field, cols, m.dim)
     if dmat.rank() != m.dim:
         raise ValidationError("cover is not surjective")  # cannot happen
@@ -584,7 +616,7 @@ def hom_space_via_presentation(m, n):
             basis, _ = _e_part_of_module(n, st.e_index)
             nvec = basis.apply(coords[pos: pos + basis.ncols])
             pos += basis.ncols
-            fcols.extend(_slot_image_columns(n, nvec, st))
+            fcols.extend(_slot_image_columns(field, [act.apply(nvec) for act in n.actions], st))
         fmat = Matrix.from_columns(field, fcols, n.dim)
         mats.append(fmat * pre)
     return mats
@@ -623,12 +655,24 @@ def tor_dims(u, x, bound, minimal=None):
 # chain lifts and induced maps on Ext
 
 
+def _slot_sum_images(step, p):
+    """b_i . p for every algebra basis vector b_i, p a vector of P_i: each
+    slot block of p is moved by that slot module's action."""
+    blocks = [(st.module.actions, p[off: off + st.dim])
+              for st, off in zip(step.slot_types, step.offsets)]
+    return [[y for acts, v in blocks for y in acts[i].apply(v)]
+            for i in range(step.proj.algebra.dim)]
+
+
 def lift_chain_map(f, bound):
-    """Lift f: m -> m' to chain maps F_i: P_i(m) -> P_i(m'), i = 0..bound."""
+    """Lift f: m -> m' to chain maps F_i: P_i(m) -> P_i(m'), i = 0..bound.
+    P_i(m') is read slot by slot: an idempotent acts on it as the block
+    diagonal of its actions on the slots, and so does each a_l on a lift."""
     m, mp = f.source, f.target
     res_s = resolution(m, length=bound)
     res_t = resolution(mp, length=bound)
     field = m.field
+    idempotents = m.algebra.idempotents
     lifts = []
     prev = None
     for i in range(bound + 1):
@@ -648,13 +692,15 @@ def lift_chain_map(f, bound):
             if st.e_index is None:
                 E, restricted = None, through
             else:
-                E = step_t.proj.action_of_vector(list(step_s.proj.algebra.idempotents[st.e_index]))
+                e = list(idempotents[st.e_index])
+                E = Matrix.block_diag(
+                    field, [st2.module.action_of_vector(e) for st2 in step_t.slot_types])
                 restricted = through * E
             sol = Eliminator(restricted).solve(t)
             if sol is None:
                 raise ValidationError("chain lift failed (inexact complex?)")
             p = sol if E is None else E.apply(sol)
-            cols.extend(_slot_image_columns(step_t.proj, p, st))
+            cols.extend(_slot_image_columns(field, _slot_sum_images(step_t, p), st))
         F = Matrix.from_columns(field, cols, step_t.proj.dim)
         lifts.append(F)
         prev = F

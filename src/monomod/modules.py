@@ -318,10 +318,20 @@ def quotient_module(m, subspace_columns, label="", accumulator=None):
 
 def radical_image(m):
     """The span of J.m, J the radical of the algebra, as a SpanAccumulator.
-    Its dimension is kept in m._cache for radical_image_dim."""
+    Each radical element's action is read row by row into sparse
+    {row: value} columns, and only the nonzero ones are added, in column
+    order: most columns of a radical action are zero.  Its dimension is kept
+    in m._cache for radical_image_dim."""
     acc = SpanAccumulator(m.field, m.dim)
     for jv in m.algebra.radical_basis():
-        acc.add_columns(m.action_of_vector(jv))
+        cols = [{} for _ in range(m.dim)]
+        for r, row in enumerate(m.action_of_vector(jv).rows):
+            for c, x in enumerate(row):
+                if x:
+                    cols[c][r] = x
+        for col in cols:
+            if col:
+                acc.add(col)
     m._cache["radical_image_dim"] = acc.dim
     return acc
 

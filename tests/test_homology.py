@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ from monomod.errors import ValidationError
 from monomod.gallery import ideal_A_w_A, lambda_element, lambda_q, module_M1qc
 from monomod.homology import (
     _kernel_module,
+    _SlotSum,
     _Step,
     ext_comparison_table,
     ext_dims,
@@ -34,7 +37,7 @@ from monomod.modules import (
 )
 from monomod.quiver import Quiver, build_tensor
 from monomod.sampling import random_map, random_module
-from monomod.triangular import t2_algebra
+from monomod.triangular import classify_triple, t2_algebra
 
 
 def test_periodic_resolution_kx2(kx2):
@@ -449,3 +452,115 @@ def test_step_kernels_match_invariant_column_oracle(kx2, lambda2):
             _kernel_module(bad)
         with pytest.raises(ValidationError, match="subspace is not action-invariant"):
             _kernels_by_invariant_columns(bad)
+
+
+def _x_family(c):
+    from monomod.gallery import standard_family
+
+    return standard_family(QQ, Fraction(2), c)["X_c"]
+
+
+def test_hot_paths_assemble_no_projective_term(monkeypatch):
+    # a semi-GP decision and a triple classification read every P_i slot by
+    # slot: they build many terms and assemble the action matrices of none
+    built, assembled = [], []
+    init, assemble = _SlotSum.__init__, _SlotSum._assemble_actions
+
+    def counting_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    def counting_assemble(self):
+        assembled.append(self)
+        return assemble(self)
+
+    monkeypatch.setattr(_SlotSum, "__init__", counting_init)
+    monkeypatch.setattr(_SlotSum, "_assemble_actions", counting_assemble)
+    Xc = _x_family(Fraction(3, 2))
+    assert is_semi_gp(Xc.flatten(), 6).status == Verdict.UNKNOWN
+    assert len(built) == 8 and assembled == []
+    # the whole x-family scenario: its resolutions reach dim P_i = 162
+    from monomod.gallery import run_scenario
+
+    run_scenario("x-family", {"c": Fraction(3, 2)})
+    assert max(p.dim for p in built) == 162
+    assert assembled == []
+    n_built = len(built)
+    # classify_triple also lifts the triple's map to the resolutions
+    # (ext_comparison_table), through idempotent slots
+    rep = classify_triple(_x_family(Fraction(3, 2)), bound=3)
+    assert rep["perp_structure"]["ext_comparison"]
+    assert len(built) > n_built
+    assert assembled == []
+
+
+def _assembled_actions_cases():
+    F2, F5 = GF(2), GF(5)
+    L2, L5 = lambda_q(F2, 1), lambda_q(F5, 2)
+    pres = AlgebraPresentation(F2, 2, ["1", "x"], [1, 0],
+                               [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)],
+                               idempotents=[[1, 0]])
+    T2 = t2_algebra(validate_algebra(pres, label="k[x]/(x^2) over F2")).flat
+    reg2 = regular_modules(T2)[0]
+    M2, _ = submodule_generated(reg2, [basis_vector(F2, T2.dim, 1)])
+    return [
+        (_x_family(Fraction(3, 2)).flatten(), True),
+        (simples_and_projectives(L2)["simples"][0], True),
+        (M2, False),                                    # free covers, no radical
+        (module_M1qc(L5, Fraction(3)), True),
+    ]
+
+
+def test_projective_terms_assemble_block_diagonal_actions_when_read():
+    fields = set()
+    for m, minimal in _assembled_actions_cases():
+        res = resolution(m, minimal, 3)
+        assert res.minimal is minimal
+        A, field = m.algebra, m.field
+        fields.add(field)
+        for i in range(4):
+            step = res.steps[i]
+            P = res.proj(i)
+            assert P is step.proj and P.dim == sum(st.dim for st in step.slot_types)
+            assert P.actions == tuple(
+                Matrix.block_diag(field, [st.module.actions[a] for st in step.slot_types])
+                for a in range(A.dim))
+            assert P.actions is P.actions
+            # the assembled actions make P_i a module and d_i a module map
+            assert validate_module(list(P.actions), m.side, A).dim == P.dim
+            if i:
+                ModuleMap(P, res.proj(i - 1), step.d_matrix).verify()
+            else:
+                ModuleMap(P, m, step.d_matrix).verify()
+        assert resolve(m, 3, minimal).check_certificates()
+    assert fields == {QQ, GF(2), GF(5)}
+
+
+def test_first_read_of_projective_term_from_two_threads():
+    res = resolution(_x_family(Fraction(3, 2)).flatten(), length=2)
+    step = res.steps[2]
+    P = step.proj
+    field = P.field
+    expected = tuple(
+        Matrix.block_diag(field, [st.module.actions[a] for st in step.slot_types])
+        for a in range(P.algebra.dim))
+    barrier = threading.Barrier(2, timeout=30)
+    got = [None, None]
+
+    def read(k):
+        barrier.wait()
+        got[k] = P.actions
+
+    threads = [threading.Thread(target=read, args=(k,)) for k in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got[0] == got[1] == expected
+    assert got[0] is got[1] is P.actions

@@ -14,7 +14,7 @@ from monomod.gallery import (
     lsgp_example,
     module_M1qc,
 )
-from monomod.linalg import GF, QQ, Matrix
+from monomod.linalg import GF, QQ, Matrix, SpanAccumulator
 from monomod.modules import (
     Module,
     ModuleMap,
@@ -616,3 +616,43 @@ def test_subquotient_outputs_revalidate(lambda2, rng):
         sq = subquotient(f)
         for mod in (sq.kernel, sq.image, sq.cokernel):
             validate_module(list(mod.actions), mod.side, mod.algebra)
+
+
+def _radical_image_by_dense_columns(m):
+    """Every column of every radical element's action, zero or not, added to
+    one accumulator: the reference for radical_image."""
+    acc = SpanAccumulator(m.field, m.dim)
+    for jv in m.algebra.radical_basis():
+        for col in m.action_of_vector(jv).columns():
+            acc.add(col)
+    return acc
+
+
+def test_radical_image_adds_only_nonzero_columns_to_the_same_span(lambda2, trivial_k):
+    from monomod.gallery import standard_family
+    from monomod.homology import resolution
+
+    X = standard_family(QQ, Fraction(2), Fraction(3, 2))["X_c"].flatten()
+    syz = resolution(X, length=1).syzygy(1)
+    assert syz.dim == 9
+    kxk = validate_algebra(AlgebraPresentation(
+        QQ, 2, ["e1", "e2"], [1, 1], [(0, 0, 0, 1), (1, 1, 1, 1)],
+        idempotents=[[1, 0], [0, 1]],
+    ))
+    assert kxk.radical_basis() == []
+    mods = [syz, X, zero_module(lambda2), zero_module(kxk), regular_modules(kxk)[0],
+            regular_modules(trivial_k)[0]]
+    L2 = lambda_q(GF(2), 1)
+    mods += [module_M1qc(L2, 1), regular_modules(L2)[0],
+             simples_and_projectives(L2)["simples"][0]]
+    mods += list(lsgp_example(GF(5))["modules"])
+    L5 = lambda_q(GF(5), 2)
+    mods += [module_M1qc(L5, 3), regular_modules(L5)[1], k_dual(regular_modules(L5)[1])]
+    grown = 0
+    for m in mods:
+        acc, ref = radical_image(m), _radical_image_by_dense_columns(m)
+        assert acc.rows == ref.rows
+        assert acc.complement == ref.complement
+        grown += acc.dim
+    assert grown > 0
+    assert {m.field for m in mods} == {QQ, GF(2), GF(5)}
