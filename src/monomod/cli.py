@@ -90,6 +90,11 @@ class _Parser(argparse.ArgumentParser):
         raise MonomodError(f"{self.prog}: {message}")
 
 
+# argparse reads "--c -1/2" as a missing value followed by an option
+_Q_HELP = "a rational such as 2; write a negative one as --q=-2"
+_C_HELP = "a rational such as 3/2; write a negative one as --c=-1/2"
+
+
 def main(argv=None):
     ap = _Parser(prog="monomod")
     ap.add_argument("--output", choices=["json", "text"], default=None)
@@ -150,13 +155,13 @@ def main(argv=None):
     p = sub.add_parser("gallery")
     ps = p.add_subparsers(dest="sub")
     x = ps.add_parser("lambda-q")
-    x.add_argument("--q", default="2")
+    x.add_argument("--q", default="2", help=_Q_HELP)
     x.add_argument("--field", default=None)
 
     p = sub.add_parser("verify")
     p.add_argument("scenario", choices=sorted(SCENARIOS))
-    p.add_argument("--q", default=None)
-    p.add_argument("--c", default=None)
+    p.add_argument("--q", default=None, help=_Q_HELP)
+    p.add_argument("--c", default=None, help=_C_HELP)
     p.add_argument("--bound", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--samples", type=int, default=None)

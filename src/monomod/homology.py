@@ -487,8 +487,20 @@ class ProjResolution:
 
 
 def _image_in_radical(d):
-    acc = radical_image(d.target)
-    return all(acc.contains(d.matrix.column(j)) for j in range(d.matrix.ncols))
+    """Every column of d lies in J.P, P = d.target = (+) slots.  J.P is the
+    direct sum of the slots' J.slot, so each slot block of a column is
+    checked against the radical image of its own slot module."""
+    cols = d.matrix.columns()
+    accs = {}
+    off = 0
+    for st in d.target.slot_types:
+        acc = accs.get(st.e_index)
+        if acc is None:
+            acc = accs[st.e_index] = radical_image(st.module)
+        if not all(acc.contains(c[off: off + st.dim]) for c in cols):
+            return False
+        off += st.dim
+    return True
 
 
 def resolve(m, n, minimal=True):
@@ -666,13 +678,12 @@ def _slot_sum_images(step, p):
 
 def lift_chain_map(f, bound):
     """Lift f: m -> m' to chain maps F_i: P_i(m) -> P_i(m'), i = 0..bound.
-    P_i(m') is read slot by slot: an idempotent acts on it as the block
-    diagonal of its actions on the slots, and so does each a_l on a lift."""
+    Each a_l acts on a lift slot by slot, through the slot modules of
+    P_i(m')."""
     m, mp = f.source, f.target
     res_s = resolution(m, length=bound)
     res_t = resolution(mp, length=bound)
     field = m.field
-    idempotents = m.algebra.idempotents
     lifts = []
     prev = None
     for i in range(bound + 1):
@@ -685,21 +696,14 @@ def lift_chain_map(f, bound):
         else:
             need = prev * step_s.d_matrix              # P_i(m) -> P_{i-1}(m')
             through = step_t.d_matrix                  # P_i(m') -> P_{i-1}(m')
+        solver = Eliminator(through)
         cols = []
         for j, st in enumerate(step_s.slot_types):
-            t = need.apply(step_s.gen_vector(j))
-            # solve within the e-part of P_i(m')
-            if st.e_index is None:
-                E, restricted = None, through
-            else:
-                e = list(idempotents[st.e_index])
-                E = Matrix.block_diag(
-                    field, [st2.module.action_of_vector(e) for st2 in step_t.slot_types])
-                restricted = through * E
-            sol = Eliminator(restricted).solve(t)
-            if sol is None:
+            # any p with through(p) = t = need(e) lifts the slot A.e:
+            # a -> a.p is a module map, and through(e.p) = e.t = t
+            p = solver.solve(need.apply(step_s.gen_vector(j)))
+            if p is None:
                 raise ValidationError("chain lift failed (inexact complex?)")
-            p = sol if E is None else E.apply(sol)
             cols.extend(_slot_image_columns(field, _slot_sum_images(step_t, p), st))
         F = Matrix.from_columns(field, cols, step_t.proj.dim)
         lifts.append(F)

@@ -17,10 +17,10 @@ multiply raw entries with Python's operators and then call the field's
 Fraction back into an int and over F_p takes residues mod p; `combination`
 goes through the field's `add` and `mul`, which return the same forms.
 
-There are two eliminations.  `_rref` reduces the rows of a whole matrix at
-once (`Matrix.rref`, `kernel_matrix`, `inverse`).  `SpanAccumulator` takes
-vectors one at a time and keeps a sparse reduced echelon basis of their
-span; spans, quotients by a span and kernels of streamed linear forms
+There is one elimination.  `SpanAccumulator` takes vectors one at a time
+and keeps a sparse reduced echelon basis of their span.  A matrix's rref,
+pivot columns, rank and kernel (`Matrix.rref` and the rest), its inverse,
+spans, quotients by a span and kernels of streamed linear forms
 (`sparse_kernel`) are all read off it.
 """
 
@@ -30,16 +30,35 @@ from .config import dimension_cap
 from .errors import DimensionCapExceeded, DimensionMismatch, InconsistentSystem
 
 
+# Miller-Rabin with these 13 bases decides primality exactly below
+# _PRIME_TEST_BOUND (Sorenson and Webster, 2017)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_TEST_BOUND = 3317044064679887385961981
+
+
 def _is_prime(p):
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for b in _PRIME_BASES:
+        if p % b == 0:
+            return p == b
+    if p >= _PRIME_TEST_BOUND:
+        raise ValueError(f"cannot decide whether {p} is prime: the primality test is exact "
+                         f"only below {_PRIME_TEST_BOUND}")
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -234,7 +253,7 @@ def _check_cap(rows, cols):
 class Matrix:
     """Immutable dense matrix over a Field.  Rows are tuples of raw elements."""
 
-    __slots__ = ("field", "nrows", "ncols", "rows", "_rref")
+    __slots__ = ("field", "nrows", "ncols", "rows", "_span_cache")
 
     def __init__(self, field, rows, ncols=None):
         self.field = field
@@ -250,7 +269,7 @@ class Matrix:
                 raise DimensionMismatch("ragged rows")
         _check_cap(self.nrows, self.ncols)
         self.rows = tuple(rows)
-        self._rref = None
+        self._span_cache = None
 
     @classmethod
     def _trusted(cls, field, rows, ncols):
@@ -262,7 +281,7 @@ class Matrix:
         self.nrows = len(rows)
         self.ncols = ncols
         self.rows = rows
-        self._rref = None
+        self._span_cache = None
         return self
 
     # -- constructors -------------------------------------------------
@@ -495,50 +514,39 @@ class Matrix:
 
     # -- elimination ----------------------------------------------------
 
-    def _compute_rref(self):
-        """(rref, pivot columns), cached.  A matrix that is its own rref
-        caches (None, pivots): a reference to itself would be a cycle that
-        only the cyclic garbage collector frees."""
-        got = self._rref
+    def _span(self):
+        """(SpanAccumulator of the rows, pivot columns), cached.  The
+        accumulator's rows are the nonzero rows of the rref; it refers to no
+        matrix, so the cache makes no reference cycle."""
+        got = self._span_cache
         if got is None:
-            rows = [list(r) for r in self.rows]
-            pivots = tuple(_rref(self.field, rows, self.ncols))
-            R = Matrix._trusted(self.field, tuple(map(tuple, rows)), self.ncols)
-            R._rref = (None, pivots)
-            got = self._rref = (R, pivots)
-        R, pivots = got
-        return (self if R is None else R), pivots
+            acc = SpanAccumulator(self.field, self.ncols)
+            for r in self.rows:
+                acc.add(r)
+            got = self._span_cache = (acc, tuple(acc.pivots))
+        return got
 
     def rref(self):
-        return self._compute_rref()[0]
+        """The reduced row echelon form: the accumulator's rows, then zero
+        rows.  It shares this matrix's accumulator, as its own rows span
+        the same space."""
+        acc, pivots = self._span()
+        zero_row = (self.field.zero,) * self.ncols
+        R = Matrix._trusted(self.field, tuple(acc.rows) + (zero_row,) * (self.nrows - len(pivots)),
+                            self.ncols)
+        R._span_cache = self._span_cache
+        return R
 
     def pivot_columns(self):
-        return self._compute_rref()[1]
+        return self._span()[1]
 
     def rank(self):
-        return len(self._compute_rref()[1])
+        return len(self._span()[1])
 
     def kernel_matrix(self):
-        """Columns form a basis of the right kernel, one per free (non-pivot)
-        column f: 1 at f, 0 at the other free columns and minus column f of
-        the rref at the pivots.  So its rows at the free columns are the
-        identity, which homology._kernel_module relies on."""
-        R, pivots = self._compute_rref()
-        field = self.field
-        z, o = field.zero, field.one
-        neg = field.neg
-        pivset = set(pivots)
-        free = [j for j in range(self.ncols) if j not in pivset]
-        cols = []
-        for f in free:
-            v = [z] * self.ncols
-            v[f] = o
-            for r, pc in enumerate(pivots):
-                x = R.rows[r][f]
-                if x:
-                    v[pc] = neg(x)
-            cols.append(v)
-        return Matrix.from_columns(field, cols, self.ncols)
+        """Columns form a basis of the right kernel (see
+        SpanAccumulator.kernel_matrix)."""
+        return self._span()[0].kernel_matrix()
 
     def column_space_matrix(self):
         """Columns = the pivot columns of self (a basis of the column space)."""
@@ -547,15 +555,18 @@ class Matrix:
     def inverse(self):
         if self.nrows != self.ncols:
             raise DimensionMismatch("inverse of non-square matrix")
-        # reduce the plain rows of [self | I]; no n x 2n Matrix is formed, so
-        # the dimension cap bounds only n
+        # reduce the rows of [self | I] as sparse maps; no n x 2n Matrix is
+        # formed, so the dimension cap bounds only n
         n = self.nrows
         field = self.field
-        z, o = field.zero, field.one
-        rows = [list(r) + [o if i == j else z for j in range(n)] for i, r in enumerate(self.rows)]
-        if len(_rref(field, rows, n)) != n:
+        acc = SpanAccumulator(field, 2 * n)
+        for i, r in enumerate(self.rows):
+            v = {j: x for j, x in enumerate(r) if x}
+            v[n + i] = field.one
+            acc.add(v)
+        if acc.pivots != list(range(n)):
             raise InconsistentSystem("matrix not invertible")
-        return Matrix._trusted(field, tuple(tuple(r[n:]) for r in rows), n)
+        return Matrix._trusted(field, tuple(r[n:] for r in acc.rows), n)
 
 
 def combination(field, coeffs, matrices, nrows, ncols):
@@ -580,54 +591,6 @@ def combination(field, coeffs, matrices, nrows, ncols):
                     if x:
                         arow[j] = add(arow[j], mul(c, x))
     return Matrix._trusted(field, tuple(map(tuple, acc)), ncols)
-
-
-def _normalize(field, row, start):
-    """Scale row in place so that its entry at start, its first nonzero
-    one, is 1; returns the nonzero positions of row from start on."""
-    support = [j for j in range(start, len(row)) if row[j]]
-    pv = row[start]
-    if pv != 1:
-        inv = field.inv(pv)
-        for j in support:
-            row[j] *= inv
-        field.reduce(row, support)
-    return support
-
-
-def _eliminate(field, row, f, prow, support):
-    """row -= f * prow in place, where support holds the nonzero positions
-    of prow."""
-    for j in support:
-        row[j] -= f * prow[j]
-    field.reduce(row, support)
-
-
-def _rref(field, rows, ncols):
-    """Reduce a list of row lists in place to reduced row echelon form;
-    returns the pivot columns."""
-    nrows = len(rows)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        for pr in range(r, nrows):
-            if rows[pr][c]:
-                break
-        else:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        prow = rows[r]
-        support = _normalize(field, prow, c)
-        for i, row in enumerate(rows):
-            if i != r:
-                f = row[c]
-                if f:
-                    _eliminate(field, row, f, prow, support)
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
 
 
 class Eliminator:
@@ -702,6 +665,11 @@ class SpanAccumulator:
     @property
     def dim(self):
         return len(self._rows)
+
+    @property
+    def pivots(self):
+        """The pivot columns, increasing."""
+        return sorted(self._rows)
 
     @property
     def complement(self):
@@ -797,8 +765,11 @@ class SpanAccumulator:
 
     def kernel_matrix(self):
         """Columns form a basis of the vectors that every stored row sends
-        to 0, one per complement column: the basis kernel_matrix gives for
-        the stacked rows.  It is the transpose of projection_matrix."""
+        to 0, one per complement column f: 1 at f, 0 at the other complement
+        columns and minus column f of the stored rows at the pivots.  So its
+        rows at the complement columns are the identity, which
+        homology._kernel_module relies on.  It is the transpose of
+        projection_matrix."""
         return self.projection_matrix().transpose()
 
 

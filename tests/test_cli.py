@@ -203,6 +203,16 @@ def test_verify_scenario_and_determinism(files):
     assert r1.stdout == r2.stdout  # byte identical
 
 
+def test_negative_parameter_in_equals_form(files):
+    r = run_cli(["verify", "x-family", "--c=-1/2"], files)
+    assert r.returncode == 0
+    assert json.loads(r.stdout)["claims"]
+    # with a space, argparse takes -1/2 for an option, so the value is missing
+    r = run_cli(["verify", "x-family", "--c", "-1/2"], files)
+    assert r.returncode == 3
+    assert "expected one argument" in json.loads(r.stdout)["error"]
+
+
 def test_text_output(files):
     r = run_cli(["--output", "text", "algebra", "validate", "kx2.json"], files)
     assert r.returncode == 0

@@ -9,6 +9,7 @@ from monomod.algebra import AlgebraPresentation, regular_modules, validate_algeb
 from monomod.errors import ValidationError
 from monomod.gallery import ideal_A_w_A, lambda_element, lambda_q, module_M1qc
 from monomod.homology import (
+    _image_in_radical,
     _kernel_module,
     _SlotSum,
     _Step,
@@ -492,6 +493,23 @@ def test_hot_paths_assemble_no_projective_term(monkeypatch):
     assert rep["perp_structure"]["ext_comparison"]
     assert len(built) > n_built
     assert assembled == []
+    # the radical check of a minimal resolution's certificates reads each
+    # P_i slot by slot too
+    assert resolve(Xc.flatten(), 4, minimal=True).check_certificates()
+    assert assembled == []
+
+
+def test_radical_check_reads_each_slot_block():
+    # d_2 of X(3/2) lands in J.P_1, P_1 = P[e0] (+) P[e1]; a column replaced
+    # by the generator of either slot escapes J.P_1 in that slot's block
+    res = resolution(_x_family(Fraction(3, 2)).flatten(), True, 2)
+    step, prev = res.steps[2], res.steps[1]
+    assert [st.e_index for st in prev.slot_types] == [0, 1]
+    field, cols = step.d_matrix.field, step.d_matrix.columns()
+    assert _image_in_radical(ModuleMap(step.proj, prev.proj, step.d_matrix, check=False))
+    for j in range(len(prev.slot_types)):
+        bad = Matrix.from_columns(field, cols[:-1] + [prev.gen_vector(j)], prev.proj.dim)
+        assert not _image_in_radical(ModuleMap(step.proj, prev.proj, bad, check=False))
 
 
 def _assembled_actions_cases():

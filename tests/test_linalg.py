@@ -220,6 +220,19 @@ def test_field_spec_parsing():
             Field.parse_spec(bad)
 
 
+def test_prime_fields_of_large_primes():
+    assert GF(2 ** 61 - 1).p == 2 ** 61 - 1
+    assert Field.parse_spec("F2305843009213693951") == GF(2 ** 61 - 1)
+    assert GF(10 ** 9 + 7).inv(2) == (10 ** 9 + 8) // 2
+    # the Carmichael number 561 = 3 * 11 * 17, a square, and a strong
+    # pseudoprime to the bases 2, 3, 5 and 7 with no factor among the bases
+    for composite in (561, 7 ** 2, 151 * 751 * 28351):
+        with pytest.raises(ValueError, match="needs a prime"):
+            GF(composite)
+    with pytest.raises(ValueError, match="cannot decide whether"):
+        GF(2 ** 89 - 1)
+
+
 def test_field_constants_are_shared():
     assert QQ.zero is QQ.zero and QQ.one is QQ.one
     assert Matrix.zero(QQ, 1, 2).rows[0][0] is QQ.zero
@@ -443,11 +456,12 @@ def test_span_accumulator_matches_batch_rref(field, seed):
     for v in rng.sample(vecs, len(vecs)):
         acc.add({j: x for j, x in enumerate(v) if x} if rng.random() < 0.5 else v)
     stacked = Matrix(field, vecs, n)
-    batch = stacked.rref()
-    rank = batch.rank()
-    assert acc.rows == [batch.rows[i] for i in range(rank)]
-    assert acc.complement == [j for j in range(n) if j not in batch.pivot_columns()]
-    assert acc.kernel_matrix() == stacked.kernel_matrix()
+    R, pivots = _ref_rref(field, vecs, n)
+    rank = len(pivots)
+    assert acc.rows == [tuple(r) for r in R[:rank]]
+    assert acc.pivots == pivots
+    assert acc.complement == [j for j in range(n) if j not in pivots]
+    assert acc.kernel_matrix().columns() == _ref_kernel_columns(field, vecs, n)
     # quotient: Q kills the span, S is a section of Q, and project(w) is
     # the class of w: w - S project(w) lies in the span
     Q, S = acc.projection_matrix(), acc.section_matrix()
@@ -458,8 +472,8 @@ def test_span_accumulator_matches_batch_rref(field, seed):
         q = acc.project(w)
         assert q == Q.apply(w)
         rest = [field.sub(a, b) for a, b in zip(w, S.apply(q))]
-        assert Matrix(field, vecs + [rest], n).rank() == rank
-        assert acc.contains(w) == (Matrix(field, vecs + [w], n).rank() == rank)
+        assert len(_ref_rref(field, vecs + [rest], n)[1]) == rank
+        assert acc.contains(w) == (len(_ref_rref(field, vecs + [w], n)[1]) == rank)
     for M in (Q, S, acc.kernel_matrix()):
         _assert_canonical(field, [x for r in M.rows for x in r])
 
@@ -568,6 +582,28 @@ def test_inverse_and_kron():
     assert k.nrows == 4 and k.rank() == 4
     with pytest.raises(InconsistentSystem):
         Matrix.from_rows(QQ, [[1, 2], [2, 4]]).inverse()
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(7)])
+def test_inverse_matches_reference_rref_of_S_with_identity(field):
+    # det [[1, 2], [3, 1]] = -5: invertible over Q and F_7, singular over F_5
+    rng = random.Random(23)
+    cases = [Matrix.from_rows(field, [[1, 2], [3, 1]]), Matrix(field, [], 0)]
+    cases += [_random_matrix(field, rng, n, n) for n in (1, 3, 4)]
+    invertible = []
+    for S in cases:
+        n = S.nrows
+        R, pivots = _ref_rref(
+            field, [list(r) + basis_vector(field, n, i) for i, r in enumerate(S.rows)], 2 * n)
+        invertible.append(pivots == list(range(n)))
+        if invertible[-1]:
+            inv = S.inverse()
+            assert inv == Matrix(field, [r[n:] for r in R], n)
+            _assert_canonical(field, [x for r in inv.rows for x in r])
+        else:
+            with pytest.raises(InconsistentSystem):
+                S.inverse()
+    assert invertible[:2] == [field.p != 5, True]
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7)])
