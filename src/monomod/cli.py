@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 = every claim passed, 1 = some claim failed, 2 = some claim
-undecided at its bound, 3 = usage or validation error.  Output is JSON by
-default (byte-identical for identical command, files and seed); --output
-text renders the same data as an indented listing.
+undecided at its bound, 3 = usage or validation error, or stdout closed by
+its reader (then nothing more is written).  Output is JSON by default
+(byte-identical for identical command, files and seed); --output text
+renders the same data as an indented listing.
 
 A workspace config file (JSON: {"field", "bound", "cap", "seed", "output"})
 is read from $MONOMOD_CONFIG when set; command-line flags override it.
@@ -176,6 +177,12 @@ def main(argv=None):
             ap.print_help()
             return 3
         return _dispatch(args, ws, fmt)
+    except BrokenPipeError:
+        # the reader closed stdout: write nothing more, and flush into devnull at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 3
     except MonomodError as e:
         payload = {"error": str(e)}
         if getattr(e, "witness", None) is not None:

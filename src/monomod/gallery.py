@@ -100,37 +100,31 @@ def lambda_element(A, label_coeffs):
     return v
 
 
-def generic_M(A, a, b, c):
-    """M(a,b,c) = A / [A(ax+by+cz) + soc A] as a quotient of the left regular
-    module (the generic construction; basis comes from echelon bookkeeping)."""
+def _generic_quotient(A, a, b, c, side, name):
+    """A / [(ax+by+cz) + soc A] as a quotient of the regular module of the
+    side (0 left, 1 right), labelled name(a,b,c)."""
     field = A.field
     a, b, c = field.of(a), field.of(b), field.of(c)
     if not (a or b or c):
-        raise ValidationError("M(a,b,c) needs (a,b,c) != 0")
-    w = [field.zero, a, b, c, field.zero, field.zero]
-    reg = regular_modules(A)[0]
-    sub, incl = submodule_generated(
-        reg, [w, basis_vector(field, 6, _YX), basis_vector(field, 6, _ZX)]
-    )
-    M, proj, _ = quotient_module(reg, incl.matrix, label=f"M({field.render(a)},{field.render(b)},{field.render(c)})")
+        raise ValidationError(f"{name}(a,b,c) needs (a,b,c) != 0")
+    reg = regular_modules(A)[side]
+    _, incl = submodule_generated(reg, [[field.zero, a, b, c, field.zero, field.zero],
+                                        basis_vector(field, 6, _YX), basis_vector(field, 6, _ZX)])
+    label = f"{name}({field.render(a)},{field.render(b)},{field.render(c)})"
+    M, proj, _ = quotient_module(reg, incl.matrix, label=label)
     M._cache["regular_projection"] = proj.matrix
     return M
+
+
+def generic_M(A, a, b, c):
+    """M(a,b,c) = A / [A(ax+by+cz) + soc A] as a quotient of the left regular
+    module (the generic construction; basis comes from echelon bookkeeping)."""
+    return _generic_quotient(A, a, b, c, 0, "M")
 
 
 def generic_M_prime(A, a, b, c):
     """M'(a,b,c) = A / [(ax+by+cz)A + soc A] as a right-module quotient."""
-    field = A.field
-    a, b, c = field.of(a), field.of(b), field.of(c)
-    if not (a or b or c):
-        raise ValidationError("M'(a,b,c) needs (a,b,c) != 0")
-    w = [field.zero, a, b, c, field.zero, field.zero]
-    reg = regular_modules(A)[1]
-    sub, incl = submodule_generated(
-        reg, [w, basis_vector(field, 6, _YX), basis_vector(field, 6, _ZX)]
-    )
-    M, proj, _ = quotient_module(reg, incl.matrix, label=f"M'({field.render(a)},{field.render(b)},{field.render(c)})")
-    M._cache["regular_projection"] = proj.matrix
-    return M
+    return _generic_quotient(A, a, b, c, 1, "M'")
 
 
 def module_M1qc(A, c):

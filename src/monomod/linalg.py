@@ -18,10 +18,12 @@ Fraction back into an int and over F_p takes residues mod p; `combination`
 goes through the field's `add` and `mul`, which return the same forms.
 
 There is one elimination.  `SpanAccumulator` takes vectors one at a time
-and keeps a sparse reduced echelon basis of their span.  A matrix's rref,
-pivot columns, rank and kernel (`Matrix.rref` and the rest), its inverse,
-spans, quotients by a span and kernels of streamed linear forms
-(`sparse_kernel`) are all read off it.
+and keeps a sparse reduced echelon basis of their span.  Everything is
+read off it: a matrix's rref, pivot columns, rank and kernel (`Matrix.rref`
+and the rest), spans, quotients by a span, kernels of streamed linear forms
+(`sparse_kernel`), and the solutions of `Eliminator`, which feeds in a
+matrix's columns tagged by position (`Matrix.inverse` solves against the
+identity with it).
 """
 
 from fractions import Fraction
@@ -553,20 +555,13 @@ class Matrix:
         return self.submatrix(range(self.nrows), list(self.pivot_columns()))
 
     def inverse(self):
+        """Via Eliminator: its rows are sparse, so the cap bounds only n."""
         if self.nrows != self.ncols:
             raise DimensionMismatch("inverse of non-square matrix")
-        # reduce the rows of [self | I] as sparse maps; no n x 2n Matrix is
-        # formed, so the dimension cap bounds only n
-        n = self.nrows
-        field = self.field
-        acc = SpanAccumulator(field, 2 * n)
-        for i, r in enumerate(self.rows):
-            v = {j: x for j, x in enumerate(r) if x}
-            v[n + i] = field.one
-            acc.add(v)
-        if acc.pivots != list(range(n)):
+        el = Eliminator(self)
+        if el.rank < self.nrows:
             raise InconsistentSystem("matrix not invertible")
-        return Matrix._trusted(field, tuple(r[n:] for r in acc.rows), n)
+        return el.solve_matrix(Matrix.identity(self.field, self.nrows))
 
 
 def combination(field, coeffs, matrices, nrows, ncols):
@@ -596,51 +591,54 @@ def combination(field, coeffs, matrices, nrows, ncols):
 class Eliminator:
     """Reusable exact solver for A x = b with a fixed A.
 
-    Takes the pivot columns C of A (r = rank) and r independent rows I of
-    A[:, C], and inverts the r x r block S = A[I, C] once.  A solution
-    supported on C, if there is one, is unique and has x_C = S^-1 b_I, so
-    solve() computes that candidate and keeps it only when A x == b holds
-    exactly.  Apart from pieces of A, the only scratch is the row lists that
-    invert S.  Used wherever many systems share a coefficient matrix
-    (coordinate solvers for stored bases, induced actions on subquotients,
-    ...).
+    One pass feeds each column of A in as (A e_j, e_j), tagged with a 1 at
+    nrows + j, to a SpanAccumulator of length nrows + ncols, and keeps it
+    only when its reduction has an entry among the first nrows, that is when
+    it is independent of the columns before it: those are the pivot columns.
+    Reducing (b, 0) leaves (r, -x) with b - r = A x and x supported on the
+    pivot columns, so the system is consistent exactly when r = 0, and x is
+    then its unique solution there.  Used wherever many systems share a
+    coefficient matrix (coordinate solvers for stored bases, induced actions
+    on subquotients, ...).
     """
 
     def __init__(self, A):
-        self.A = A
-        self.field = A.field
-        self.pivots = list(A.pivot_columns())
+        field = self.field = A.field
+        n = self.nrows = A.nrows
+        self.ncols = A.ncols
+        acc = self._acc = SpanAccumulator(field, n + A.ncols)
+        self.pivots = []
+        for j, col in enumerate(A.columns()):
+            v = {i: x for i, x in enumerate(col) if x}
+            v[n + j] = field.one
+            v = acc._reduce(v)
+            if min(v) < n:
+                acc.add(v)
+                self.pivots.append(j)
         self.rank = len(self.pivots)
-        self._AC = A.submatrix(range(A.nrows), self.pivots)
-        self._rows = list(self._AC.transpose().pivot_columns())
-        self._Sinv = A.submatrix(self._rows, self.pivots).inverse()
 
     def solve(self, b):
         """The solution of A x = b supported on the pivot columns, or None
         if the system is inconsistent."""
-        if len(b) != self.A.nrows:
+        n = self.nrows
+        if len(b) != n:
             raise DimensionMismatch("rhs length mismatch")
-        y = self._Sinv.apply([b[i] for i in self._rows])
-        if self._AC.apply(y) != list(b):
+        v = self._acc._reduce(b)
+        if v and min(v) < n:
             return None
-        x = [self.field.zero] * self.A.ncols
-        for c, v in zip(self.pivots, y):
-            x[c] = v
+        neg = self.field.neg
+        x = [self.field.zero] * self.ncols
+        for j, y in v.items():
+            x[j - n] = neg(y)
         return x
 
     def solve_matrix(self, B):
         """X with A X = B (columns as solve() gives them), or None if some
         column is inconsistent."""
-        if B.nrows != self.A.nrows:
+        if B.nrows != self.nrows:
             raise DimensionMismatch("rhs height mismatch")
-        Y = self._Sinv * B.submatrix(self._rows, range(B.ncols))
-        if (self._AC * Y).rows != B.rows:
-            return None
-        zero_row = (self.field.zero,) * B.ncols
-        rows = [zero_row] * self.A.ncols
-        for c, row in zip(self.pivots, Y.rows):
-            rows[c] = row
-        return Matrix._trusted(self.field, tuple(rows), B.ncols)
+        cols = [self.solve(b) for b in B.columns()]
+        return None if None in cols else Matrix.from_columns(self.field, cols, self.ncols)
 
 
 class SpanAccumulator:

@@ -8,7 +8,7 @@ import pytest
 import monomod
 
 
-def run_cli(args, cwd, env=None):
+def _cli_env(env=None):
     e = dict(os.environ)
     if env:
         e.update(env)
@@ -18,9 +18,13 @@ def run_cli(args, cwd, env=None):
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(monomod.__file__)))
     e["PYTHONPATH"] = os.pathsep.join(
         p for p in (package_root, e.get("PYTHONPATH")) if p)
+    return e
+
+
+def run_cli(args, cwd, env=None):
     r = subprocess.run(
         [sys.executable, "-m", "monomod.cli", *args],
-        capture_output=True, text=True, cwd=cwd, env=e,
+        capture_output=True, text=True, cwd=cwd, env=_cli_env(env),
     )
     # The CLI writes every result of a parsed command, error reports
     # included, to stdout; an empty stdout means the child never ran it.
@@ -241,6 +245,21 @@ def test_argument_errors_exit3_with_json(files):
     r = run_cli(["--help"], files)
     assert r.returncode == 0
     assert r.stdout.startswith("usage: monomod")
+
+
+def test_closed_stdout_exits3_without_traceback(tmp_path):
+    # stdout is a pipe whose reader is already gone, as in `monomod ... | head -c 100`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        r = subprocess.run(
+            [sys.executable, "-m", "monomod.cli", "verify", "loop-arrow-sgp"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, cwd=tmp_path, env=_cli_env(),
+        )
+    finally:
+        os.close(write_end)
+    assert r.returncode == 3
+    assert "Traceback" not in r.stderr
 
 
 def test_algebra_cache_follows_file_bytes(tmp_path):

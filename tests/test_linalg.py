@@ -539,6 +539,7 @@ def test_eliminator_matches_row_reduction_oracle(field):
     for A, rhs in _solver_cases(field, rng):
         el = Eliminator(A)
         assert el.rank == A.rank()
+        assert el.pivots == list(A.pivot_columns())
         sols = []
         for b in rhs:
             x = el.solve(b)
@@ -550,6 +551,8 @@ def test_eliminator_matches_row_reduction_oracle(field):
         B = Matrix.from_columns(field, [b for b, _ in good], A.nrows)
         X = el.solve_matrix(B)
         assert X == Matrix.from_columns(field, [x for _, x in good], A.ncols)
+        # no right-hand side at all: an ncols x 0 solution
+        assert el.solve_matrix(Matrix.zero(field, A.nrows, 0)) == Matrix.zero(field, A.ncols, 0)
         if bad:
             # one inconsistent column among consistent ones spoils the lot
             B = Matrix.from_columns(field, [b for b, _ in good] + bad[:1], A.nrows)
