@@ -169,28 +169,35 @@ def main(argv=None):
     p.add_argument("--algebra", default=None)
 
     try:
-        args = ap.parse_args(argv)
-        ws = _load_workspace()
-        fmt = args.output or ws["output"]
-        _config.set_dimension_cap(args.cap if args.cap is not None else ws["cap"])
-        if args.cmd is None:
-            ap.print_help()
-            return 3
-        return _dispatch(args, ws, fmt)
+        try:
+            args = ap.parse_args(argv)
+            ws = _load_workspace()
+            fmt = args.output or ws["output"]
+            _config.set_dimension_cap(args.cap if args.cap is not None else ws["cap"])
+            if args.cmd is None:
+                ap.print_help()
+                rc = 3
+            else:
+                rc = _dispatch(args, ws, fmt)
+        except BrokenPipeError:
+            raise
+        except MonomodError as e:
+            payload = {"error": str(e)}
+            if getattr(e, "witness", None) is not None:
+                payload["witness"] = _json_safe(e.witness)
+            _emit(payload, "json")
+            rc = 3
+        except (OSError, json.JSONDecodeError, KeyError, ValueError, ZeroDivisionError) as e:
+            _emit({"error": f"{type(e).__name__}: {e}"}, "json")
+            rc = 3
+        # a block-buffered stdout fails here, not at interpreter exit
+        sys.stdout.flush()
+        return rc
     except BrokenPipeError:
         # the reader closed stdout: write nothing more, and flush into devnull at exit
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        return 3
-    except MonomodError as e:
-        payload = {"error": str(e)}
-        if getattr(e, "witness", None) is not None:
-            payload["witness"] = _json_safe(e.witness)
-        _emit(payload, "json")
-        return 3
-    except (OSError, json.JSONDecodeError, KeyError, ValueError, ZeroDivisionError) as e:
-        _emit({"error": f"{type(e).__name__}: {e}"}, "json")
         return 3
 
 
@@ -279,9 +286,8 @@ def _dispatch(args, ws, fmt):
             _emit(_json_safe(rep), fmt)
             statuses = [rep["flat"]["semi_gp"]["status"],
                         rep["flat"]["dual_semi_gp"]["status"],
-                        rep["flat"]["gp"]["status"]]
-            for key in ("perp_structure",):
-                statuses.append(rep[key]["combined"]["status"])
+                        rep["flat"]["gp"]["status"],
+                        rep["perp_structure"]["combined"]["status"]]
             agreements = [rep["perp_structure"]["agrees_with_flat_semi_gp"],
                           rep["gp_criteria"]["agrees_with_flat_gp"]]
             if rep["t2"]:
@@ -319,19 +325,11 @@ def _dispatch(args, ws, fmt):
         return 0
 
     if args.cmd == "verify":
-        params = {}
-        if args.q is not None:
-            params["q"] = Fraction(args.q)
-        if args.c is not None:
-            params["c"] = Fraction(args.c)
-        if args.bound is not None:
-            params["bound"] = args.bound
-        if args.seed is not None:
-            params["seed"] = args.seed
-        if args.samples is not None:
-            params["samples"] = args.samples
-        if args.algebra is not None:
-            params["algebra"] = args.algebra
+        params = {k: getattr(args, k) for k in ("q", "c", "bound", "seed", "samples", "algebra")
+                  if getattr(args, k) is not None}
+        for k in ("q", "c"):
+            if k in params:
+                params[k] = Fraction(params[k])
         sc = run_scenario(args.scenario, params)
         _emit(sc.describe(), fmt)
         return _verdict_exit([c["status"] for c in sc.claims])

@@ -18,12 +18,11 @@ Fraction back into an int and over F_p takes residues mod p; `combination`
 goes through the field's `add` and `mul`, which return the same forms.
 
 There is one elimination.  `SpanAccumulator` takes vectors one at a time
-and keeps a sparse reduced echelon basis of their span.  Everything is
-read off it: a matrix's rref, pivot columns, rank and kernel (`Matrix.rref`
-and the rest), spans, quotients by a span, kernels of streamed linear forms
-(`sparse_kernel`), and the solutions of `Eliminator`, which feeds in a
-matrix's columns tagged by position (`Matrix.inverse` solves against the
-identity with it).
+and keeps a sparse reduced echelon basis of their span.  A matrix's rref,
+pivot columns, rank and kernel (`Matrix.rref` and the rest), spans,
+quotients by a span, kernels of streamed linear forms (`sparse_kernel`) and
+the solutions of `Eliminator` (a matrix's columns fed in tagged by position;
+`Matrix.inverse` solves against the identity with it) are all read off it.
 """
 
 from fractions import Fraction
@@ -626,10 +625,9 @@ class Eliminator:
         v = self._acc._reduce(b)
         if v and min(v) < n:
             return None
-        neg = self.field.neg
         x = [self.field.zero] * self.ncols
         for j, y in v.items():
-            x[j - n] = neg(y)
+            x[j - n] = self.field.neg(y)
         return x
 
     def solve_matrix(self, B):
@@ -637,6 +635,8 @@ class Eliminator:
         column is inconsistent."""
         if B.nrows != self.nrows:
             raise DimensionMismatch("rhs height mismatch")
+        if B.field != self.field:
+            raise DimensionMismatch("field mismatch")
         cols = [self.solve(b) for b in B.columns()]
         return None if None in cols else Matrix.from_columns(self.field, cols, self.ncols)
 

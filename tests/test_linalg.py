@@ -553,6 +553,9 @@ def test_eliminator_matches_row_reduction_oracle(field):
         assert X == Matrix.from_columns(field, [x for _, x in good], A.ncols)
         # no right-hand side at all: an ncols x 0 solution
         assert el.solve_matrix(Matrix.zero(field, A.nrows, 0)) == Matrix.zero(field, A.ncols, 0)
+        other = GF(5) if field == QQ else QQ
+        with pytest.raises(DimensionMismatch):
+            el.solve_matrix(Matrix.zero(other, A.nrows, 1))
         if bad:
             # one inconsistent column among consistent ones spoils the lot
             B = Matrix.from_columns(field, [b for b, _ in good] + bad[:1], A.nrows)
