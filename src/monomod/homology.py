@@ -19,12 +19,14 @@ Tor complex or a chain lift does; they all act on a vector of P_i one slot
 block at a time.
 
 The kernel of each differential, the next syzygy, is read off the slots too
-(_kernel_module).  Its basis K is the kernel basis of the differential,
-which is the identity on the free (non-pivot) rows, so an algebra element
-acts on the kernel by the free rows of a.K.  a.K is formed one slot block
-at a time from the small slot modules' actions, and the pivot rows of a.K
-are checked exactly against K times that action, which holds exactly when
-K is invariant.
+(_kernel_module), the first time something reads it: the next step's cover,
+a syzygy, or an outside reader.  So a resolution never builds the kernel of
+its last step, which nothing reads; its dimension alone is known at once.
+Its basis K is the kernel basis of the differential, which is the identity
+on the free (non-pivot) rows, so an algebra element acts on the kernel by
+the free rows of a.K.  a.K is formed one slot block at a time from the
+small slot modules' actions, and the pivot rows of a.K are checked exactly
+against K times that action, which holds exactly when K is invariant.
 """
 
 import threading
@@ -203,12 +205,15 @@ class _SlotSum(Module):
 
 class _Step:
     """One term P_i = (+) slots (a _SlotSum), with its differential and the
-    kernel of that differential.  The kernel's actions are the free rows of
-    a.K, formed slot block by slot block, after a check of the pivot rows
-    (_kernel_module)."""
+    kernel of that differential.  kernel_dim is dim P_i minus the dimension
+    of the module covered, known at once; the kernel module and its
+    inclusion are built on first read (_kernel_module), once, under the
+    step's lock, so concurrent readers get the same objects.  The kernel's
+    actions are the free rows of a.K, formed slot block by slot block, after
+    a check of the pivot rows."""
 
     __slots__ = ("slot_types", "offsets", "proj", "d_matrix", "d_elems",
-                 "kernel", "kernel_incl")
+                 "kernel_dim", "_kernel", "_lock")
 
     def __init__(self, slot_types, offsets, proj, d_matrix):
         self.slot_types = slot_types
@@ -216,8 +221,27 @@ class _Step:
         self.proj = proj
         self.d_matrix = d_matrix      # P_i -> P_{i-1} (or -> target for i = 0)
         self.d_elems = None           # [slot of P_i][slot of P_{i-1}] A-vectors; None at step 0
-        self.kernel = None            # filled when the next step is built
-        self.kernel_incl = None
+        # d_matrix is still the cover P_i -> m here, and it is surjective
+        self.kernel_dim = proj.dim - d_matrix.nrows
+        self._kernel = None           # (kernel, inclusion) once read
+        self._lock = threading.Lock()
+
+    @property
+    def kernel(self):
+        return self._kernel_pair()[0]
+
+    @property
+    def kernel_incl(self):
+        return self._kernel_pair()[1]
+
+    def _kernel_pair(self):
+        pair = self._kernel
+        if pair is None:
+            with self._lock:
+                pair = self._kernel
+                if pair is None:
+                    pair = self._kernel = _kernel_module(self)
+        return pair
 
     def gen_vector(self, j):
         """The generator of slot j as a vector of P_i."""
@@ -231,7 +255,9 @@ class _Step:
 class Resolution:
     """Internal resolution state; extended lazily and cached on the module.
     Its own lock serializes extensions, so resolving one module never waits
-    on another.  Step 0 is built here, so the resolution keeps no reference
+    on another.  Extending to step n builds the kernels of steps 0..n-1,
+    which the covers need; the kernel of step n is built only if something
+    reads it.  Step 0 is built here, so the resolution keeps no reference
     to its target: the module's cache holds the resolution, and a reference
     back would be a cycle that only the cyclic garbage collector frees."""
 
@@ -262,8 +288,6 @@ class Resolution:
             # exactness bookkeeping: im(d_i) = ker(d_{i-1}) by construction
             assert (prev.d_matrix * step.d_matrix).is_zero()
         self.steps.append(step)
-        # precompute the next kernel so syzygies line up with step indices
-        step.kernel, step.kernel_incl = _kernel_module(step)
 
     def syzygy(self, i):
         """Omega^i of the target (i >= 1)."""

@@ -377,7 +377,7 @@ def _right_simple_resolutions(B):
         length = None
         for i in range(B.dim + 2):
             res.extend_to(i)
-            if res.steps[i].kernel.dim == 0:
+            if res.steps[i].kernel_dim == 0:
                 length = i
                 break
         if length is None:

@@ -512,12 +512,12 @@ def _bimodule_hypotheses(parent, bound):
     pd = None
     for i in range(bound + 2):
         res.extend_to(i)
-        if res.steps[i].kernel.dim == 0:
+        if res.steps[i].kernel_dim == 0:
             pd = i
             break
     right = parent.bimodule.as_right_module()
     resr = resolution(right)
-    right_projective = resr.steps[0].kernel.dim == 0
+    right_projective = resr.steps[0].kernel_dim == 0
     return {
         "left_proj_dim": pd,
         "left_proj_dim_verified_finite": pd is not None,

@@ -1,6 +1,7 @@
 import random
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -36,9 +37,14 @@ from monomod.modules import (
     tensor_over,
     validate_module,
 )
-from monomod.quiver import Quiver, build_tensor
+from monomod.quiver import Quiver, _right_simple_resolutions, build_tensor
 from monomod.sampling import random_map, random_module
-from monomod.triangular import classify_triple, t2_algebra
+from monomod.triangular import (
+    _bimodule_hypotheses,
+    classify_triple,
+    t2_algebra,
+    t2_dual_bundle,
+)
 
 
 def test_periodic_resolution_kx2(kx2):
@@ -582,3 +588,92 @@ def test_first_read_of_projective_term_from_two_threads():
     assert not any(t.is_alive() for t in threads)
     assert got[0] == got[1] == expected
     assert got[0] is got[1] is P.actions
+
+
+def _spy_kernel_builds(monkeypatch, pause=0):
+    """The steps whose kernel module is built from now on, in build order;
+    each build first sleeps `pause` seconds, so a second reader arrives
+    while it runs."""
+    built = []
+
+    def spy(step):
+        built.append(step)
+        time.sleep(pause)
+        return _kernel_module(step)
+
+    monkeypatch.setattr("monomod.homology._kernel_module", spy)
+    return built
+
+
+def test_resolutions_build_only_the_kernels_something_reads(monkeypatch, lambda2):
+    built = _spy_kernel_builds(monkeypatch)
+    # X(3/2)** fails at degree 1: Ext^1 reads P_0, P_1 and P_2, and the
+    # covers read the kernels of steps 0 and 1, not the 111-dim one of step 2
+    dd = t2_dual_bundle(_x_family(Fraction(3, 2))).double_dual_triple.flatten()
+    built.clear()
+    v = is_semi_gp(dd, 6)
+    assert v.status == Verdict.FAILS and v.witness["degree"] == 1
+    res = resolution(dd)
+    assert [step.proj.dim for step in res.steps] == [30, 72, 162]
+    assert [step.kernel_dim for step in res.steps] == [21, 51, 111]
+    assert built == res.steps[:2]
+    # a later read builds it once, and it is the kernel the oracle reads
+    step = res.steps[2]
+    kernel, incl = _kernels_by_invariant_columns(step)
+    assert step.kernel.dim == step.kernel_dim == kernel.dim
+    assert step.kernel.actions == kernel.actions
+    assert step.kernel_incl.matrix == incl.matrix
+    assert step.kernel_incl.source is step.kernel is res.syzygy(3)
+    assert built == res.steps
+    # Ext^0..Ext^n resolve to step n+1 and build the kernels of steps 0..n
+    m = module_M1qc(lambda2, Fraction(1))
+    built.clear()
+    ext_dims(m, regular_modules(lambda2)[0], 3)
+    res = resolution(m)
+    assert len(res.steps) == 5 and built == res.steps[:4]
+
+
+def test_zero_kernel_tests_read_the_kernel_dimension(monkeypatch):
+    built = _spy_kernel_builds(monkeypatch)
+    # the bimodule of T2(A) is A on both sides, projective: both resolutions
+    # stop at step 0 and build no kernel
+    parent = t2_algebra(lambda_q(QQ, 3))
+    hyp = _bimodule_hypotheses(parent, 3)
+    assert hyp["left_proj_dim"] == 0 and hyp["right_projective"]
+    assert built == []
+    # the right simples of kA3 resolve to their first zero kernel, which
+    # is not built
+    B = build_tensor(lambda_q(QQ, 3), Quiver([1, 2, 3], [("g1", 2, 1), ("g2", 3, 2)])).B
+    got = _right_simple_resolutions(B)
+    assert sorted(length for _S, _res, length in got) == [0, 1, 1]
+    assert built == [step for _S, res, length in got for step in res.steps[:length]]
+    for _S, res, length in got:
+        assert [step.kernel_dim for step in res.steps] == [step.kernel.dim for step in res.steps]
+        assert res.steps[length].kernel.dim == 0
+
+
+def test_first_read_of_a_kernel_from_two_threads(monkeypatch):
+    res = resolution(_x_family(Fraction(3, 2)).flatten(), length=2)
+    built = _spy_kernel_builds(monkeypatch, pause=0.05)
+    step = res.steps[2]
+    barrier = threading.Barrier(2, timeout=30)
+    got = [None, None]
+
+    def read(k):
+        barrier.wait()
+        got[k] = res.syzygy(3) if k else step.kernel
+
+    threads = [threading.Thread(target=read, args=(k,)) for k in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert built == [step]
+    assert got[0] is got[1] is step.kernel is step.kernel_incl.source
+    assert got[0].dim == step.kernel_dim
