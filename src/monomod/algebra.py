@@ -9,6 +9,7 @@ which is then verified.
 
 from .errors import DimensionMismatch, ValidationError
 from .linalg import Matrix, SpanAccumulator, basis_vector, combination, sparse_kernel
+from .memo import memo, remember
 
 
 class AlgebraPresentation:
@@ -120,12 +121,7 @@ class Algebra:
             [tuple(e) for e in p.idempotents] if p.idempotents is not None else None
         )
         self._declared_radical = p.radical_basis
-        self._left_mats = {}
-        self._right_mats = {}
-        self._radical = None
-        self._generators = None
-        self._opposite = None
-        self._cache = {}  # derived data other modules keep per algebra
+        self._cache = {}  # derived data, kept by memo
         self.label = ""
 
     # -- structure-constant products ------------------------------------
@@ -168,31 +164,25 @@ class Algebra:
     def element_by_label(self, label):
         return self.basis_element(self.basis_labels.index(label))
 
+    @memo
     def left_matrix(self, i):
         """L_{b_i}: columns are b_i * b_j."""
-        m = self._left_mats.get(i)
-        if m is None:
-            z = self.field.zero
-            rows = [[z] * self.dim for _ in range(self.dim)]
-            for j in range(self.dim):
-                for k, c in self.basis_product(i, j):
-                    rows[k][j] = c
-            m = Matrix(self.field, rows, self.dim)
-            self._left_mats[i] = m
-        return m
+        return self._product_matrix(lambda j: self.basis_product(i, j))
 
+    @memo
     def right_matrix(self, i):
         """R_{b_i}: columns are b_j * b_i."""
-        m = self._right_mats.get(i)
-        if m is None:
-            z = self.field.zero
-            rows = [[z] * self.dim for _ in range(self.dim)]
-            for j in range(self.dim):
-                for k, c in self.basis_product(j, i):
-                    rows[k][j] = c
-            m = Matrix(self.field, rows, self.dim)
-            self._right_mats[i] = m
-        return m
+        return self._product_matrix(lambda j: self.basis_product(j, i))
+
+    def _product_matrix(self, column_terms):
+        """The matrix whose column j has the entries column_terms(j), a
+        sparse tuple of (k, coeff)."""
+        z = self.field.zero
+        rows = [[z] * self.dim for _ in range(self.dim)]
+        for j in range(self.dim):
+            for k, c in column_terms(j):
+                rows[k][j] = c
+        return Matrix(self.field, rows, self.dim)
 
     def left_multiplication(self, vec):
         """L_v for a coefficient vector v."""
@@ -201,14 +191,13 @@ class Algebra:
 
     # -- generating set ---------------------------------------------------
 
+    @memo
     def generators(self):
         """Indices of a small unital generating set (greedy, deterministic).
 
         Action laws and intertwining conditions checked on these indices
         extend to the whole algebra, which keeps Hom systems small.
         """
-        if self._generators is not None:
-            return self._generators
         field = self.field
         span_rows = Matrix(field, [self.unit], self.dim)
         gens = []
@@ -234,37 +223,34 @@ class Algebra:
             if Matrix(field, list(span.rows) + [e], self.dim).rank() > span.nrows:
                 gens.append(i)
                 span = closure(Matrix(field, list(span.rows) + [e], self.dim))
-        self._generators = tuple(gens)
-        return self._generators
+        return tuple(gens)
 
     # -- opposite algebra --------------------------------------------------
 
+    @memo
     def opposite(self):
-        if self._opposite is None:
-            consts = []
-            for (i, j), terms in self.table.items():
-                for k, c in terms:
-                    consts.append((j, i, k, c))
-            pres = AlgebraPresentation(
-                self.field,
-                self.dim,
-                self.basis_labels,
-                list(self.unit),
-                consts,
-                idempotents=[list(e) for e in self.idempotents]
-                if self.idempotents is not None
-                else None,
-                radical_basis=[list(v) for v in self._declared_radical]
-                if self._declared_radical is not None
-                else None,
-            )
-            op = Algebra(pres)
-            op.label = (self.label + "^op") if self.label else "op"
-            op._opposite = self
-            if self._radical is not None:
-                op._radical = self._radical
-            self._opposite = op
-        return self._opposite
+        """The opposite algebra, whose own opposite is self."""
+        consts = []
+        for (i, j), terms in self.table.items():
+            for k, c in terms:
+                consts.append((j, i, k, c))
+        pres = AlgebraPresentation(
+            self.field,
+            self.dim,
+            self.basis_labels,
+            list(self.unit),
+            consts,
+            idempotents=[list(e) for e in self.idempotents]
+            if self.idempotents is not None
+            else None,
+            radical_basis=[list(v) for v in self._declared_radical]
+            if self._declared_radical is not None
+            else None,
+        )
+        op = Algebra(pres)
+        op.label = (self.label + "^op") if self.label else "op"
+        remember(op, Algebra.opposite, self)
+        return op
 
     # -- radical ------------------------------------------------------------
 
@@ -275,25 +261,18 @@ class Algebra:
         except ValidationError:
             return False
 
+    @memo
     def has_idempotents_and_radical(self):
         """Whether minimal projective covers are available: declared
         idempotents and a computable radical."""
-        got = self._cache.get("has_idempotents_and_radical")
-        if got is None:
-            got = self.idempotents is not None and self.has_radical()
-            self._cache["has_idempotents_and_radical"] = got
-        return got
+        return self.idempotents is not None and self.has_radical()
 
+    @memo
     def radical_basis(self):
         """Rows spanning J(A), canonical (RREF) basis."""
-        if self._radical is not None:
-            return self._radical
         if self._declared_radical is not None:
-            rad = self._verify_declared_radical()
-        else:
-            rad = self._radical_by_trace_form()
-        self._radical = rad
-        return rad
+            return self._verify_declared_radical()
+        return self._radical_by_trace_form()
 
     def _trace_form_kernel(self, table_dim, trace_of_basis, product):
         field = self.field
@@ -476,11 +455,9 @@ def multiply(a, b):
     return Element(a.algebra, a.algebra.product_vectors(a.coeffs, b.coeffs))
 
 
+@memo
 def regular_modules(A):
-    """(left regular module, right regular module) of A; cached on A."""
-    got = A._cache.get("regular_modules")
-    if got is not None:
-        return got
+    """(left regular module, right regular module) of A; kept on A."""
     from .modules import Module
 
     left = Module(
@@ -497,7 +474,7 @@ def regular_modules(A):
         [A.right_matrix(i) for i in range(A.dim)],
         label=(A.label or "A") + "_right_regular",
     )
-    return A._cache.setdefault("regular_modules", (left, right))
+    return left, right
 
 
 def radical_and_socle(A, m=None):

@@ -10,13 +10,14 @@ from .algebra import regular_modules
 from .errors import ValidationError
 from .homology import _minimal_generators, is_semi_gp
 from .linalg import Matrix, basis_vector, combination
+from .memo import memo
 from .modules import (
     Module,
     ModuleMap,
     Verdict,
     direct_sum,
+    generated_span,
     hom_space,
-    submodule_generated,
     zero_module,
 )
 
@@ -65,18 +66,21 @@ class DualData:
 def a_dual(m):
     """DualData of m.  a_dual(a_dual(m).dual) is M**.
 
-    The module's cache holds the dual module, the basis matrices and their
-    pivots, and each call rebuilds the DualData view on them: the view and
-    its basis maps point back at m, and a cache entry that did would be a
-    cycle that only the cyclic garbage collector frees."""
+    The module keeps the dual module, the basis matrices and their pivots
+    (_dual_data), and each call builds a fresh DualData view on them: the
+    view and its basis maps point back at m, and kept data that did would be
+    a cycle that only the cyclic garbage collector frees."""
+    reg = regular_modules(m.algebra)[0 if m.side == "left" else 1]
+    dual, mats, pivots = _dual_data(m)
+    return DualData(m, dual, [ModuleMap(m, reg, F, check=False) for F in mats], pivots)
+
+
+@memo
+def _dual_data(m):
+    """(dual module, Hom(m, A) basis matrices, their pivots)."""
     algebra = m.algebra
-    reg = regular_modules(algebra)[0 if m.side == "left" else 1]
-    got = m._cache.get("a_dual")
-    if got is not None:
-        dual, mats, pivots = got
-        return DualData(m, dual, [ModuleMap(m, reg, F, check=False) for F in mats], pivots)
     field = m.field
-    basis = hom_space(m, reg)
+    basis = hom_space(m, regular_modules(algebra)[0 if m.side == "left" else 1])
     # the RREF basis is read off at the first nonzero of each row-major vec
     pivots = [
         next(j for j, x in enumerate(x for row in f.matrix.rows for x in row) if x)
@@ -93,12 +97,11 @@ def a_dual(m):
             transformed = mult * f.matrix
             cols.append(dd.coords_of_map(transformed) if h else [])
         acts.append(Matrix.from_columns(field, cols, h))
-    dd.dual = Module(
+    dual = Module(
         algebra, dual_side, h, acts,
         label=f"({m.label})*" if m.label else "dual",
     )
-    m._cache["a_dual"] = (dd.dual, [f.matrix for f in basis], pivots)
-    return dd
+    return dual, [f.matrix for f in basis], pivots
 
 
 def dual_map(f):
@@ -112,11 +115,14 @@ def dual_map(f):
 
 def canonical_map(m):
     """phi_M: M -> M**, phi(v)(f) = f(v), as an explicit ModuleMap.  The
-    module's cache holds its target and matrix, not the map, whose source
-    is m."""
-    got = m._cache.get("canonical_map")
-    if got is not None:
-        return ModuleMap(m, *got, check=False)
+    module keeps its target and matrix (_canonical_data), not the map,
+    whose source is m."""
+    return ModuleMap(m, *_canonical_data(m), check=False)
+
+
+@memo
+def _canonical_data(m):
+    """(M**, matrix of phi_M)."""
     dd = a_dual(m)
     ddd = a_dual(dd.dual)
     field = m.field
@@ -131,8 +137,7 @@ def canonical_map(m):
         )
         cols.append(ddd.coords_of_map(values) if len(ddd.basis) else [])
     mat = Matrix.from_columns(field, cols, len(ddd.basis))
-    m._cache["canonical_map"] = (ddd.dual, mat)
-    return ModuleMap(m, ddd.dual, mat, check=False)
+    return ddd.dual, mat
 
 
 class ClassificationReport:
@@ -238,9 +243,8 @@ def left_add_approximation(m):
         gens = [g for (_e, g) in _minimal_generators(dual)]
     else:
         gens = [basis_vector(field, dual.dim, j) for j in range(dual.dim)]
-    # the generators must generate m* as a module over A; verified by solving
-    span, _ = submodule_generated(dual, gens)
-    if span.dim != dual.dim:
+    # the generators must generate m* as a module over A
+    if generated_span(dual, gens).dim != dual.dim:
         raise ValidationError("approximation components fail to generate the dual")
     reg = dd.basis[0].target
     comps = [ModuleMap(m, reg, dd.map_from_coords(g), check=False) for g in gens]

@@ -18,6 +18,7 @@ from .modules import (
     ModuleMap,
     Verdict,
     _json_safe,
+    generated_span,
     is_isomorphic,
     quotient_module,
     submodule_generated,
@@ -102,29 +103,29 @@ def lambda_element(A, label_coeffs):
 
 def _generic_quotient(A, a, b, c, side, name):
     """A / [(ax+by+cz) + soc A] as a quotient of the regular module of the
-    side (0 left, 1 right), labelled name(a,b,c)."""
+    side (0 left, 1 right), labelled name(a,b,c), with the matrix of its
+    projection from that regular module."""
     field = A.field
     a, b, c = field.of(a), field.of(b), field.of(c)
     if not (a or b or c):
         raise ValidationError(f"{name}(a,b,c) needs (a,b,c) != 0")
     reg = regular_modules(A)[side]
-    _, incl = submodule_generated(reg, [[field.zero, a, b, c, field.zero, field.zero],
-                                        basis_vector(field, 6, _YX), basis_vector(field, 6, _ZX)])
+    span = generated_span(reg, [[field.zero, a, b, c, field.zero, field.zero],
+                                basis_vector(field, 6, _YX), basis_vector(field, 6, _ZX)])
     label = f"{name}({field.render(a)},{field.render(b)},{field.render(c)})"
-    M, proj, _ = quotient_module(reg, incl.matrix, label=label)
-    M._cache["regular_projection"] = proj.matrix
-    return M
+    M, proj, _ = quotient_module(reg, None, label=label, accumulator=span)
+    return M, proj.matrix
 
 
 def generic_M(A, a, b, c):
     """M(a,b,c) = A / [A(ax+by+cz) + soc A] as a quotient of the left regular
     module (the generic construction; basis comes from echelon bookkeeping)."""
-    return _generic_quotient(A, a, b, c, 0, "M")
+    return _generic_quotient(A, a, b, c, 0, "M")[0]
 
 
 def generic_M_prime(A, a, b, c):
     """M'(a,b,c) = A / [(ax+by+cz)A + soc A] as a right-module quotient."""
-    return _generic_quotient(A, a, b, c, 1, "M'")
+    return _generic_quotient(A, a, b, c, 1, "M'")[0]
 
 
 def module_M1qc(A, c):
@@ -253,8 +254,7 @@ def standard_family(field=QQ, q=Fraction(2), c=Fraction(0)):
     M = module_M1qc(A, c)
     f1 = f1_map(A, c)
     dd = a_dual(M)
-    span, _ = submodule_generated(dd.dual, [dd.coords_of_map(f1.matrix)])
-    if span.dim != dd.dual.dim:
+    if generated_span(dd.dual, [dd.coords_of_map(f1.matrix)]).dim != dd.dual.dim:
         raise ValidationError("f1 does not generate the dual (approximation fails)")
     parent = t2_algebra(A)
     X_c = t2_triple(parent, regular_modules(A)[0], M, f1)
@@ -281,8 +281,7 @@ def dual_iso_chain(fam):
     field = A.field
     q = fam["q"]
     dd = a_dual(fam["M"])
-    Mp = generic_M_prime(A, field.one, field.neg(field.inv(q)), field.zero)
-    projMp = Mp._cache["regular_projection"]
+    Mp, projMp = _generic_quotient(A, field.one, field.neg(field.inv(q)), field.zero, 1, "M'")
     solver = Eliminator(A.left_multiplication(lambda_element(A, {"x": 1, "y": -1})))
     cols = []
     for f in dd.basis:

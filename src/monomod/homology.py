@@ -34,6 +34,7 @@ import threading
 from .algebra import regular_modules
 from .errors import ValidationError
 from .linalg import Eliminator, Matrix, SpanAccumulator
+from .memo import memo
 from .modules import (
     Module,
     ModuleMap,
@@ -74,42 +75,30 @@ class SlotType:
         return self.dim - radical_image_dim(self.module)
 
 
+@memo
 def slot_type(algebra, side, e_index):
-    cache = algebra._cache.setdefault("slot_types", {})
-    key = (side, e_index)
-    st = cache.get(key)
-    if st is not None:
-        return st
     reg = regular_modules(algebra)[0 if side == "left" else 1]
     field = algebra.field
     if e_index is None:
-        st = SlotType(
+        return SlotType(
             None,
             tuple(algebra.unit),
             reg,
             Matrix.identity(field, algebra.dim),
             list(algebra.unit),
         )
-    else:
-        e = list(algebra.idempotents[e_index])
-        sub, incl = submodule_generated(reg, [e], label=f"P[e{e_index}]")
-        gen = Eliminator(incl.matrix).solve(e)
-        st = SlotType(e_index, tuple(e), sub, incl.matrix, gen)
-    return cache.setdefault(key, st)
+    e = list(algebra.idempotents[e_index])
+    sub, incl = submodule_generated(reg, [e], label=f"P[e{e_index}]")
+    gen = Eliminator(incl.matrix).solve(e)
+    return SlotType(e_index, tuple(e), sub, incl.matrix, gen)
 
 
+@memo
 def _e_part_of_module(n, e_index):
     """(basis matrix, Eliminator) of eN inside N; identity shortcut for e=1."""
-    cache = n._cache.setdefault("e_parts", {})
-    got = cache.get(e_index)
-    if got is not None:
-        return got
     if e_index is None:
-        got = (Matrix.identity(n.field, n.dim), None)
-    else:
-        got = idempotent_slice(n, n.algebra.idempotents[e_index])
-    cache[e_index] = got
-    return got
+        return Matrix.identity(n.field, n.dim), None
+    return idempotent_slice(n, n.algebra.idempotents[e_index])
 
 
 def _e_coords(n, e_index, vec):
@@ -174,11 +163,11 @@ def _homology_dim(dims, maps, i):
 class _SlotSum(Module):
     """P_i = (+) slots as a Module whose dimension is known at once and whose
     block-diagonal action matrices are assembled from the slot modules only
-    on first read, then kept.
+    on first read, then kept (memo).
 
     A concurrent first read is safe: the assembly reads only the slot
-    modules, which never change, and the finished tuple is stored with one
-    dict.setdefault, which is atomic, so every reader gets the same tuple."""
+    modules, which never change, and memo keeps the first tuple stored, so
+    every reader gets the same tuple."""
 
     def __init__(self, algebra, side, slot_types):
         self.algebra = algebra
@@ -189,11 +178,9 @@ class _SlotSum(Module):
         self.slot_types = slot_types
 
     @property
+    @memo
     def actions(self):
-        acts = self._cache.get("actions")
-        if acts is None:
-            acts = self._cache.setdefault("actions", self._assemble_actions())
-        return acts
+        return self._assemble_actions()
 
     def _assemble_actions(self):
         field = self.field
@@ -288,6 +275,15 @@ class Resolution:
             # exactness bookkeeping: im(d_i) = ker(d_{i-1}) by construction
             assert (prev.d_matrix * step.d_matrix).is_zero()
         self.steps.append(step)
+
+    def first_zero_kernel(self, limit):
+        """The first i < limit with ker d_i = 0, so that P_i is the last
+        term, extending step by step; None when there is none."""
+        for i in range(limit):
+            self.extend_to(i)
+            if self.steps[i].kernel_dim == 0:
+                return i
+        return None
 
     def syzygy(self, i):
         """Omega^i of the target (i >= 1)."""
@@ -463,12 +459,14 @@ def resolution(m, minimal=None, length=0):
     it uses minimal covers whenever the algebra supports them."""
     if minimal is None:
         minimal = m.algebra.has_idempotents_and_radical()
-    key = ("resolution", bool(minimal))
-    res = m._cache.get(key)
-    if res is None:
-        res = m._cache.setdefault(key, Resolution(m, minimal))
+    res = _resolution(m, bool(minimal))
     res.extend_to(length)
     return res
+
+
+@memo
+def _resolution(m, minimal):
+    return Resolution(m, minimal)
 
 
 class ProjResolution:
@@ -760,39 +758,38 @@ def _cohomology_descent(Cs, Ct, G, i):
     return Matrix.from_columns(field, cols, src_dim), Kt.ncols - bt.dim, src_dim
 
 
-def ext_induced_map(f, n, degree, lifts=None, res_s=None, res_t=None):
+def _ext_induced_maps(f, n, first, last):
+    """_cohomology_descent's (matrix, tgt_dim, src_dim) of Ext^i(f, n) for
+    first <= i <= last, from one chain lift of f and one pair of Hom
+    complexes."""
+    lifts, res_s, res_t = lift_chain_map(f, last + 1)
+    Cs = HomComplex(res_s, n, last + 1)
+    Ct = HomComplex(res_t, n, last + 1)
+    return [_cohomology_descent(Cs, Ct, _cochain_map(res_s, res_t, lifts[i], n, i), i)
+            for i in range(first, last + 1)]
+
+
+def ext_induced_map(f, n, degree):
     """Matrix of Ext^degree(f, n): Ext^degree(f.target, n) -> Ext^degree(f.source, n),
     in the cohomology coordinates of the two Hom complexes.
 
-    Returns (matrix, src_dim, tgt_dim) where the matrix has src_dim rows
-    (dim Ext of f.source) and tgt_dim columns."""
-    if lifts is None:
-        lifts, res_s, res_t = lift_chain_map(f, degree + 1)
-    Cs = HomComplex(res_s, n, degree + 1)
-    Ct = HomComplex(res_t, n, degree + 1)
-    G = _cochain_map(res_s, res_t, lifts[degree], n, degree)
-    return _cohomology_descent(Cs, Ct, G, degree)
+    Returns (matrix, tgt_dim, src_dim) where the matrix has src_dim rows
+    (dim Ext of f.source) and tgt_dim columns (dim Ext of f.target)."""
+    return _ext_induced_maps(f, n, degree, degree)[0]
 
 
 def ext_comparison_table(f, n, bound):
     """Per-degree data of the induced maps Ext^i(f.target, n) -> Ext^i(f.source, n)
     for 1 <= i <= bound: dicts with degree, dims and invertibility."""
-    lifts, res_s, res_t = lift_chain_map(f, bound + 1)
-    Cs = HomComplex(res_s, n, bound + 1)
-    Ct = HomComplex(res_t, n, bound + 1)
-    out = []
-    for i in range(1, bound + 1):
-        G = _cochain_map(res_s, res_t, lifts[i], n, i)
-        M, tdim, sdim = _cohomology_descent(Cs, Ct, G, i)
-        out.append(
-            {
-                "degree": i,
-                "dim_target_side": tdim,
-                "dim_source_side": sdim,
-                "invertible": tdim == sdim and M.rank() == tdim,
-            }
-        )
-    return out
+    return [
+        {
+            "degree": i,
+            "dim_target_side": tdim,
+            "dim_source_side": sdim,
+            "invertible": tdim == sdim and M.rank() == tdim,
+        }
+        for i, (M, tdim, sdim) in enumerate(_ext_induced_maps(f, n, 1, bound), start=1)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -336,9 +336,6 @@ class Matrix:
         body = "; ".join(" ".join(self.field.render(x) for x in r) for r in self.rows)
         return f"Matrix({self.nrows}x{self.ncols}: {body})"
 
-    def entry(self, i, j):
-        return self.rows[i][j]
-
     def column(self, j):
         return tuple(r[j] for r in self.rows)
 

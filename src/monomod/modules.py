@@ -13,6 +13,7 @@ import random
 from .algebra import regular_modules
 from .errors import DimensionMismatch, ValidationError
 from .linalg import Eliminator, Matrix, SpanAccumulator, combination, sparse_kernel
+from .memo import memo, remember
 
 
 class Verdict:
@@ -321,7 +322,7 @@ def radical_image(m):
     Each radical element's action is read row by row into sparse
     {row: value} columns, and only the nonzero ones are added, in column
     order: most columns of a radical action are zero.  Its dimension is kept
-    in m._cache for radical_image_dim."""
+    as radical_image_dim(m)."""
     acc = SpanAccumulator(m.field, m.dim)
     for jv in m.algebra.radical_basis():
         cols = [{} for _ in range(m.dim)]
@@ -332,14 +333,14 @@ def radical_image(m):
         for col in cols:
             if col:
                 acc.add(col)
-    m._cache["radical_image_dim"] = acc.dim
+    remember(m, radical_image_dim, acc.dim)
     return acc
 
 
+@memo
 def radical_image_dim(m):
     """dim J.m, computed once per module."""
-    got = m._cache.get("radical_image_dim")
-    return radical_image(m).dim if got is None else got
+    return radical_image(m).dim
 
 
 def idempotent_slice(m, e):
@@ -677,21 +678,15 @@ class Bimodule:
     def field(self):
         return self.left_algebra.field
 
+    @memo
     def as_left_module(self):
-        v = self._cache.get("as_left")
-        if v is None:
-            v = Module(self.left_algebra, "left", self.dim, self.left_actions,
-                       label=self.label)
-            self._cache["as_left"] = v
-        return v
+        return Module(self.left_algebra, "left", self.dim, self.left_actions,
+                      label=self.label)
 
+    @memo
     def as_right_module(self):
-        v = self._cache.get("as_right")
-        if v is None:
-            v = Module(self.right_algebra, "right", self.dim, self.right_actions,
-                       label=self.label)
-            self._cache["as_right"] = v
-        return v
+        return Module(self.right_algebra, "right", self.dim, self.right_actions,
+                      label=self.label)
 
     def __repr__(self):
         return f"Bimodule({self.label or '?'}, dim={self.dim})"

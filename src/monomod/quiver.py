@@ -13,6 +13,7 @@ from .algebra import AlgebraPresentation, regular_modules, validate_algebra
 from .errors import DimensionMismatch, ValidationError
 from .homology import _homology_dim, ext_dims, resolution, tor_dims
 from .linalg import Matrix, basis_vector, combination
+from .memo import memo
 from .modules import (
     Bimodule,
     Module,
@@ -235,7 +236,15 @@ def build_tensor(A, quiver, label=""):
     )
     flat = validate_algebra(pres, label=label or f"{A.label}(x)kQ")
     parent = TensorAlgebra(A, quiver, B, flat)
-    flat._cache["tensor_parent"] = parent
+    flat._tensor_parent = parent
+    return parent
+
+
+def _tensor_parent(m):
+    """The TensorAlgebra whose flat algebra m is over."""
+    parent = getattr(m.algebra, "_tensor_parent", None)
+    if parent is None:
+        raise ValidationError("module is not over a tensor algebra built here")
     return parent
 
 
@@ -251,7 +260,6 @@ class QuiverRep:
         self.parent = parent
         self.vertex_modules = dict(vertex_modules)
         self.arrow_maps = dict(arrow_maps)
-        self._cache = {}
         q = parent.quiver
         for v in q.vertices:
             if v not in self.vertex_modules:
@@ -363,27 +371,19 @@ def dual_regular_outer(parent):
 # monic checks
 
 
+@memo
 def _right_simple_resolutions(B):
     """Finite minimal right resolutions of the right simples, one per vertex
     idempotent; acyclic monomial algebras have finite global dimension so
     these terminate."""
-    got = B._cache.get("right_simple_resolutions")
-    if got is not None:
-        return got
     out = []
-    simples = simples_and_projectives(B, side="right")["simples"]
-    for S in simples:
+    for S in simples_and_projectives(B, side="right")["simples"]:
         res = resolution(S, True, 0)
-        length = None
-        for i in range(B.dim + 2):
-            res.extend_to(i)
-            if res.steps[i].kernel_dim == 0:
-                length = i
-                break
+        length = res.first_zero_kernel(B.dim + 2)
         if length is None:
             raise ValidationError("right simple has no finite resolution (cycle?)")
         out.append((S, res, length))
-    return B._cache.setdefault("right_simple_resolutions", out)
+    return out
 
 
 def _slice_complex_homology(parent, rep, res, length):
@@ -454,10 +454,7 @@ def monic_check(x, mode="combinatorial", bound=6):
     if isinstance(x, QuiverRep):
         rep = x
     else:
-        parent_of = x.algebra._cache.get("tensor_parent")
-        if parent_of is None:
-            raise ValidationError("module is not over a tensor algebra built here")
-        rep = module_to_rep(parent_of, x)
+        rep = module_to_rep(_tensor_parent(x), x)
     parent = rep.parent
     if mode == "combinatorial":
         verdict = None
@@ -498,9 +495,7 @@ def monic_check_perp_form(x, bound=6):
         parent = x.parent
         flat = rep_to_module(x)
     else:
-        parent = x.algebra._cache.get("tensor_parent")
-        if parent is None:
-            raise ValidationError("module is not over a tensor algebra built here")
+        parent = _tensor_parent(x)
         flat = x
     target = dual_regular_outer(parent)
     dims = ext_dims(flat, target, bound).dims

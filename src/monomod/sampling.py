@@ -11,6 +11,7 @@ from .linalg import combination
 from .modules import (
     ModuleMap,
     direct_sum,
+    generated_span,
     hom_space,
     quotient_module,
     submodule_generated,
@@ -47,17 +48,16 @@ def random_module(A, rng, side="left", max_dim=8, allow_zero=True):
     for _ in range(24):
         nvecs = rng.randint(1, 3)
         vecs = [random_vector(A.field, rng, big.dim) for _ in range(nvecs)]
-        sub, incl = submodule_generated(big, vecs)
-        quot, _proj, _sec = quotient_module(big, incl.matrix, label="rand")
+        quot, _proj, _sec = quotient_module(big, None, label="rand",
+                                            accumulator=generated_span(big, vecs))
         if quot.dim <= max_dim:
             return quot
     # fall back to a simple-ish quotient: kill the whole radical part
     rad = A.radical_basis()
-    sub, incl = submodule_generated(
-        big, [big.action_of_vector(jv).column(j) for jv in rad for j in range(big.dim)]
-    ) if rad else (None, None)
-    if incl is not None:
-        quot, _proj, _sec = quotient_module(big, incl.matrix, label="rand")
+    if rad:
+        span = generated_span(
+            big, [big.action_of_vector(jv).column(j) for jv in rad for j in range(big.dim)])
+        quot, _proj, _sec = quotient_module(big, None, label="rand", accumulator=span)
         if quot.dim <= max_dim:
             return quot
     return zero_module(A, side)

@@ -9,6 +9,7 @@ from .duality import a_dual, canonical_map, classify, dual_map, left_add_approxi
 from .errors import DimensionMismatch, ValidationError
 from .homology import ext_comparison_table, is_semi_gp, resolution
 from .linalg import Eliminator, Matrix, basis_vector
+from .memo import memo
 from .modules import (
     Module,
     ModuleMap,
@@ -37,9 +38,10 @@ def _flat_vector(field, parts, pieces):
 
 
 class TriangularAlgebra:
-    """Lambda = [[A, M], [0, B]] with its validated flat realization."""
+    """Lambda = [[A, M], [0, B]] with its validated flat realization;
+    is_t2 is set by t2_algebra alone."""
 
-    def __init__(self, A, B, bimodule, flat, is_t2):
+    def __init__(self, A, B, bimodule, flat):
         self.A = A
         self.B = B
         self.bimodule = bimodule
@@ -48,7 +50,7 @@ class TriangularAlgebra:
         self.nM = bimodule.dim
         self.nB = B.dim
         self.parts = _part_ranges(self.nA, self.nM, self.nB)
-        self.is_t2 = is_t2
+        self.is_t2 = False
 
     def embed(self, part, vec):
         """vec, a vector of A, M or B, as a flat vector of part "A", "M" or "B"."""
@@ -119,19 +121,15 @@ def build_triangular(A, B, bimodule, label=""):
     pres = AlgebraPresentation(field, parts["B"].stop, labels, unit, consts,
                                idempotents=idems, radical_basis=rad)
     flat = validate_algebra(pres, label=label or f"tri({A.label},{B.label})")
-    is_t2 = A is B and bimodule._cache.get("is_regular_bimodule", False)
-    return TriangularAlgebra(A, B, bimodule, flat, is_t2)
+    return TriangularAlgebra(A, B, bimodule, flat)
 
 
+@memo
 def t2_algebra(A):
-    """T2(A) = [[A, A], [0, A]] with the regular bimodule; cached on A."""
-    got = A._cache.get("t2_algebra")
-    if got is not None:
-        return got
-    bim = regular_bimodule(A)
-    bim._cache["is_regular_bimodule"] = True
-    tri = build_triangular(A, A, bim, label=f"T2({A.label or 'A'})")
-    return A._cache.setdefault("t2_algebra", tri)
+    """T2(A) = [[A, A], [0, A]] with the regular bimodule; kept on A."""
+    tri = build_triangular(A, A, regular_bimodule(A), label=f"T2({A.label or 'A'})")
+    tri.is_t2 = True
+    return tri
 
 
 # ---------------------------------------------------------------------------
@@ -153,35 +151,24 @@ class TripleModule:
     def label(self):
         return f"({self.X.label}; {self.Y.label})"
 
+    @memo
     def flatten(self):
-        got = self._cache.get("flat")
-        if got is None:
-            got = triple_to_module(self)
-            self._cache["flat"] = got
-        return got
+        return triple_to_module(self)
 
+    @memo
     def phibar(self):
         """For T2 parents: phi transported through M (x)_A Y = Y, as Y -> X."""
-        got = self._cache.get("phibar")
-        if got is None:
-            mu = _t2_mu(self.parent, self.Y)
-            got = ModuleMap(
-                self.Y, self.X, self.phi.matrix * mu.inverse(), check=False
-            )
-            self._cache["phibar"] = got
-        return got
+        mu = _t2_mu(self.parent, self.Y)
+        return ModuleMap(self.Y, self.X, self.phi.matrix * mu.inverse(), check=False)
 
     def __repr__(self):
         return f"Triple({self.label}, flat dim {self.X.dim + self.Y.dim})"
 
 
-def _tensor_cached(parent, Y):
-    key = ("tensorM", id(parent.bimodule))
-    tens = Y._cache.get(key)
-    if tens is None:
-        tens = tensor_over(parent.bimodule, Y, validate=False)
-        Y._cache[key] = tens
-    return tens
+@memo
+def _tensor_cached(Y, bimodule):
+    """bimodule (x)_B Y, kept on Y."""
+    return tensor_over(bimodule, Y, validate=False)
 
 
 def make_triple(parent, X, Y, phi_matrix_or_map):
@@ -190,7 +177,7 @@ def make_triple(parent, X, Y, phi_matrix_or_map):
         raise DimensionMismatch("X must be a left A-module")
     if Y.algebra is not parent.B or Y.side != "left":
         raise DimensionMismatch("Y must be a left B-module")
-    tens = _tensor_cached(parent, Y)
+    tens = _tensor_cached(Y, parent.bimodule)
     if isinstance(phi_matrix_or_map, ModuleMap):
         phi = phi_matrix_or_map
         if phi.source.dim != tens.module.dim:
@@ -203,7 +190,7 @@ def make_triple(parent, X, Y, phi_matrix_or_map):
 
 def _t2_mu(parent, Y):
     """The canonical iso A (x)_A Y -> Y (matrix on tensor coordinates)."""
-    tens = _tensor_cached(parent, Y)
+    tens = _tensor_cached(Y, parent.bimodule)
     field = Y.field
     nA, dY = parent.nA, Y.dim
     cols = []
@@ -219,7 +206,7 @@ def t2_triple(parent, X, Y, phibar):
     """Triple over T2 from a plain A-map phibar: Y -> X."""
     if not parent.is_t2:
         raise ValidationError("t2_triple needs a T2 parent")
-    tens = _tensor_cached(parent, Y)
+    tens = _tensor_cached(Y, parent.bimodule)
     mu = _t2_mu(parent, Y)
     phi = ModuleMap(tens.module, X, phibar.matrix * mu, check=False)
     return TripleModule(parent, X, Y, phi, tens)
@@ -302,12 +289,9 @@ class RightTriple:
     def label(self):
         return f"({self.U.label}, {self.V.label})"
 
+    @memo
     def flatten(self):
-        got = self._cache.get("flat")
-        if got is None:
-            got = right_triple_to_module(self)
-            self._cache["flat"] = got
-        return got
+        return right_triple_to_module(self)
 
 
 def right_triple_to_module(t):
@@ -371,15 +355,13 @@ def _decompose_flat_dual_basis(parent, t, flat):
     return dd, out
 
 
+@memo
 def t2_dual_bundle(t):
     """Duals, double duals and the canonical map of a T2 triple by the 2x2
     formulas, with exact agreement against the generic constructions."""
     parent = t.parent
     if not parent.is_t2:
         raise ValidationError("t2_dual_bundle needs a T2(A) parent")
-    got = t._cache.get("bundle")
-    if got is not None:
-        return got
     A = parent.A
     field = A.field
     X, Y = t.X, t.Y
@@ -434,13 +416,11 @@ def t2_dual_bundle(t):
     generic_phi = canonical_map(flat)
     if tilde_h.compose(phi_components).matrix != generic_phi.matrix:
         raise ValidationError("canonical-map formula disagrees with the generic map")
-    bundle = T2DualBundle(
+    return T2DualBundle(
         pi=pi, pi_star=pi_star, p=p, beta=beta,
         dual_triple=dual_triple, double_dual_triple=ddt,
         h=h, h2=h2, tilde_h=tilde_h, phi_components=phi_components, coker=coker,
     )
-    t._cache["bundle"] = bundle
-    return bundle
 
 
 def _right_dual_identification(parent, rt, Nflat, ddt, p_psi, coker_psi):
@@ -507,14 +487,7 @@ def _bimodule_hypotheses(parent, bound):
     """Bounded checks of the standing hypotheses on the bimodule:
     finite projective dimension on the left, projectivity on the right
     (which makes its dual injective)."""
-    left = parent.bimodule.as_left_module()
-    res = resolution(left)
-    pd = None
-    for i in range(bound + 2):
-        res.extend_to(i)
-        if res.steps[i].kernel_dim == 0:
-            pd = i
-            break
+    pd = resolution(parent.bimodule.as_left_module()).first_zero_kernel(bound + 2)
     right = parent.bimodule.as_right_module()
     resr = resolution(right)
     right_projective = resr.steps[0].kernel_dim == 0
