@@ -47,6 +47,7 @@ from .modules import (
     Module,
     ModuleMap,
     Verdict,
+    cokernel,
     direct_sum,
     hom_space,
     is_isomorphic,

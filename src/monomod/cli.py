@@ -33,7 +33,7 @@ ENV_CONFIG = "MONOMOD_CONFIG"
 
 def _load_workspace():
     path = os.environ.get(ENV_CONFIG)
-    ws = {"field": "Q", "bound": _config.DEFAULT_BOUND, "cap": 512,
+    ws = {"field": "Q", "bound": _config.DEFAULT_BOUND, "cap": _config.DEFAULT_CAP,
           "seed": _config.DEFAULT_SEED, "output": "json"}
     if path:
         with open(path, "r", encoding="utf-8") as fh:

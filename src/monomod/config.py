@@ -7,8 +7,9 @@ not pass one.  The CLI may override both from a config file or flags.
 
 DEFAULT_BOUND = 6
 DEFAULT_SEED = 0
+DEFAULT_CAP = 512
 
-_dimension_cap = 512
+_dimension_cap = DEFAULT_CAP
 
 
 def dimension_cap():

@@ -553,14 +553,13 @@ def _scenario_t2_lift_sampled(params):
     checked = 0
     for _ in range(p["samples"]):
         L = random_module(A, rng, "left", p["max_dim"], allow_zero=False)
-        rep = classify(L, bound=p["bound"], seed=p["seed"])
         tr = approximation_triple(L, parent=parent)
-        if tr.phibar().is_injective() != rep.torsionless:
+        rep = classify_triple_assert(tr, bound=p["bound"], seed=p["seed"])
+        torsionless = rep["torsionless_structure"]["y_torsionless"]   # L is the triple's Y
+        if tr.phibar().is_injective() != torsionless:
             inj_mismatches += 1
-        flat_rep = classify(tr.flatten(), bound=p["bound"], seed=p["seed"])
-        if flat_rep.torsionless != rep.torsionless:
+        if rep["flat"]["torsionless"] != torsionless:
             flat_tl_mismatches += 1
-        classify_triple_assert(tr, bound=p["bound"], seed=p["seed"])
         checked += 1
     sc.claim_bool(
         "the approximation map is injective exactly for torsionless modules",

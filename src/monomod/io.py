@@ -22,13 +22,14 @@ rep:      {"algebra_ref", "quiver_ref",
 
 import json
 import os
+import threading
 
 from .algebra import AlgebraPresentation, validate_algebra
 from .errors import ValidationError
 from .linalg import Field, Matrix
-from .modules import ModuleMap, tensor_over, validate_bimodule, validate_module
+from .modules import ModuleMap, validate_bimodule, validate_module
 from .quiver import Quiver, QuiverRep, build_tensor
-from .triangular import build_triangular, make_triple, t2_algebra, t2_triple
+from .triangular import build_triangular, make_triple, pure_tensor_phi, t2_algebra, t2_triple
 
 
 def _read(path):
@@ -62,6 +63,7 @@ def matrix_to_entries(m):
 
 
 _algebra_cache = {}
+_algebra_cache_lock = threading.Lock()
 
 
 def load_algebra(path):
@@ -90,8 +92,13 @@ def load_algebra(path):
         else None,
     )
     A = validate_algebra(pres, label=os.path.basename(path))
-    _algebra_cache[key] = (raw, A)
-    return A
+    # the first algebra stored for these bytes wins, so threads that both
+    # missed return one object; changed bytes replace the entry
+    with _algebra_cache_lock:
+        got = _algebra_cache.get(key)
+        if got is None or got[0] != raw:
+            got = _algebra_cache[key] = (raw, A)
+    return got[1]
 
 
 def dump_algebra(A, path):
@@ -114,24 +121,29 @@ def dump_algebra(A, path):
         json.dump(data, fh, sort_keys=True, indent=1)
 
 
+def _label_actions(path, algebra, actions, dim):
+    """dim x dim action matrices, one per basis element of the algebra, from
+    {basis label: entries}; omitted labels act by zero."""
+    if len(set(algebra.basis_labels)) != algebra.dim:
+        raise ValidationError("algebra labels must be unique for module files")
+    field = algebra.field
+    idx = {lbl: i for i, lbl in enumerate(algebra.basis_labels)}
+    acts = [Matrix.zero(field, dim, dim) for _ in range(algebra.dim)]
+    for lbl, entries in actions.items():
+        if lbl not in idx:
+            raise ValidationError(f"{path}: unknown basis label {lbl!r}")
+        acts[idx[lbl]] = _entries_to_matrix(field, entries, dim, dim)
+    return acts
+
+
 def load_module(path, algebra=None):
     data = _read(path)
     if algebra is None:
         if "algebra_ref" not in data:
             raise ValidationError(f"{path}: module file has no algebra_ref")
         algebra = load_algebra(_resolve(path, data["algebra_ref"]))
-    field = algebra.field
-    if len(set(algebra.basis_labels)) != algebra.dim:
-        raise ValidationError("algebra labels must be unique for module files")
-    side = data["side"]
-    dim = data["dim"]
-    idx = {lbl: i for i, lbl in enumerate(algebra.basis_labels)}
-    acts = [Matrix.zero(field, dim, dim) for _ in range(algebra.dim)]
-    for lbl, entries in data.get("actions", {}).items():
-        if lbl not in idx:
-            raise ValidationError(f"{path}: unknown basis label {lbl!r}")
-        acts[idx[lbl]] = _entries_to_matrix(field, entries, dim, dim)
-    return validate_module(acts, side, algebra, label=os.path.basename(path))
+    acts = _label_actions(path, algebra, data.get("actions", {}), data["dim"])
+    return validate_module(acts, data["side"], algebra, label=os.path.basename(path))
 
 
 def dump_module(m, path, algebra_ref):
@@ -159,16 +171,9 @@ def load_bimodule(path):
     data = _read(path)
     A = load_algebra(_resolve(path, data["A_ref"]))
     B = load_algebra(_resolve(path, data["B_ref"]))
-    field = A.field
     dim = data["dim"]
-    idxA = {lbl: i for i, lbl in enumerate(A.basis_labels)}
-    idxB = {lbl: i for i, lbl in enumerate(B.basis_labels)}
-    lacts = [Matrix.zero(field, dim, dim) for _ in range(A.dim)]
-    for lbl, entries in data.get("left_actions", {}).items():
-        lacts[idxA[lbl]] = _entries_to_matrix(field, entries, dim, dim)
-    racts = [Matrix.zero(field, dim, dim) for _ in range(B.dim)]
-    for lbl, entries in data.get("right_actions", {}).items():
-        racts[idxB[lbl]] = _entries_to_matrix(field, entries, dim, dim)
+    lacts = _label_actions(path, A, data.get("left_actions", {}), dim)
+    racts = _label_actions(path, B, data.get("right_actions", {}), dim)
     return validate_bimodule(A, B, lacts, racts, label=os.path.basename(path))
 
 
@@ -201,11 +206,8 @@ def load_triple(path):
     if ncols != pure_cols:
         raise ValidationError("phi_cols must be Y.dim (T2 map form) or dim M * Y.dim")
     L = _entries_to_matrix(A.field, entries, X.dim, pure_cols)
-    tens = tensor_over(parent.bimodule, Y, validate=False)
-    phi_mat = L * tens.section
-    if phi_mat * tens.pure_matrix != L:
-        raise ValidationError("phi does not factor through the tensor relations")
-    return make_triple(parent, X, Y, phi_mat)
+    phi_matrix = pure_tensor_phi(parent, Y, L, "phi does not factor through the tensor relations")
+    return make_triple(parent, X, Y, phi_matrix)
 
 
 def load_rep(path):

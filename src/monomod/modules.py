@@ -381,13 +381,20 @@ class Subquotient:
         self.projection = projection
 
 
+def cokernel(f):
+    """(Coker f, projection) of a ModuleMap."""
+    coker, proj, _ = quotient_module(f.target, f.matrix.column_space_matrix(),
+                                     label=f"coker({f.source.label})")
+    return coker, proj
+
+
 def subquotient(f):
     """Kernel, image and cokernel of a ModuleMap, with their canonical maps."""
     K = f.matrix.kernel_matrix()
     kernel, kincl = module_on_invariant_columns(f.source, K, label=f"ker({f.source.label})")
     I = f.matrix.column_space_matrix()
     image, iincl = module_on_invariant_columns(f.target, I, label=f"im({f.source.label})")
-    coker, proj, _ = quotient_module(f.target, I, label=f"coker({f.source.label})")
+    coker, proj = cokernel(f)
     assert kernel.dim + image.dim == f.source.dim
     assert coker.dim == f.target.dim - image.dim
     return Subquotient(kernel, kincl, image, iincl, coker, proj)

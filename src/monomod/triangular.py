@@ -7,17 +7,17 @@ and the triple-level classification suite.
 from .algebra import AlgebraPresentation, regular_modules, validate_algebra
 from .duality import a_dual, canonical_map, classify, dual_map, left_add_approximation
 from .errors import DimensionMismatch, ValidationError
-from .homology import ext_comparison_table, is_semi_gp, resolution
+from .homology import ext_comparison_table, resolution
 from .linalg import Eliminator, Matrix, basis_vector
 from .memo import memo
 from .modules import (
     Module,
     ModuleMap,
     Verdict,
+    cokernel,
     idempotent_slices,
     regular_bimodule,
     restricted_action,
-    subquotient,
     tensor_over,
     validate_module,
 )
@@ -178,14 +178,20 @@ def make_triple(parent, X, Y, phi_matrix_or_map):
     if Y.algebra is not parent.B or Y.side != "left":
         raise DimensionMismatch("Y must be a left B-module")
     tens = _tensor_cached(Y, parent.bimodule)
-    if isinstance(phi_matrix_or_map, ModuleMap):
-        phi = phi_matrix_or_map
-        if phi.source.dim != tens.module.dim:
-            raise DimensionMismatch("phi source must be M (x)_B Y")
-        phi = ModuleMap(tens.module, X, phi.matrix)
-    else:
-        phi = ModuleMap(tens.module, X, phi_matrix_or_map)
-    return TripleModule(parent, X, Y, phi, tens)
+    phi_matrix = (phi_matrix_or_map.matrix if isinstance(phi_matrix_or_map, ModuleMap)
+                  else phi_matrix_or_map)
+    return TripleModule(parent, X, Y, ModuleMap(tens.module, X, phi_matrix), tens)
+
+
+def pure_tensor_phi(parent, Y, L, message):
+    """The matrix of phi: M (x)_B Y -> X from its values L on the pure
+    tensors m_k (x) y_j; raises ValidationError(message) unless L vanishes
+    on the tensor relations."""
+    tens = _tensor_cached(Y, parent.bimodule)
+    phi_matrix = L * tens.section
+    if phi_matrix * tens.pure_matrix != L:
+        raise ValidationError(message)
+    return phi_matrix
 
 
 def _t2_mu(parent, Y):
@@ -212,22 +218,27 @@ def t2_triple(parent, X, Y, phibar):
     return TripleModule(parent, X, Y, phi, tens)
 
 
+def _flat_module(parent, side, first, second, links, label):
+    """The flat module on first (+) second, validated: the A part acts on
+    the first summand, the B part on the second, and the k-th basis element
+    of M by links[k], from the second summand to the first on a left module
+    and from the first to the second on a right one."""
+    field = parent.flat.field
+    dims = [first.dim, second.dim]
+    link_block = (0, 1) if side == "left" else (1, 0)
+    acts = [Matrix.from_blocks(field, dims, dims, {(0, 0): a}) for a in first.actions]
+    acts += [Matrix.from_blocks(field, dims, dims, {link_block: b}) for b in links]
+    acts += [Matrix.from_blocks(field, dims, dims, {(1, 1): b}) for b in second.actions]
+    return validate_module(acts, side, parent.flat, label=label)
+
+
 def triple_to_module(t):
     """The flat left module on X (+) Y; validated."""
-    parent = t.parent
-    field = parent.flat.field
     dX, dY = t.X.dim, t.Y.dim
-    dims = [dX, dY]
     # phi on the pure tensors m_k (x) y_j, one dX x dY block per k
     L = t.phi.matrix * t.tensor.pure_matrix
-    acts = [Matrix.from_blocks(field, dims, dims, {(0, 0): a}) for a in t.X.actions]
-    acts += [
-        Matrix.from_blocks(field, dims, dims,
-                           {(0, 1): L.submatrix(range(dX), range(k * dY, (k + 1) * dY))})
-        for k in range(parent.nM)
-    ]
-    acts += [Matrix.from_blocks(field, dims, dims, {(1, 1): b}) for b in t.Y.actions]
-    return validate_module(acts, "left", parent.flat, label=t.label)
+    links = [L.submatrix(range(dX), range(k * dY, (k + 1) * dY)) for k in range(t.parent.nM)]
+    return _flat_module(t.parent, "left", t.X, t.Y, links, t.label)
 
 
 def module_to_triple(parent, m):
@@ -250,17 +261,13 @@ def module_to_triple(parent, m):
     Y = Module(parent.B, "left", ys[0].ncols,
                part_actions("B", ys, ys, "Y part is not B-invariant"),
                label=f"{m.label}.Y")
-    tens = tensor_over(parent.bimodule, Y, validate=False)
     # phi on pure tensors: m_k (x) y_j  |->  (embedded m_k) . y_j
     blocks = part_actions("M", ys, xs, "bimodule action does not land in the X part")
     L = Matrix.from_blocks(field, [X.dim], [Y.dim] * parent.nM,
                            {(0, k): b for k, b in enumerate(blocks)})
-    phi_mat = L * tens.section
-    # well-definedness: L must factor through the tensor quotient
-    if phi_mat * tens.pure_matrix != L:
-        raise ValidationError("bimodule action does not factor through the tensor product")
-    phi = ModuleMap(tens.module, X, phi_mat, check=False)
-    return TripleModule(parent, X, Y, phi, tens)
+    phi_matrix = pure_tensor_phi(
+        parent, Y, L, "bimodule action does not factor through the tensor product")
+    return make_triple(parent, X, Y, phi_matrix)
 
 
 def is_monic_bimodule(t):
@@ -299,15 +306,8 @@ def right_triple_to_module(t):
     parent = t.parent
     if not parent.is_t2:
         raise ValidationError("right triples are implemented for T2 parents")
-    field = parent.flat.field
-    dims = [t.U.dim, t.V.dim]
-    acts = [Matrix.from_blocks(field, dims, dims, {(0, 0): a}) for a in t.U.actions]
-    acts += [
-        Matrix.from_blocks(field, dims, dims, {(1, 0): t.V.actions[k] * t.psibar.matrix})
-        for k in range(parent.nM)
-    ]
-    acts += [Matrix.from_blocks(field, dims, dims, {(1, 1): b}) for b in t.V.actions]
-    return validate_module(acts, "right", parent.flat, label=t.label)
+    links = [t.V.actions[k] * t.psibar.matrix for k in range(parent.nM)]
+    return _flat_module(parent, "right", t.U, t.V, links, t.label)
 
 
 # ---------------------------------------------------------------------------
@@ -330,29 +330,33 @@ class T2DualBundle:
             setattr(self, k, kw[k])
 
 
-def _decompose_flat_dual_basis(parent, t, flat):
-    """Split each basis element of Hom(flat, Lambda) into (alpha1, alpha2)
-    on the X part and its Y component; check the shape forced by
-    Lambda-linearity (Y component = alpha2 o phibar, B-rows only, ...)."""
-    dd = a_dual(flat)
-    pA, pM, pB = parent.parts["A"], parent.parts["M"], parent.parts["B"]
-    xr = range(t.X.dim)
-    yr = range(t.X.dim, t.X.dim + t.Y.dim)
-    phibar = t.phibar()
-    out = []
-    for f in dd.basis:
-        F = f.matrix
-        a1 = F.submatrix(pA, xr)
-        a2 = F.submatrix(pM, xr)
-        if not F.submatrix(pB, xr).is_zero():
-            raise ValidationError("flat dual basis has an X component outside e1.Lambda")
-        yb = F.submatrix(pB, yr)
-        if not F.submatrix(range(pB.start), yr).is_zero():
-            raise ValidationError("flat dual basis has a Y component outside e2.Lambda")
-        if yb != a2 * phibar.matrix:
-            raise ValidationError("Y component is not alpha2 o phibar")
-        out.append((a1, a2))
-    return dd, out
+def _dual_blocks(parent, F, first_dim):
+    """A Hom(flat, Lambda) basis matrix F cut into its blocks
+    {(part, summand): block}: rows by the part "A", "M" or "B" of Lambda,
+    columns by the summand 0 (the first first_dim coordinates of the flat
+    module) or 1 (the rest)."""
+    summands = (range(first_dim), range(first_dim, F.ncols))
+    return {(part, s): F.submatrix(rows, cols)
+            for part, rows in parent.parts.items() for s, cols in enumerate(summands)}
+
+
+def _factor_through(solver, block, message):
+    """g with g o p = block, for solver an Eliminator of the transpose of p;
+    raises ValidationError(message) when block does not factor through p."""
+    gt = solver.solve_matrix(block.transpose())
+    if gt is None:
+        raise ValidationError(message)
+    return gt.transpose()
+
+
+def _identification(source, target, cols, message):
+    """The module map source -> target with the given columns, checked to
+    intertwine and to be invertible (else ValidationError(message))."""
+    mat = Matrix.from_columns(target.field, cols, target.dim)
+    ident = ModuleMap(source, target, mat)
+    if mat.rank() != target.dim or target.dim != source.dim:
+        raise ValidationError(message)
+    return ident
 
 
 @memo
@@ -362,48 +366,47 @@ def t2_dual_bundle(t):
     parent = t.parent
     if not parent.is_t2:
         raise ValidationError("t2_dual_bundle needs a T2(A) parent")
-    A = parent.A
-    field = A.field
+    field = parent.A.field
     X, Y = t.X, t.Y
     phibar = t.phibar()
-    sq = subquotient(phibar)
-    coker, pi = sq.cokernel, sq.projection
+    coker, pi = cokernel(phibar)
     dX = a_dual(X)
     dC = a_dual(coker)
     dY = a_dual(Y)
     pi_star = dual_map(pi)                       # (Coker phi)* -> X*
     if not pi_star.is_injective():
         raise ValidationError("pi* is not injective")
-    sq2 = subquotient(pi_star)
-    p = sq2.projection                           # X* -> Coker pi*
+    coker_pi_star, p = cokernel(pi_star)         # p: X* -> Coker pi*
     # beta: Coker pi* -> Y* with beta o p = phibar*
     phis = dual_map(phibar)                      # X* -> Y*
-    bt = Eliminator(p.matrix.transpose()).solve_matrix(phis.matrix.transpose())
-    if bt is None:
-        raise ValidationError("phibar* does not factor through p")
-    beta = ModuleMap(sq2.cokernel, dY.dual, bt.transpose(), check=False)
+    pt = Eliminator(p.matrix.transpose())
+    bmat = _factor_through(pt, phis.matrix, "phibar* does not factor through p")
+    beta = ModuleMap(coker_pi_star, dY.dual, bmat, check=False)
     assert beta.matrix * p.matrix == phis.matrix
-    # dual triple ((Coker phi)*, X*)_{pi*} and the identification h
+    # dual triple ((Coker phi)*, X*)_{pi*} and the identification h: each
+    # dual basis element of the flat module is (alpha1, alpha2) on X with
+    # Y component alpha2 o phibar, and alpha1 = g o pi
     dual_triple = RightTriple(parent, dC.dual, dX.dual, pi_star)
     Ndual = dual_triple.flatten()
     flat = t.flatten()
-    ddflat, decomposed = _decompose_flat_dual_basis(parent, t, flat)
+    ddflat = a_dual(flat)
     pit = Eliminator(pi.matrix.transpose())
     hcols = []
-    for a1, a2 in decomposed:
-        gt = pit.solve_matrix(a1.transpose())
-        if gt is None:
-            raise ValidationError("alpha1 does not factor through pi")
-        g = gt.transpose()
-        hcols.append(list(dC.coords_of_map(g)) + list(dX.coords_of_map(a2)))
-    h_mat = Matrix.from_columns(field, hcols, Ndual.dim)
-    h = ModuleMap(ddflat.dual, Ndual, h_mat)     # checked: intertwining
-    if h_mat.rank() != Ndual.dim or Ndual.dim != ddflat.dual.dim:
-        raise ValidationError("dual identification is not invertible")
+    for f in ddflat.basis:
+        blk = _dual_blocks(parent, f.matrix, X.dim)
+        if not blk["B", 0].is_zero():
+            raise ValidationError("flat dual basis has an X component outside e1.Lambda")
+        if not (blk["A", 1].is_zero() and blk["M", 1].is_zero()):
+            raise ValidationError("flat dual basis has a Y component outside e2.Lambda")
+        if blk["B", 1] != blk["M", 0] * phibar.matrix:
+            raise ValidationError("Y component is not alpha2 o phibar")
+        g = _factor_through(pit, blk["A", 0], "alpha1 does not factor through pi")
+        hcols.append(list(dC.coords_of_map(g)) + list(dX.coords_of_map(blk["M", 0])))
+    h = _identification(ddflat.dual, Ndual, hcols, "dual identification is not invertible")
     # double dual triple (X**, (Coker pi*)*)_{p*} and tilde_h
     p_star = dual_map(p)                         # (Coker pi*)* -> X**
-    ddt = t2_triple(parent, a_dual(dX.dual).dual, a_dual(sq2.cokernel).dual, p_star)
-    h2 = _right_dual_identification(parent, dual_triple, Ndual, ddt, p, sq2.cokernel)
+    ddt = t2_triple(parent, a_dual(dX.dual).dual, a_dual(coker_pi_star).dual, p_star)
+    h2 = _right_dual_identification(dual_triple, Ndual, ddt, pt, coker_pi_star)
     tilde_h = dual_map(h).compose(
         ModuleMap(ddt.flatten(), a_dual(Ndual).dual, h2.matrix.inverse(), check=False)
     )
@@ -423,40 +426,26 @@ def t2_dual_bundle(t):
     )
 
 
-def _right_dual_identification(parent, rt, Nflat, ddt, p_psi, coker_psi):
-    """h2: Hom(Nflat, Lambda) -> flatten(ddt) for a right triple (U, V)_psi:
-    each dual basis element splits as (beta1 o psi, (beta1; g o p_psi))."""
-    field = parent.flat.field
-    pA, pM, pB = parent.parts["A"], parent.parts["M"], parent.parts["B"]
-    U, V, psibar = rt.U, rt.V, rt.psibar
-    ur = range(U.dim)
-    vr = range(U.dim, U.dim + V.dim)
+def _right_dual_identification(rt, Nflat, ddt, p_solver, coker_psi):
+    """h2: Hom(Nflat, Lambda) -> flatten(ddt) for a right triple (U, V)_psi
+    with flat module Nflat: each dual basis element splits as (beta1 o psi,
+    (beta1; g o p_psi)); p_solver is an Eliminator of the transpose of p_psi."""
     ddn = a_dual(Nflat)
-    dV_data = a_dual(V)
+    dV_data = a_dual(rt.V)
     dCpsi = a_dual(coker_psi)
-    ppt = Eliminator(p_psi.matrix.transpose())
     cols = []
     for f in ddn.basis:
-        F = f.matrix
-        alpha = F.submatrix(pA, ur)
-        if not F.submatrix(range(pM.start, pB.stop), ur).is_zero():
+        blk = _dual_blocks(rt.parent, f.matrix, rt.U.dim)
+        if not (blk["M", 0].is_zero() and blk["B", 0].is_zero()):
             raise ValidationError("U component escapes Lambda.e1")
-        b1 = F.submatrix(pM, vr)
-        b2 = F.submatrix(pB, vr)
-        if not F.submatrix(pA, vr).is_zero():
+        if not blk["A", 1].is_zero():
             raise ValidationError("V component escapes Lambda.e2")
-        if alpha != b1 * psibar.matrix:
+        if blk["A", 0] != blk["M", 1] * rt.psibar.matrix:
             raise ValidationError("U component is not beta1 o psi")
-        gt = ppt.solve_matrix(b2.transpose())
-        if gt is None:
-            raise ValidationError("beta2 does not factor through Coker psi")
-        cols.append(list(dV_data.coords_of_map(b1)) + list(dCpsi.coords_of_map(gt.transpose())))
-    tgt = ddt.flatten()
-    mat = Matrix.from_columns(field, cols, tgt.dim)
-    h2 = ModuleMap(ddn.dual, tgt, mat)
-    if mat.rank() != tgt.dim or tgt.dim != ddn.dual.dim:
-        raise ValidationError("double-dual identification is not invertible")
-    return h2
+        g = _factor_through(p_solver, blk["B", 1], "beta2 does not factor through Coker psi")
+        cols.append(list(dV_data.coords_of_map(blk["M", 1])) + list(dCpsi.coords_of_map(g)))
+    return _identification(ddn.dual, ddt.flatten(), cols,
+                           "double-dual identification is not invertible")
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +513,8 @@ def classify_triple(t, bound=6, seed=0):
     }
 
     # perpendicular structure of the flat module through the triple data
-    y_over_base = is_semi_gp(t.Y, bound, seed=seed)
+    y_rep = classify(t.Y, bound=bound, seed=seed)
+    y_over_base = y_rep.semi_gp
     comparisons = ext_comparison_table(t.phi, regular_modules(A)[0], bound)
     phi_dual = dual_map(t.phi)
     phi_dual_epi = phi_dual.is_surjective()
@@ -547,9 +537,7 @@ def classify_triple(t, bound=6, seed=0):
     report["perp_structure"] = perp
 
     # Gorenstein-projectivity criteria through the cokernel
-    sqk = subquotient(t.phi)
-    coker_rep = classify(sqk.cokernel, bound=bound, seed=seed)
-    y_rep = classify(t.Y, bound=bound, seed=seed)
+    coker_rep = classify(cokernel(t.phi)[0], bound=bound, seed=seed)
     gp_combined = _and_parts(
         [("monic", monic)],
         [("coker_gp", coker_rep.gp), ("y_gp", y_rep.gp)],
@@ -613,19 +601,17 @@ def classify_triple(t, bound=6, seed=0):
         "agrees": beta_iso == phis.is_surjective(),
     }
 
-    # the eight double-semi-GP conditions
-    coker_dual = a_dual(b.coker).dual
-    x_dual = a_dual(t.X).dual
-    y_dual = a_dual(t.Y).dual
+    # the eight double-semi-GP conditions; Coker phibar is Coker phi, the
+    # same quotient of X, so its dual's verdict is read off coker_rep
     pi_double_dual = dual_map(b.pi_star)
     conds = {
-        "x_perp": is_semi_gp(t.X, bound, seed=seed),
-        "y_perp": is_semi_gp(t.Y, bound, seed=seed),
+        "x_perp": x_rep.semi_gp,
+        "y_perp": y_rep.semi_gp,
         "phibar_dual_epi": phis.is_surjective(),
-        "coker_dual_perp": is_semi_gp(coker_dual, bound, seed=seed),
-        "x_dual_perp": is_semi_gp(x_dual, bound, seed=seed),
+        "coker_dual_perp": coker_rep.dual_semi_gp,
+        "x_dual_perp": x_rep.dual_semi_gp,
         "pi_double_dual_epi": pi_double_dual.is_surjective(),
-        "y_dual_perp": is_semi_gp(y_dual, bound, seed=seed),
+        "y_dual_perp": y_rep.dual_semi_gp,
         "beta_iso": beta_iso,
     }
     first_six = _and_parts(

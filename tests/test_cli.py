@@ -319,15 +319,13 @@ def test_loaded_module_entries_are_canonical(tmp_path):
     assert (tmp_path / "again.json").read_bytes() == (tmp_path / "M.json").read_bytes()
 
 
-def test_load_triple_with_bimodule_file(tmp_path):
-    # a general-bimodule triple file: [[A, P(2)], [0, k]] with phi given on
-    # pure-tensor coordinates
+def _write_bimodule_triple_files(tmp_path):
+    """A general-bimodule triple file triple.json: [[A, P(2)], [0, k]] with
+    phi given on pure-tensor coordinates; returns (P(2), the bimodule data)."""
     import monomod.io as mio
     from monomod.gallery import lsgp_example
     from monomod.io import dump_algebra, dump_module
     from monomod.linalg import Matrix, QQ
-    from monomod.modules import tensor_over
-    from monomod.triangular import is_monic_bimodule
 
     ex = lsgp_example()
     A = ex["algebra"]
@@ -360,6 +358,14 @@ def test_load_triple_with_bimodule_file(tmp_path):
         "phi": [[i, i, "1"] for i in range(P2.dim)],
     }
     (tmp_path / "triple.json").write_text(json.dumps(triple), encoding="utf-8")
+    return P2, bim
+
+
+def test_load_triple_with_bimodule_file(tmp_path):
+    import monomod.io as mio
+    from monomod.triangular import is_monic_bimodule
+
+    P2, _bim = _write_bimodule_triple_files(tmp_path)
     t = mio.load_triple(str(tmp_path / "triple.json"))
     assert t.parent.is_t2 is False
     assert t.flatten().dim == P2.dim + 1
@@ -371,14 +377,75 @@ def test_load_triple_with_bimodule_file(tmp_path):
     assert json.loads(r.stdout)["t2"] is False
 
 
+@pytest.mark.parametrize("side", ["left_actions", "right_actions"])
+def test_bimodule_file_with_an_unknown_label_is_rejected(tmp_path, side):
+    import monomod.io as mio
+    from monomod.errors import ValidationError
+
+    _P2, bim = _write_bimodule_triple_files(tmp_path)
+    bim[side]["z"] = [[0, 0, "1"]]
+    path = tmp_path / "bim.json"
+    path.write_text(json.dumps(bim), encoding="utf-8")
+    with pytest.raises(ValidationError) as err:
+        mio.load_bimodule(str(path))
+    assert str(err.value) == f"{path}: unknown basis label 'z'"
+    r = run_cli(["t2", "build", "triple.json"], tmp_path)
+    assert r.returncode == 3
+    assert "unknown basis label 'z'" in json.loads(r.stdout)["error"]
+
+
+def test_racing_algebra_loads_get_one_object(tmp_path, monkeypatch):
+    # both threads wait inside validate_algebra until the other one is
+    # there too, so both miss the cache and both build; both must get the
+    # algebra stored first, and so must a later load
+    import threading
+
+    import monomod.io as mio
+    from monomod.gallery import lambda_q
+
+    path = str(tmp_path / "alg.json")
+    mio.dump_algebra(lambda_q(), path)
+    barrier = threading.Barrier(2, timeout=30)
+    validate = mio.validate_algebra
+
+    def meeting(*args, **kwargs):
+        barrier.wait()
+        return validate(*args, **kwargs)
+
+    monkeypatch.setattr(mio, "validate_algebra", meeting)
+    got, errors = [None, None], []
+
+    def load(k):
+        try:
+            got[k] = mio.load_algebra(path)
+        except Exception as exc:  # reported below
+            errors.append(exc)
+            barrier.abort()
+
+    threads = [threading.Thread(target=load, args=(k,)) for k in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert not errors
+    assert got[0] is not None
+    assert got[0] is got[1] is mio.load_algebra(path)
+
+
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 
 @pytest.mark.parametrize("scenario", [
     "approximation-pipeline", "dual-iso-family", "loop-arrow-sgp", "t2-lift-sampled",
+    "x-family",
 ])
 def test_verify_output_matches_golden_bytes(scenario, capsys, monkeypatch):
-    # x-family (about 4 s) is compared against its golden file in CI instead
     from monomod import cli, config
 
     monkeypatch.delenv(cli.ENV_CONFIG, raising=False)
@@ -389,11 +456,15 @@ def test_verify_output_matches_golden_bytes(scenario, capsys, monkeypatch):
 
 
 def test_verify_pinned_invocation_matches_golden_bytes(capsys, monkeypatch):
-    # the pinned x-family invocation is compared against its golden file in CI
     from monomod import cli, config
 
     monkeypatch.delenv(cli.ENV_CONFIG, raising=False)
     monkeypatch.setattr(config, "_dimension_cap", config.dimension_cap())
-    assert cli.main(["verify", "t2-lift-sampled", "--seed", "3", "--samples", "4"]) == 0
-    with open(os.path.join(GOLDEN, "pinned", "t2-lift-sampled_seed3_samples4.json"), "rb") as fh:
-        assert capsys.readouterr().out.encode("utf-8") == fh.read()
+    for args, golden in (
+        (["x-family", "--c", "3/2", "--seed", "7"], "x-family_c3-2_seed7.json"),
+        (["t2-lift-sampled", "--seed", "3", "--samples", "4"],
+         "t2-lift-sampled_seed3_samples4.json"),
+    ):
+        assert cli.main(["verify", *args]) == 0
+        with open(os.path.join(GOLDEN, "pinned", golden), "rb") as fh:
+            assert capsys.readouterr().out.encode("utf-8") == fh.read()

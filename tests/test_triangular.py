@@ -350,3 +350,74 @@ def test_iterated_triangular_t3(kx2):
     v = monic_check(rep, "combinatorial")
     assert v.status == Verdict.FAILS
     assert v.witness["vertex"] == 1
+
+
+def _xc_and_approximation_triples(lambda2, loop_arrow):
+    """X(3/2) and the approximation triple of I(1) over the loop-arrow
+    algebra (not monic, with a 3-dimensional cokernel)."""
+    T = t2_algebra(lambda2)
+    c = Fraction(3, 2)
+    Xc = t2_triple(T, regular_modules(lambda2)[0], module_M1qc(lambda2, c), f1_map(lambda2, c))
+    return [Xc, approximation_triple(loop_arrow["modules"][3])]
+
+
+def test_classify_triple_decides_each_semi_gp_fact_once(monkeypatch, lambda2, loop_arrow):
+    # every module of the classification gets one is_semi_gp call per
+    # (bound, seed), and no kernel or image module is built on the way: the
+    # only invariant-column modules are the indecomposable projectives that
+    # submodule_generated builds, once per algebra
+    import sys
+
+    from monomod import homology, modules
+
+    calls, kept, built = [], [], []
+
+    def replace(original, spy):
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").startswith("monomod") \
+                    and getattr(mod, original.__name__, None) is original:
+                monkeypatch.setattr(mod, original.__name__, spy)
+
+    def semi_gp_spy(m, bound, seed=0):
+        kept.append(m)  # keeps each id unique while the test runs
+        calls.append((id(m), bound, seed))
+        return original_semi_gp(m, bound, seed=seed)
+
+    def invariant_columns_spy(*args, **kwargs):
+        built.append(sys._getframe(1).f_code.co_name)
+        return original_invariant_columns(*args, **kwargs)
+
+    original_semi_gp = homology.is_semi_gp
+    original_invariant_columns = modules.module_on_invariant_columns
+    replace(original_semi_gp, semi_gp_spy)
+    replace(original_invariant_columns, invariant_columns_spy)
+    from monomod.triangular import classify_triple
+
+    for t in _xc_and_approximation_triples(lambda2, loop_arrow):
+        calls.clear()
+        t2_dual_bundle(t)
+        classify_triple(t, bound=4, seed=3)
+        assert calls and len(calls) == len(set(calls))
+    assert set(built) <= {"submodule_generated"}
+
+
+def test_classify_triple_conditions_name_their_modules(lambda2, loop_arrow):
+    from monomod.modules import cokernel
+    from monomod.triangular import classify_triple
+
+    for t in _xc_and_approximation_triples(lambda2, loop_arrow):
+        rep = classify_triple(t, bound=4, seed=3)
+        b = t2_dual_bundle(t)
+        coker, _pi = cokernel(t.phi)
+        assert coker.actions == b.coker.actions
+        conds = rep["double_sgp_conditions"]
+        fresh = {
+            "x_perp": t.X,
+            "y_perp": t.Y,
+            "x_dual_perp": a_dual(t.X).dual,
+            "y_dual_perp": a_dual(t.Y).dual,
+            "coker_dual_perp": a_dual(b.coker).dual,
+        }
+        for name, m in fresh.items():
+            assert conds[name] == is_semi_gp(m, 4, seed=3).describe(), name
+        assert rep["perp_structure"]["y_over_base"] == is_semi_gp(t.Y, 4, seed=3).describe()
