@@ -25,7 +25,7 @@ from .homology import ext_dims, resolve, tor_dims
 from .linalg import Field
 from .modules import _json_safe
 from .quiver import build_tensor, monic_check
-from .triangular import classify_triple, t2_dual_bundle
+from .triangular import classify_triple, t2_dual_bundle, triple_mismatches
 
 
 ENV_CONFIG = "MONOMOD_CONFIG"
@@ -288,13 +288,7 @@ def _dispatch(args, ws, fmt):
                         rep["flat"]["dual_semi_gp"]["status"],
                         rep["flat"]["gp"]["status"],
                         rep["perp_structure"]["combined"]["status"]]
-            agreements = [rep["perp_structure"]["agrees_with_flat_semi_gp"],
-                          rep["gp_criteria"]["agrees_with_flat_gp"]]
-            if rep["t2"]:
-                for k in ("torsionless_structure", "phi_epi_structure",
-                          "reflexive_structure"):
-                    agreements.append("match" if rep[k]["agrees"] else "mismatch")
-            if any(a == "mismatch" for a in agreements):
+            if triple_mismatches(rep):
                 return 1
             return _verdict_exit(statuses)
 

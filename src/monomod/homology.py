@@ -273,7 +273,8 @@ class Resolution:
             step.d_matrix = prev.kernel_incl.matrix * step.d_matrix
             step.d_elems = _elem_grid(step.d_matrix, step, prev)
             # exactness bookkeeping: im(d_i) = ker(d_{i-1}) by construction
-            assert (prev.d_matrix * step.d_matrix).is_zero()
+            if not (prev.d_matrix * step.d_matrix).is_zero():
+                raise ValidationError("consecutive differentials do not compose to zero")
         self.steps.append(step)
 
     def first_zero_kernel(self, limit):

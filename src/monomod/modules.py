@@ -395,8 +395,8 @@ def subquotient(f):
     I = f.matrix.column_space_matrix()
     image, iincl = module_on_invariant_columns(f.target, I, label=f"im({f.source.label})")
     coker, proj = cokernel(f)
-    assert kernel.dim + image.dim == f.source.dim
-    assert coker.dim == f.target.dim - image.dim
+    if kernel.dim + image.dim != f.source.dim or coker.dim + image.dim != f.target.dim:
+        raise ValidationError("kernel, image and cokernel dimensions do not add up")
     return Subquotient(kernel, kincl, image, iincl, coker, proj)
 
 

@@ -15,7 +15,6 @@ from .homology import _homology_dim, ext_dims, resolution, tor_dims
 from .linalg import Matrix, basis_vector, combination
 from .memo import memo
 from .modules import (
-    Bimodule,
     Module,
     ModuleMap,
     Verdict,
@@ -24,7 +23,6 @@ from .modules import (
     quotient_module,
     restricted_action,
     simples_and_projectives,
-    tensor_over,
     validate_module,
 )
 
@@ -508,51 +506,37 @@ def monic_check_perp_form(x, bound=6):
 
 
 def simple_slices(rep):
-    """(A (x) S'_v) (x)_Lambda X for the right simples S'_v, as left
-    A-modules, one per vertex."""
-    parent = rep.parent
-    flat = rep_to_module(rep)
-    Aright = regular_modules(parent.A)[1]
-    right_simples = simples_and_projectives(parent.B, side="right")["simples"]
-    out = {}
-    for S, v in zip(right_simples, parent.quiver.vertices):
-        u = outer_tensor(parent, Aright, S)
-        bim = Bimodule(
-            parent.A, parent.flat, u.dim,
-            [parent.A.left_matrix(i).kronecker(Matrix.identity(parent.A.field, S.dim))
-             for i in range(parent.A.dim)],
-            u.actions,
-            label=f"A(x)S'({v})",
-        )
-        out[v] = tensor_over(bim, flat).module
-    return out
-
-
-def vertex_cokernels(rep):
-    """X_v / Im(gathered arrows into v), per vertex (relation-free form)."""
+    """The slices (A (x) S'_v) (x)_Lambda X = S'_v (x)_B X for the right
+    simples S'_v, as left A-modules, one per vertex: X_v / sum of Im X_alpha
+    over the arrows alpha into v.  Every nontrivial path ending at v factors
+    through its last arrow, also under monomial relations, so
+    (+) e_{s(alpha)} B -> e_v B -> S'_v -> 0 is exact; - (x)_B X is right
+    exact and turns it into (+) X_{s(alpha)} -> X_v -> S'_v (x)_B X -> 0."""
     out = {}
     for v in rep.parent.quiver.vertices:
         Xv = rep.vertex_modules[v]
         mat = _gathered_arrows(rep, v)
         if mat is None:
             out[v] = Xv
-            continue
-        Q, _proj, _sec = quotient_module(Xv, mat.column_space_matrix(), label=f"coker@{v}")
-        out[v] = Q
+        else:
+            out[v], _proj, _sec = quotient_module(Xv, mat.column_space_matrix(),
+                                                  label=f"coker@{v}")
     return out
 
 
-def mon_membership(rep, predicate, bound=6, check_monic=True):
-    """Membership of a monic representation in mon(B, C): evaluates the
-    C-predicate on the simple slices (A (x) S') (x) X only (the right
-    simples suffice by exactness of the slice functors on monic modules).
+def mon_membership(rep, predicate, bound=6):
+    """Membership of a monic representation X in mon(B, C): evaluates the
+    C-predicate on the simple slices S'_v (x)_B X only, each the cokernel of
+    the arrows into v (see simple_slices: - (x)_B X is right exact).  The
+    right simples suffice because the slice functors are exact on monic
+    modules, so the representation is checked to be monic first; on any
+    other the slices say nothing about membership.
 
     predicate: left A-module -> Verdict.
     """
-    if check_monic:
-        mv = monic_check(rep, "combinatorial")
-        if mv.status != Verdict.HOLDS:
-            raise ValidationError("mon_membership needs a monic representation")
+    mv = monic_check(rep, "combinatorial")
+    if mv.status != Verdict.HOLDS:
+        raise ValidationError("mon_membership needs a monic representation")
     slices = simple_slices(rep)
     details = {}
     failed = None

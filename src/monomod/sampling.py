@@ -1,19 +1,20 @@
 """Seeded random generators for modules, maps and triples.
 
-Random modules are quotients of random sums of indecomposable projectives by
-randomly generated submodules, so every sample is a valid module with a
-nontrivial radical structure.  All randomness flows through a caller-owned
+Random modules are quotients of random sums P of indecomposable projectives
+by submodules generated inside rad P, so every sample is a valid nonzero
+module with projective cover P.  All randomness flows through a caller-owned
 random.Random instance for reproducibility.
 """
 
 from .algebra import regular_modules
-from .linalg import combination
+from .linalg import Matrix, combination
 from .modules import (
     ModuleMap,
     direct_sum,
     generated_span,
     hom_space,
     quotient_module,
+    radical_image,
     submodule_generated,
     zero_module,
 )
@@ -45,21 +46,19 @@ def random_module(A, rng, side="left", max_dim=8, allow_zero=True):
             big, _i, _p = direct_sum(projs)
     else:
         big = reg
+    rad = radical_image(big)
+    spanning = Matrix(A.field, rad.rows, big.dim).transpose()
     for _ in range(24):
         nvecs = rng.randint(1, 3)
-        vecs = [random_vector(A.field, rng, big.dim) for _ in range(nvecs)]
+        vecs = [spanning.apply(random_vector(A.field, rng, rad.dim)) for _ in range(nvecs)]
         quot, _proj, _sec = quotient_module(big, None, label="rand",
                                             accumulator=generated_span(big, vecs))
         if quot.dim <= max_dim:
             return quot
-    # fall back to a simple-ish quotient: kill the whole radical part
-    rad = A.radical_basis()
-    if rad:
-        span = generated_span(
-            big, [big.action_of_vector(jv).column(j) for jv in rad for j in range(big.dim)])
-        quot, _proj, _sec = quotient_module(big, None, label="rand", accumulator=span)
-        if quot.dim <= max_dim:
-            return quot
+    # fall back to the smallest such quotient, the top of P
+    quot, _proj, _sec = quotient_module(big, None, label="rand", accumulator=rad)
+    if quot.dim <= max_dim:
+        return quot
     return zero_module(A, side)
 
 

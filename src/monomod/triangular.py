@@ -320,7 +320,7 @@ class T2DualBundle:
     tilde_h (double dual) to the generic Hom-space realizations."""
 
     __slots__ = (
-        "pi", "pi_star", "p", "beta",
+        "pi", "pi_star", "p", "phibar_star", "beta", "beta_star",
         "dual_triple", "double_dual_triple",
         "h", "h2", "tilde_h", "phi_components", "coker",
     )
@@ -382,7 +382,8 @@ def t2_dual_bundle(t):
     pt = Eliminator(p.matrix.transpose())
     bmat = _factor_through(pt, phis.matrix, "phibar* does not factor through p")
     beta = ModuleMap(coker_pi_star, dY.dual, bmat, check=False)
-    assert beta.matrix * p.matrix == phis.matrix
+    if beta.matrix * p.matrix != phis.matrix:
+        raise ValidationError("beta o p differs from phibar*")
     # dual triple ((Coker phi)*, X*)_{pi*} and the identification h: each
     # dual basis element of the flat module is (alpha1, alpha2) on X with
     # Y component alpha2 o phibar, and alpha1 = g o pi
@@ -420,7 +421,7 @@ def t2_dual_bundle(t):
     if tilde_h.compose(phi_components).matrix != generic_phi.matrix:
         raise ValidationError("canonical-map formula disagrees with the generic map")
     return T2DualBundle(
-        pi=pi, pi_star=pi_star, p=p, beta=beta,
+        pi=pi, pi_star=pi_star, p=p, phibar_star=phis, beta=beta, beta_star=beta_star,
         dual_triple=dual_triple, double_dual_triple=ddt,
         h=h, h2=h2, tilde_h=tilde_h, phi_components=phi_components, coker=coker,
     )
@@ -557,12 +558,11 @@ def classify_triple(t, bound=6, seed=0):
 
     # T2-only structure through the dual bundle
     b = t2_dual_bundle(t)
-    phibar = t.phibar()
     x_rep = classify(t.X, bound=bound, seed=seed)
-    phis = dual_map(phibar)
+    phis = b.phibar_star
     phi_x = canonical_map(t.X)
     phi_y = canonical_map(t.Y)
-    beta_star_phi_y = dual_map(b.beta).compose(phi_y)
+    beta_star_phi_y = b.beta_star.compose(phi_y)
     beta_iso = b.beta.is_isomorphism_map()
 
     tl = {
@@ -691,21 +691,38 @@ def classify_triple(t, bound=6, seed=0):
     return report
 
 
+# the cross-checks of a classify_triple report (the first two for any parent,
+# the rest for T2 only); each fails on False, "mismatch" or "VIOLATED"
+_CROSS_CHECKS = (
+    "perp_structure.agrees_with_flat_semi_gp", "gp_criteria.agrees_with_flat_gp",
+    "torsionless_structure.agrees", "phi_epi_structure.agrees",
+    "reflexive_structure.agrees", "beta_vs_phi_dual.agrees",
+    "double_sgp_conditions.implication_first_six_to_last_two",
+    "double_sgp_conditions.agrees_with_flat_double_semi_gp",
+    "composite.torsionless_double_sgp.agreement", "composite.double_sgp_phi_epi.agreement",
+)
+
+
+def triple_mismatches(rep):
+    """The failed cross-checks of a classify_triple report, in list order."""
+    failed = []
+    for path in _CROSS_CHECKS if rep["t2"] else _CROSS_CHECKS[:2]:
+        value = rep
+        for key in path.split("."):
+            value = value[key]
+        if value is False or value in ("mismatch", "VIOLATED"):
+            failed.append(path)
+    return failed
+
+
 def classify_triple_assert(t, bound=6, seed=0):
-    """classify_triple plus hard assertions on all exact agreements and on
-    definite-pair agreements; used by tests and scenarios."""
+    """classify_triple, raising a ValidationError that names every failed
+    cross-check; used by tests and scenarios."""
     rep = classify_triple(t, bound=bound, seed=seed)
-    if rep["t2"]:
-        assert rep["torsionless_structure"]["agrees"]
-        assert rep["phi_epi_structure"]["agrees"]
-        assert rep["reflexive_structure"]["agrees"]
-        assert rep["beta_vs_phi_dual"]["agrees"]
-        assert rep["double_sgp_conditions"]["implication_first_six_to_last_two"] != "VIOLATED"
-        for key in ("torsionless_double_sgp", "double_sgp_phi_epi"):
-            assert rep["composite"][key]["agreement"] != "mismatch"
-        assert rep["double_sgp_conditions"]["agrees_with_flat_double_semi_gp"] != "mismatch"
-    assert rep["perp_structure"]["agrees_with_flat_semi_gp"] != "mismatch"
-    assert rep["gp_criteria"]["agrees_with_flat_gp"] != "mismatch"
+    failed = triple_mismatches(rep)
+    if failed:
+        raise ValidationError(f"triple cross-checks fail: {', '.join(failed)}",
+                              witness={"triple": rep["triple"], "mismatches": failed})
     return rep
 
 

@@ -284,7 +284,7 @@ def test_criterion_08_bounded_consistency(kx2a):
             continue
         checked += 1
         lhs = is_semi_gp(sub, bound, seed=0)
-        rhs = mon_membership(rep, perp_predicate, bound=bound, check_monic=False)
+        rhs = mon_membership(rep, perp_predicate, bound=bound)
         if lhs.definite and rhs.definite:
             definite_pairs += 1
             if lhs.status != rhs.status:

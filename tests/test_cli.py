@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -21,7 +22,9 @@ def _cli_env(env=None):
     return e
 
 
-def run_cli(args, cwd, env=None):
+def run_child(args, cwd, env=None):
+    """`python -m monomod.cli` in a child interpreter: for what only a
+    process shows (its entry point, its hash seed, a closed stdout)."""
     r = subprocess.run(
         [sys.executable, "-m", "monomod.cli", *args],
         capture_output=True, text=True, cwd=cwd, env=_cli_env(env),
@@ -31,6 +34,33 @@ def run_cli(args, cwd, env=None):
     if not r.stdout:
         pytest.fail(f"monomod.cli wrote nothing to stdout; stderr:\n{r.stderr}")
     return r
+
+
+@pytest.fixture
+def run_cli(capsys, monkeypatch):
+    """cli.main(args) in this interpreter, run in cwd with env added to the
+    environment, as (returncode, stdout); the working directory, the
+    environment and the dimension cap that main sets are restored after
+    each call."""
+    from monomod import cli, config
+
+    def run(args, cwd, env=None):
+        capsys.readouterr()
+        with monkeypatch.context() as mp:
+            mp.chdir(cwd)
+            for key, value in (env or {}).items():
+                mp.setenv(key, value)
+            mp.setattr(config, "_dimension_cap", config.dimension_cap())
+            try:
+                rc = cli.main(list(args))
+            except SystemExit as exc:  # argparse's --help
+                rc = exc.code
+        out = capsys.readouterr().out
+        if not out:
+            pytest.fail("monomod.cli wrote nothing to stdout")
+        return SimpleNamespace(returncode=rc, stdout=out)
+
+    return run
 
 
 @pytest.fixture(scope="module")
@@ -112,13 +142,13 @@ def files(tmp_path_factory):
     return d
 
 
-def test_algebra_validate(files):
+def test_algebra_validate(files, run_cli):
     r = run_cli(["algebra", "validate", "kx2.json"], files)
     assert r.returncode == 0
     assert json.loads(r.stdout)["valid"] is True
 
 
-def test_algebra_validate_nonassociative_exit3(files):
+def test_algebra_validate_nonassociative_exit3(files, run_cli):
     r = run_cli(["algebra", "validate", "bad_algebra.json"], files)
     assert r.returncode == 3
     out = json.loads(r.stdout)
@@ -126,7 +156,7 @@ def test_algebra_validate_nonassociative_exit3(files):
     assert "witness" in out
 
 
-def test_module_validate_and_classify(files):
+def test_module_validate_and_classify(files, run_cli):
     r = run_cli(["module", "validate", "regular.json"], files)
     assert r.returncode == 0
     r = run_cli(["module", "classify", "regular.json", "--bound", "4"], files)
@@ -136,7 +166,7 @@ def test_module_validate_and_classify(files):
     assert rep["gp"]["status"] == "holds"
 
 
-def test_entry_with_no_image_in_the_field_fails_to_load(files):
+def test_entry_with_no_image_in_the_field_fails_to_load(files, run_cli):
     import monomod.io as mio
 
     with pytest.raises(ZeroDivisionError, match="1/5 has no image in F_5"):
@@ -146,7 +176,7 @@ def test_entry_with_no_image_in_the_field_fails_to_load(files):
     assert "has no image in F_5" in json.loads(r.stdout)["error"]
 
 
-def test_module_dual_and_resolve(files):
+def test_module_dual_and_resolve(files, run_cli):
     r = run_cli(["module", "dual", "simple.json"], files)
     assert r.returncode == 0
     assert json.loads(r.stdout)["dual_dim"] == 1
@@ -155,7 +185,7 @@ def test_module_dual_and_resolve(files):
     assert json.loads(r.stdout)["terms"] == [2, 2, 2, 2]
 
 
-def test_ext_tor(files):
+def test_ext_tor(files, run_cli):
     r = run_cli(["ext", "simple.json", "regular.json", "--bound", "3"], files)
     assert r.returncode == 0
     assert [row["dim"] for row in json.loads(r.stdout)["rows"]] == [1, 0, 0, 0]
@@ -164,7 +194,7 @@ def test_ext_tor(files):
     assert [row["dim"] for row in json.loads(r.stdout)["rows"]] == [1, 1, 1, 1]
 
 
-def test_t2_commands(files):
+def test_t2_commands(files, run_cli):
     r = run_cli(["t2", "build", "triple.json"], files)
     assert r.returncode == 0
     assert json.loads(r.stdout)["flat_dim"] == 3
@@ -178,13 +208,49 @@ def test_t2_commands(files):
     assert rep["monic"]["holds"] is True
 
 
-def test_tensor_build(files):
+def _with_a_composite_mismatch(monkeypatch, module):
+    """Makes module.classify_triple report a mismatch of the composite
+    torsionless double-semi-GP statement, all else as computed."""
+    import copy
+
+    original = module.classify_triple
+
+    def broken(t, bound=6, seed=0):
+        rep = copy.deepcopy(original(t, bound=bound, seed=seed))
+        rep["composite"]["torsionless_double_sgp"]["agreement"] = "mismatch"
+        return rep
+
+    monkeypatch.setattr(module, "classify_triple", broken)
+
+
+def test_t2_classify_exits1_on_any_cross_check_mismatch(files, run_cli, monkeypatch):
+    from monomod import cli
+
+    _with_a_composite_mismatch(monkeypatch, cli)
+    r = run_cli(["t2", "classify", "triple.json", "--bound", "4"], files)
+    assert r.returncode == 1
+    rep = json.loads(r.stdout)
+    assert rep["composite"]["torsionless_double_sgp"]["agreement"] == "mismatch"
+
+
+def test_sampled_lift_mismatch_exits3_with_json(files, run_cli, monkeypatch):
+    from monomod import triangular
+
+    _with_a_composite_mismatch(monkeypatch, triangular)
+    r = run_cli(["verify", "t2-lift-sampled", "--samples", "1"], files)
+    assert r.returncode == 3
+    out = json.loads(r.stdout)
+    assert "composite.torsionless_double_sgp.agreement" in out["error"]
+    assert out["witness"]["mismatches"] == ["composite.torsionless_double_sgp.agreement"]
+
+
+def test_tensor_build(files, run_cli):
     r = run_cli(["tensor", "build", "kx2.json", "a2.json"], files)
     assert r.returncode == 0
     assert json.loads(r.stdout)["flat_dim"] == 6
 
 
-def test_monic_fails_exit1(files):
+def test_monic_fails_exit1(files, run_cli):
     r = run_cli(["monic", "s2rep.json", "--mode", "combinatorial"], files)
     assert r.returncode == 1
     out = json.loads(r.stdout)
@@ -192,7 +258,7 @@ def test_monic_fails_exit1(files):
     assert out["verdict"]["witness"]["vertex"] == 1
 
 
-def test_gallery_lambda_q(files):
+def test_gallery_lambda_q(files, run_cli):
     r = run_cli(["gallery", "lambda-q", "--q", "2", "--field", "Q"], files)
     assert r.returncode == 0
     out = json.loads(r.stdout)
@@ -201,13 +267,15 @@ def test_gallery_lambda_q(files):
 
 
 def test_verify_scenario_and_determinism(files):
-    r1 = run_cli(["verify", "dual-iso-family", "--c", "0"], files)
+    # two interpreters, each with its own hash seed, through the module's
+    # entry point
+    r1 = run_child(["verify", "dual-iso-family", "--c", "0"], files)
     assert r1.returncode == 0
-    r2 = run_cli(["verify", "dual-iso-family", "--c", "0"], files)
+    r2 = run_child(["verify", "dual-iso-family", "--c", "0"], files)
     assert r1.stdout == r2.stdout  # byte identical
 
 
-def test_negative_parameter_in_equals_form(files):
+def test_negative_parameter_in_equals_form(files, run_cli):
     r = run_cli(["verify", "x-family", "--c=-1/2"], files)
     assert r.returncode == 0
     assert json.loads(r.stdout)["claims"]
@@ -217,13 +285,13 @@ def test_negative_parameter_in_equals_form(files):
     assert "expected one argument" in json.loads(r.stdout)["error"]
 
 
-def test_text_output(files):
+def test_text_output(files, run_cli):
     r = run_cli(["--output", "text", "algebra", "validate", "kx2.json"], files)
     assert r.returncode == 0
     assert "valid: True" in r.stdout
 
 
-def test_workspace_config_env(files, tmp_path):
+def test_workspace_config_env(files, tmp_path, run_cli):
     cfg = tmp_path / "ws.json"
     cfg.write_text(json.dumps({"bound": 2, "output": "text"}), encoding="utf-8")
     r = run_cli(["ext", "simple.json", "regular.json"], files,
@@ -232,12 +300,12 @@ def test_workspace_config_env(files, tmp_path):
     assert r.stdout.count("dim:") == 3  # bound 2 -> rows 0..2, text mode
 
 
-def test_usage_error_exit3(files):
+def test_usage_error_exit3(files, run_cli):
     r = run_cli(["module", "validate", "does_not_exist.json"], files)
     assert r.returncode == 3
 
 
-def test_argument_errors_exit3_with_json(files):
+def test_argument_errors_exit3_with_json(files, run_cli):
     for args in (["verify", "no-such-scenario"], ["module", "validate", "--bogus", "x.json"]):
         r = run_cli(args, files)
         assert r.returncode == 3
@@ -361,7 +429,7 @@ def _write_bimodule_triple_files(tmp_path):
     return P2, bim
 
 
-def test_load_triple_with_bimodule_file(tmp_path):
+def test_load_triple_with_bimodule_file(tmp_path, run_cli):
     import monomod.io as mio
     from monomod.triangular import is_monic_bimodule
 
@@ -378,7 +446,7 @@ def test_load_triple_with_bimodule_file(tmp_path):
 
 
 @pytest.mark.parametrize("side", ["left_actions", "right_actions"])
-def test_bimodule_file_with_an_unknown_label_is_rejected(tmp_path, side):
+def test_bimodule_file_with_an_unknown_label_is_rejected(tmp_path, side, run_cli):
     import monomod.io as mio
     from monomod.errors import ValidationError
 

@@ -314,6 +314,15 @@ def test_subquotient_rank_nullity_random(kx2, rng):
         assert sq.projection.intertwines_fully()
 
 
+def test_random_module_without_zero_draws_no_zero_module(kx2, loop_arrow, lambda2):
+    # the relations lie in rad P, so P / rad P survives in every quotient;
+    # the top of P is at most 2-dimensional here, well under max_dim
+    for A in (kx2, loop_arrow["algebra"], lambda2):
+        rng = random.Random(99)
+        dims = [random_module(A, rng, max_dim=5, allow_zero=False).dim for _ in range(100)]
+        assert min(dims) >= 1 and max(dims) <= 5, A.label
+
+
 def test_tensor_regular_identity(kx2, rng):
     bim = regular_bimodule(kx2)
     for _ in range(6):

@@ -9,6 +9,7 @@ from monomod.gallery import lambda_q
 from monomod.homology import ext_dims, is_semi_gp, resolution
 from monomod.linalg import QQ, Matrix
 from monomod.modules import (
+    Bimodule,
     ModuleMap,
     Verdict,
     hom_space,
@@ -16,6 +17,7 @@ from monomod.modules import (
     k_dual,
     simples_and_projectives,
     submodule_generated,
+    tensor_over,
     zero_module,
 )
 from monomod.quiver import (
@@ -32,7 +34,6 @@ from monomod.quiver import (
     path_algebra,
     rep_to_module,
     simple_slices,
-    vertex_cokernels,
 )
 from monomod.sampling import random_module, random_submodule
 from monomod.triangular import t2_algebra
@@ -286,22 +287,85 @@ def test_projective_membership(kx2):
     assert mon_membership(rep, projectivity_predicate).status == Verdict.HOLDS
 
 
-def test_slices_match_cokernels_relation_free(kx2, rng):
-    T = build_tensor(kx2, A2)
-    done = 0
-    while done < 6:
+A3REL = Quiver([1, 2, 3], [("a", 3, 2), ("b", 2, 1)], relations=[("a", "b")])
+
+
+def _tensor_form_slices(rep):
+    """(A (x) S'_v) (x)_Lambda X per vertex, built through the flat module:
+    the reference that simple_slices must agree with."""
+    T = rep.parent
+    flat = rep_to_module(rep)
+    Aright = regular_modules(T.A)[1]
+    right_simples = simples_and_projectives(T.B, side="right")["simples"]
+    out = {}
+    for S, v in zip(right_simples, T.quiver.vertices):
+        u = outer_tensor(T, Aright, S)
+        left = [T.A.left_matrix(i).kronecker(Matrix.identity(T.A.field, S.dim))
+                for i in range(T.A.dim)]
+        bim = Bimodule(T.A, T.flat, u.dim, left, u.actions, label=f"A(x)S'({v})")
+        out[v] = tensor_over(bim, flat).module
+    return out
+
+
+@pytest.mark.parametrize("quiver", [A2, A3, A3REL], ids=["kx2-A2", "kx2-A3", "kx2-A3rel"])
+def test_simple_slices_match_tensor_form(kx2, rng, quiver):
+    # S'_v (x)_B X as the cokernel of the arrows into v is the tensor-form
+    # slice, vertex by vertex: random reps (monic or not) and submodules of
+    # the regular module, which satisfy the relations by construction
+    T = build_tensor(kx2, quiver)
+    regT = regular_modules(T.flat)[0]
+    reps = [module_to_rep(T, random_submodule(regT, rng)[0]) for _ in range(3)]
+    while len(reps) < 6:
         rep = _random_rep(T, rng)
-        if rep is None:
-            continue
-        if monic_check(rep, "combinatorial").status != Verdict.HOLDS:
-            continue
+        if rep is not None:
+            reps.append(rep)
+    for rep in reps:
         slices = simple_slices(rep)
-        cokers = vertex_cokernels(rep)
+        reference = _tensor_form_slices(rep)
         for v in T.quiver.vertices:
-            assert slices[v].dim == cokers[v].dim
+            assert slices[v].dim == reference[v].dim
             if slices[v].dim:
-                assert is_isomorphic(slices[v], cokers[v], seed=3).status == Verdict.HOLDS
-        done += 1
+                assert is_isomorphic(slices[v], reference[v], seed=3).status == Verdict.HOLDS
+
+
+def test_mon_membership_builds_no_flat_module(kx2, lambda2, monkeypatch):
+    # membership reads the slices off the representation: no flat module and
+    # no tensor product over Lambda, so it also runs over Lambda(2) (x) kA3,
+    # whose flat modules cannot be validated under the default cap
+    from monomod import modules, quiver
+
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(quiver, "rep_to_module", spy("rep_to_module", quiver.rep_to_module))
+    tensor_spy = spy("tensor_over", modules.tensor_over)
+    monkeypatch.setattr(modules, "tensor_over", tensor_spy)
+    monkeypatch.setattr(quiver, "tensor_over", tensor_spy, raising=False)
+
+    def free(Z):
+        top = Z.dim - modules.radical_image_dim(Z)
+        if Z.dim == Z.algebra.dim * top:
+            return Verdict.holds({"free_rank": top})
+        return Verdict.fails({"dim": Z.dim, "top": top})
+
+    for A in (kx2, lambda2):
+        T = build_tensor(A, A3)
+        reg = regular_modules(A)[0]
+        one = ModuleMap.identity(reg)
+        rep = QuiverRep(T, {1: reg, 2: reg, 3: reg}, {"g1": one, "g2": one})
+        assert mon_membership(rep, free, bound=4).status == Verdict.HOLDS
+        # the arrows into 1 and 2 are onto, so only vertex 3 has a slice
+        assert [Z.dim for Z in simple_slices(rep).values()] == [0, 0, A.dim]
+    assert calls == []
+    reg = regular_modules(kx2)[0]
+    nonmonic = QuiverRep(build_tensor(kx2, A2), {1: reg, 2: reg}, {"g": ModuleMap.zero(reg, reg)})
+    with pytest.raises(ValidationError, match="needs a monic representation"):
+        mon_membership(nonmonic, free)
 
 
 def test_cartan_eilenberg_samples(kx2, rng):

@@ -421,3 +421,63 @@ def test_classify_triple_conditions_name_their_modules(lambda2, loop_arrow):
         for name, m in fresh.items():
             assert conds[name] == is_semi_gp(m, 4, seed=3).describe(), name
         assert rep["perp_structure"]["y_over_base"] == is_semi_gp(t.Y, 4, seed=3).describe()
+
+
+def test_classify_triple_reads_dual_maps_off_the_bundle(monkeypatch, lambda2, loop_arrow):
+    # phibar* and beta* come from the cached dual bundle: classify_triple
+    # itself dualizes only phi and pi*
+    from monomod import triangular
+
+    Xc = _xc_and_approximation_triples(lambda2, loop_arrow)[0]
+    b = t2_dual_bundle(Xc)
+    calls = []
+
+    def spy(f):
+        calls.append(f)
+        return dual_map(f)
+
+    monkeypatch.setattr(triangular, "dual_map", spy)
+    triangular.classify_triple(Xc, bound=4, seed=3)
+    assert len(calls) == 2
+    assert b.phibar_star.matrix == dual_map(Xc.phibar()).matrix
+    assert b.beta_star.matrix == dual_map(b.beta).matrix
+
+
+def test_classify_triple_assert_names_every_failed_cross_check(monkeypatch, lambda2, loop_arrow):
+    import copy
+
+    from monomod import triangular
+
+    original = triangular.classify_triple
+    for t in _xc_and_approximation_triples(lambda2, loop_arrow):
+        assert triangular.triple_mismatches(original(t, bound=4, seed=3)) == []
+
+    def broken(t, bound=6, seed=0):
+        rep = copy.deepcopy(original(t, bound=bound, seed=seed))
+        rep["beta_vs_phi_dual"]["agrees"] = False
+        rep["composite"]["double_sgp_phi_epi"]["agreement"] = "mismatch"
+        return rep
+
+    monkeypatch.setattr(triangular, "classify_triple", broken)
+    Xc = _xc_and_approximation_triples(lambda2, loop_arrow)[0]
+    with pytest.raises(ValidationError, match="composite.double_sgp_phi_epi.agreement") as err:
+        classify_triple_assert(Xc, bound=4, seed=3)
+    assert err.value.witness["mismatches"] == [
+        "beta_vs_phi_dual.agrees", "composite.double_sgp_phi_epi.agreement"]
+
+
+def test_no_assert_statements_in_the_package():
+    # checks that can fail raise; python -O would strip an assert
+    import ast
+    import pathlib
+
+    import monomod
+
+    root = pathlib.Path(monomod.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(root.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
