@@ -41,7 +41,7 @@ from .homology import (
     resolve,
     tor_dims,
 )
-from .linalg import GF, QQ, Field, Matrix, linear_toolkit
+from .linalg import GF, QQ, Field, Matrix
 from .modules import (
     Bimodule,
     Module,
@@ -54,7 +54,6 @@ from .modules import (
     k_dual,
     simples_and_projectives,
     submodule_generated,
-    subquotient,
     tensor_over,
     validate_bimodule,
     validate_module,

@@ -613,11 +613,6 @@ class ExtTable:
         return f"ExtTable({self.dims})"
 
 
-def hom_complex(m, n, bound, minimal=None):
-    res = resolution(m, minimal, bound + 1)
-    return HomComplex(res, n, bound + 1)
-
-
 def ext_dims(m, n, bound, minimal=None):
     """Ext^0..Ext^bound of (m, n); same side and algebra required."""
     if m.algebra is not n.algebra or m.side != n.side:
@@ -626,7 +621,7 @@ def ext_dims(m, n, bound, minimal=None):
         raise ValueError("bound must be >= 0")
     if m.dim == 0:
         return ExtTable(m, n, [0] * (bound + 1))
-    C = hom_complex(m, n, bound, minimal)
+    C = HomComplex(resolution(m, minimal, bound + 1), n, bound + 1)
     return ExtTable(m, n, [C.ext_dim(i) for i in range(bound + 1)])
 
 

@@ -14,7 +14,8 @@ triple:   {"A_ref", "B_ref", "bimodule_ref"?, "X_ref", "Y_ref",
            "phi": [[r, c, "val"], ...]}
           phi columns are pure-tensor coordinates (m_i (x) y_j, row-major);
           for a T2 triple (A_ref == B_ref, no bimodule_ref) a Y.dim-column
-          matrix is also accepted and read as a plain map Y -> X.
+          matrix is also accepted and read as the A-map phibar: Y -> X,
+          which is phi itself, since A (x)_A Y = Y.
 rep:      {"algebra_ref", "quiver_ref",
            "vertices": {vertex: module_ref},
            "arrows": {arrow name: [[r, c, "val"], ...]}}
@@ -29,7 +30,7 @@ from .errors import ValidationError
 from .linalg import Field, Matrix
 from .modules import ModuleMap, validate_bimodule, validate_module
 from .quiver import Quiver, QuiverRep, build_tensor
-from .triangular import build_triangular, make_triple, pure_tensor_phi, t2_algebra, t2_triple
+from .triangular import build_triangular, make_triple, pure_tensor_phi, t2_algebra
 
 
 def _read(path):
@@ -199,10 +200,7 @@ def load_triple(path):
     if ncols is None:
         ncols = Y.dim if parent.is_t2 else pure_cols
     if parent.is_t2 and ncols == Y.dim and Y.dim != pure_cols:
-        phibar = ModuleMap(
-            Y, X, _entries_to_matrix(A.field, entries, X.dim, Y.dim)
-        )
-        return t2_triple(parent, X, Y, phibar)
+        return make_triple(parent, X, Y, _entries_to_matrix(A.field, entries, X.dim, Y.dim))
     if ncols != pure_cols:
         raise ValidationError("phi_cols must be Y.dim (T2 map form) or dim M * Y.dim")
     L = _entries_to_matrix(A.field, entries, X.dim, pure_cols)

@@ -790,39 +790,3 @@ def _sparse_eliminate(field, v, f, prow):
     for j in prow:
         if not v[j]:
             del v[j]
-
-
-class ToolkitResult:
-    __slots__ = ("rank", "kernel_basis", "particular_solution", "rref")
-
-    def __init__(self, rank, kernel_basis, particular_solution, rref):
-        self.rank = rank
-        self.kernel_basis = kernel_basis
-        self.particular_solution = particular_solution
-        self.rref = rref
-
-
-def linear_toolkit(m, rhs=None):
-    """Rank / kernel basis / particular solution / RREF of one matrix.
-
-    rhs, when given, must be a single-column Matrix over the same field with
-    matching row count.  Inconsistency raises InconsistentSystem; shape or
-    field problems raise DimensionMismatch.
-    """
-    sol = None
-    if rhs is not None:
-        if rhs.field != m.field:
-            raise DimensionMismatch("field of rhs differs")
-        if rhs.nrows != m.nrows or rhs.ncols != 1:
-            raise DimensionMismatch("rhs must be a column of matching height")
-        sol = Eliminator(m).solve(list(rhs.column(0)))
-        if sol is None:
-            raise InconsistentSystem("no exact solution")
-        sol = tuple(sol)
-    K = m.kernel_matrix()
-    return ToolkitResult(
-        rank=m.rank(),
-        kernel_basis=[K.column(j) for j in range(K.ncols)],
-        particular_solution=sol,
-        rref=m.rref(),
-    )

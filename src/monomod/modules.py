@@ -1,5 +1,6 @@
-"""Left/right modules, bimodules, module maps, Hom spaces, subquotients,
-tensor products over an algebra, and three-valued isomorphism testing.
+"""Left/right modules, bimodules, module maps, Hom spaces, submodules and
+quotients, tensor products over an algebra, and three-valued isomorphism
+testing.
 
 A module is a family of action matrices, one per algebra basis vector.
 Action laws and intertwining are verified on a generating set of the
@@ -366,38 +367,10 @@ def restricted_action(m, vec, source, target, message):
     return sol
 
 
-class Subquotient:
-    __slots__ = (
-        "kernel", "kernel_inclusion", "image", "image_inclusion",
-        "cokernel", "projection",
-    )
-
-    def __init__(self, kernel, kernel_inclusion, image, image_inclusion, cokernel, projection):
-        self.kernel = kernel
-        self.kernel_inclusion = kernel_inclusion
-        self.image = image
-        self.image_inclusion = image_inclusion
-        self.cokernel = cokernel
-        self.projection = projection
-
-
 def cokernel(f):
     """(Coker f, projection) of a ModuleMap."""
-    coker, proj, _ = quotient_module(f.target, f.matrix.column_space_matrix(),
-                                     label=f"coker({f.source.label})")
+    coker, proj, _ = quotient_module(f.target, f.matrix, label=f"coker({f.source.label})")
     return coker, proj
-
-
-def subquotient(f):
-    """Kernel, image and cokernel of a ModuleMap, with their canonical maps."""
-    K = f.matrix.kernel_matrix()
-    kernel, kincl = module_on_invariant_columns(f.source, K, label=f"ker({f.source.label})")
-    I = f.matrix.column_space_matrix()
-    image, iincl = module_on_invariant_columns(f.target, I, label=f"im({f.source.label})")
-    coker, proj = cokernel(f)
-    if kernel.dim + image.dim != f.source.dim or coker.dim + image.dim != f.target.dim:
-        raise ValidationError("kernel, image and cokernel dimensions do not add up")
-    return Subquotient(kernel, kincl, image, iincl, coker, proj)
 
 
 def direct_sum(mods, label=""):
@@ -726,25 +699,21 @@ def regular_bimodule(A):
 
 
 class TensorResult:
-    """u (x)_B y realized as an explicit quotient of u (x)_k y.
+    """u (x)_B y on explicit coordinates.
 
-    pure_matrix maps the (i, j) pure-tensor coordinate grid onto the
-    quotient; module is the induced left module when u was a bimodule.
+    pure_matrix maps the pure tensor u_i (x) y_j, column i * dim y + j, to
+    its class, and section is a right inverse of it; module is the induced
+    left module when u was a bimodule.  tensor_over realizes u (x)_B y as a
+    quotient of u (x)_k y.
     """
 
-    __slots__ = ("dim", "pure_matrix", "section", "module", "du", "dy")
+    __slots__ = ("dim", "pure_matrix", "section", "module")
 
-    def __init__(self, dim, pure_matrix, section, module, du, dy):
+    def __init__(self, dim, pure_matrix, section, module):
         self.dim = dim
         self.pure_matrix = pure_matrix
         self.section = section
         self.module = module
-        self.du = du
-        self.dy = dy
-
-    def pure(self, i, j):
-        """Class of u_i (x) y_j."""
-        return list(self.pure_matrix.column(i * self.dy + j))
 
 
 def tensor_over(u, y, validate=True):
@@ -796,4 +765,4 @@ def tensor_over(u, y, validate=True):
             module = validate_module(acts, "left", A, label=f"{u.label}(x){y.label}")
         else:
             module = Module(A, "left", dim, acts, label=f"{u.label}(x){y.label}")
-    return TensorResult(dim, Q, S, module, du, dy)
+    return TensorResult(dim, Q, S, module)

@@ -519,8 +519,7 @@ def simple_slices(rep):
         if mat is None:
             out[v] = Xv
         else:
-            out[v], _proj, _sec = quotient_module(Xv, mat.column_space_matrix(),
-                                                  label=f"coker@{v}")
+            out[v], _proj, _sec = quotient_module(Xv, mat, label=f"coker@{v}")
     return out
 
 

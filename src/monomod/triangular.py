@@ -13,6 +13,7 @@ from .memo import memo
 from .modules import (
     Module,
     ModuleMap,
+    TensorResult,
     Verdict,
     cokernel,
     idempotent_slices,
@@ -137,7 +138,9 @@ def t2_algebra(A):
 
 
 class TripleModule:
-    """Left module over [[A, M], [0, B]] as (X, Y, phi: M (x)_B Y -> X)."""
+    """Left module over [[A, M], [0, B]] as (X, Y, phi: M (x)_B Y -> X), with
+    M (x)_B Y realized by _tensor.  Over T2(A) that realization is Y itself,
+    so the triple is the paper's (X, Y, phibar) and phi is phibar: Y -> X."""
 
     def __init__(self, parent, X, Y, phi, tensor_result):
         self.parent = parent
@@ -155,11 +158,16 @@ class TripleModule:
     def flatten(self):
         return triple_to_module(self)
 
-    @memo
     def phibar(self):
-        """For T2 parents: phi transported through M (x)_A Y = Y, as Y -> X."""
-        mu = _t2_mu(self.parent, self.Y)
-        return ModuleMap(self.Y, self.X, self.phi.matrix * mu.inverse(), check=False)
+        """For T2 parents: the A-map phibar: Y -> X, which is phi itself."""
+        if not self.parent.is_t2:
+            raise ValidationError("phibar needs a T2 parent")
+        return self.phi
+
+    @memo
+    def coker(self):
+        """(Coker phi, projection from X); both point at X, not at the triple."""
+        return cokernel(self.phi)
 
     def __repr__(self):
         return f"Triple({self.label}, flat dim {self.X.dim + self.Y.dim})"
@@ -171,13 +179,31 @@ def _tensor_cached(Y, bimodule):
     return tensor_over(bimodule, Y, validate=False)
 
 
+def _tensor(parent, Y):
+    """M (x)_B Y as a TensorResult.  Over T2(A) it is Y itself, since
+    A (x)_A Y = Y: b_k (x) y_j is b_k.y_j, so the pure-tensor map is
+    [Y.b_0 | Y.b_1 | ...], and y_j is 1 (x) y_j = sum_k unit_k (b_k (x) y_j),
+    the section.  That realization holds Y, so it is built per call, not
+    kept on Y.  Any other bimodule gives the quotient of M (x)_k Y that
+    tensor_over builds, kept on Y."""
+    if not parent.is_t2:
+        return _tensor_cached(Y, parent.bimodule)
+    field, dY = Y.field, Y.dim
+    ev = Matrix.from_blocks(field, [dY], [dY] * parent.nA,
+                            {(0, k): a for k, a in enumerate(Y.actions)})
+    unit = Matrix.from_columns(field, [parent.A.unit], parent.nA)
+    return TensorResult(dY, ev, unit.kronecker(Matrix.identity(field, dY)), Y)
+
+
 def make_triple(parent, X, Y, phi_matrix_or_map):
-    """TripleModule from X (left A), Y (left B) and phi on M (x)_B Y."""
+    """TripleModule from X (left A), Y (left B) and phi: M (x)_B Y -> X in the
+    coordinates of _tensor, checked to be an A-map; over T2(A), phi is a
+    map Y -> X."""
     if X.algebra is not parent.A or X.side != "left":
         raise DimensionMismatch("X must be a left A-module")
     if Y.algebra is not parent.B or Y.side != "left":
         raise DimensionMismatch("Y must be a left B-module")
-    tens = _tensor_cached(Y, parent.bimodule)
+    tens = _tensor(parent, Y)
     phi_matrix = (phi_matrix_or_map.matrix if isinstance(phi_matrix_or_map, ModuleMap)
                   else phi_matrix_or_map)
     return TripleModule(parent, X, Y, ModuleMap(tens.module, X, phi_matrix), tens)
@@ -187,35 +213,18 @@ def pure_tensor_phi(parent, Y, L, message):
     """The matrix of phi: M (x)_B Y -> X from its values L on the pure
     tensors m_k (x) y_j; raises ValidationError(message) unless L vanishes
     on the tensor relations."""
-    tens = _tensor_cached(Y, parent.bimodule)
+    tens = _tensor(parent, Y)
     phi_matrix = L * tens.section
     if phi_matrix * tens.pure_matrix != L:
         raise ValidationError(message)
     return phi_matrix
 
 
-def _t2_mu(parent, Y):
-    """The canonical iso A (x)_A Y -> Y (matrix on tensor coordinates)."""
-    tens = _tensor_cached(Y, parent.bimodule)
-    field = Y.field
-    nA, dY = parent.nA, Y.dim
-    cols = []
-    for i in range(nA):
-        act = Y.actions[i]
-        for j in range(dY):
-            cols.append(act.column(j))
-    ev = Matrix.from_columns(field, cols, dY)   # pure coords -> Y
-    return ev * tens.section
-
-
 def t2_triple(parent, X, Y, phibar):
     """Triple over T2 from a plain A-map phibar: Y -> X."""
     if not parent.is_t2:
         raise ValidationError("t2_triple needs a T2 parent")
-    tens = _tensor_cached(Y, parent.bimodule)
-    mu = _t2_mu(parent, Y)
-    phi = ModuleMap(tens.module, X, phibar.matrix * mu, check=False)
-    return TripleModule(parent, X, Y, phi, tens)
+    return make_triple(parent, X, Y, phibar)
 
 
 def _flat_module(parent, side, first, second, links, label):
@@ -369,7 +378,7 @@ def t2_dual_bundle(t):
     field = parent.A.field
     X, Y = t.X, t.Y
     phibar = t.phibar()
-    coker, pi = cokernel(phibar)
+    coker, pi = t.coker()
     dX = a_dual(X)
     dC = a_dual(coker)
     dY = a_dual(Y)
@@ -538,7 +547,7 @@ def classify_triple(t, bound=6, seed=0):
     report["perp_structure"] = perp
 
     # Gorenstein-projectivity criteria through the cokernel
-    coker_rep = classify(cokernel(t.phi)[0], bound=bound, seed=seed)
+    coker_rep = classify(t.coker()[0], bound=bound, seed=seed)
     gp_combined = _and_parts(
         [("monic", monic)],
         [("coker_gp", coker_rep.gp), ("y_gp", y_rep.gp)],
@@ -601,8 +610,7 @@ def classify_triple(t, bound=6, seed=0):
         "agrees": beta_iso == phis.is_surjective(),
     }
 
-    # the eight double-semi-GP conditions; Coker phibar is Coker phi, the
-    # same quotient of X, so its dual's verdict is read off coker_rep
+    # the eight double-semi-GP conditions
     pi_double_dual = dual_map(b.pi_star)
     conds = {
         "x_perp": x_rep.semi_gp,

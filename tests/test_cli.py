@@ -445,6 +445,52 @@ def test_load_triple_with_bimodule_file(tmp_path, run_cli):
     assert json.loads(r.stdout)["t2"] is False
 
 
+def test_load_t2_triple_from_pure_tensors_and_from_the_map(tmp_path):
+    # over T2(loop-arrow), whose unit e1 + e2 is not a basis vector, phi on
+    # the pure tensors (phi_cols = dim A * dim Y) and phibar: Y -> X give
+    # the same triple
+    import random
+
+    import monomod.io as mio
+    from monomod.errors import ValidationError
+    from monomod.gallery import lsgp_algebra
+    from monomod.linalg import QQ, Matrix
+    from monomod.sampling import random_t2_triple
+    from monomod.triangular import t2_algebra
+
+    A = lsgp_algebra()
+    rng = random.Random(5)
+    t = [random_t2_triple(t2_algebra(A), rng, max_dim=5) for _ in range(4)][-1]
+    mio.dump_algebra(A, tmp_path / "loop.json")
+    mio.dump_module(t.X, tmp_path / "X.json", "loop.json")
+    mio.dump_module(t.Y, tmp_path / "Y.json", "loop.json")
+    pure = t.phi.matrix * t.tensor.pure_matrix
+    # 1 added to the value on alpha (x) y_0 alone (column 2 dim Y): the unit
+    # has no alpha term, so the values no longer factor through A (x)_A Y
+    alpha_y0 = 2 * t.Y.dim
+    bad = Matrix.from_rows(QQ, [[x + 1 if (r, c) == (0, alpha_y0) else x
+                                 for c, x in enumerate(row)]
+                                for r, row in enumerate(pure.rows)])
+    forms = {
+        "map": {"phi": mio.matrix_to_entries(t.phi.matrix)},
+        "pure": {"phi_cols": A.dim * t.Y.dim, "phi": mio.matrix_to_entries(pure)},
+        "bad": {"phi_cols": A.dim * t.Y.dim, "phi": mio.matrix_to_entries(bad)},
+    }
+    loaded = {}
+    for name, phi in forms.items():
+        data = {"A_ref": "loop.json", "B_ref": "loop.json",
+                "X_ref": "X.json", "Y_ref": "Y.json", **phi}
+        (tmp_path / f"{name}.json").write_text(json.dumps(data), encoding="utf-8")
+        if name == "bad":
+            with pytest.raises(ValidationError):
+                mio.load_triple(str(tmp_path / "bad.json"))
+        else:
+            loaded[name] = mio.load_triple(str(tmp_path / f"{name}.json"))
+    assert loaded["map"].phi.matrix == loaded["pure"].phi.matrix == t.phi.matrix
+    assert loaded["map"].flatten().actions == loaded["pure"].flatten().actions
+    assert loaded["map"].flatten().actions == t.flatten().actions
+
+
 @pytest.mark.parametrize("side", ["left_actions", "right_actions"])
 def test_bimodule_file_with_an_unknown_label_is_rejected(tmp_path, side, run_cli):
     import monomod.io as mio

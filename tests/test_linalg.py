@@ -16,28 +16,27 @@ from monomod.linalg import (
     SpanAccumulator,
     basis_vector,
     combination,
-    linear_toolkit,
     sparse_kernel,
 )
 
 
 def test_identity_full_rank():
-    tk = linear_toolkit(Matrix.identity(QQ, 3))
-    assert tk.rank == 3
-    assert tk.kernel_basis == []
+    m = Matrix.identity(QQ, 3)
+    assert m.rank() == 3
+    assert m.kernel_matrix().ncols == 0
 
 
 def test_zero_matrix_kernel():
-    tk = linear_toolkit(Matrix.zero(QQ, 2, 3))
-    assert tk.rank == 0
-    assert len(tk.kernel_basis) == 3
+    m = Matrix.zero(QQ, 2, 3)
+    assert m.rank() == 0
+    assert m.kernel_matrix().ncols == 3
 
 
 def test_hand_elimination_example():
     # oracle: second row is twice the first, so rank 1 and kernel (-2, 1)
-    tk = linear_toolkit(Matrix.from_rows(QQ, [[1, 2], [2, 4]]))
-    assert tk.rank == 1
-    assert tk.kernel_basis == [(Fraction(-2), Fraction(1))]
+    m = Matrix.from_rows(QQ, [[1, 2], [2, 4]])
+    assert m.rank() == 1
+    assert list(m.kernel_matrix().columns()) == [(Fraction(-2), Fraction(1))]
 
 
 def _random_matrix(field, rng, nrows, ncols):
@@ -65,21 +64,23 @@ def test_particular_solution_exact():
     for _ in range(20):
         m = _random_matrix(QQ, rng, rng.randint(1, 6), rng.randint(1, 6))
         x = [QQ.of(rng.randint(-3, 3)) for _ in range(m.ncols)]
-        rhs = Matrix.from_columns(QQ, [m.apply(x)], m.nrows)
-        tk = linear_toolkit(m, rhs)
-        assert m.apply(list(tk.particular_solution)) == list(rhs.column(0))
+        rhs = m.apply(x)
+        assert m.apply(Eliminator(m).solve(rhs)) == rhs
 
 
 def test_inconsistent_vs_mismatch_are_distinct():
+    # an inconsistent system has no solution (None); a shape or field
+    # mismatch raises
     m = Matrix.from_rows(QQ, [[1, 0], [1, 0]])
-    bad_shape = Matrix.from_rows(QQ, [[1]])
+    solver = Eliminator(m)
     with pytest.raises(DimensionMismatch):
-        linear_toolkit(m, bad_shape)
-    no_solution = Matrix.from_columns(QQ, [[QQ.of(1), QQ.of(2)]], 2)
-    with pytest.raises(InconsistentSystem):
-        linear_toolkit(m, no_solution)
+        solver.solve_matrix(Matrix.from_rows(QQ, [[1]]))
     with pytest.raises(DimensionMismatch):
-        linear_toolkit(m, Matrix.from_rows(GF(5), [[1], [2]]))
+        solver.solve([QQ.of(1)])
+    assert solver.solve([QQ.of(1), QQ.of(2)]) is None
+    assert solver.solve_matrix(Matrix.from_columns(QQ, [[QQ.of(1), QQ.of(2)]], 2)) is None
+    with pytest.raises(DimensionMismatch):
+        solver.solve_matrix(Matrix.from_rows(GF(5), [[1], [2]]))
 
 
 def test_scalar_canonical_forms():

@@ -1,5 +1,6 @@
 import gc
 import random
+import sys
 import weakref
 from fractions import Fraction
 
@@ -92,14 +93,43 @@ def test_second_column_projective(kx2):
     assert mono
 
 
-def test_roundtrip_exact_random(kx2, rng):
-    T = t2_algebra(kx2)
-    for _ in range(100):
-        t = random_t2_triple(T, rng, max_dim=4)
-        flat = t.flatten()
-        back = module_to_triple(T, flat)
-        assert triple_to_module(back).actions == flat.actions
-        assert back.X.dim == t.X.dim and back.Y.dim == t.Y.dim
+def test_roundtrip_exact_random(kx2, loop_arrow, rng):
+    # the unit of loop-arrow is e1 + e2, not a basis vector, so the section
+    # y -> sum_k unit_k (b_k (x) y) has more than one nonzero block there
+    for A in (kx2, loop_arrow["algebra"]):
+        T = t2_algebra(A)
+        for _ in range(100):
+            t = random_t2_triple(T, rng, max_dim=4)
+            flat = t.flatten()
+            back = module_to_triple(T, flat)
+            assert triple_to_module(back).actions == flat.actions
+            assert back.X.dim == t.X.dim and back.Y.dim == t.Y.dim
+            assert back.phi.matrix == t.phi.matrix
+
+
+def test_t2_triple_phi_is_phibar(loop_arrow, trivial_k):
+    # A (x)_A Y is Y itself, so the phi of a T2 triple is phibar: Y -> X,
+    # and the kernel witness of a non-monic one is a vector of Y
+    T = t2_algebra(loop_arrow["algebra"])
+    rng = random.Random(5)
+    drawn = [random_t2_triple(T, rng, max_dim=5) for _ in range(6)]
+    for t in drawn + [module_to_triple(T, t.flatten()) for t in drawn]:
+        assert t.phibar() is t.phi
+        assert t.phi.source is t.Y and t.tensor.module is t.Y
+        mono, wit = is_monic_bimodule(t)
+        if not mono:
+            assert len(wit) == t.Y.dim and not any(t.phi.matrix.apply(wit))
+    assert is_monic_bimodule(drawn[3]) == (False, [QQ.of(1), QQ.of(0)])
+    # over a general bimodule phi starts at M (x)_B Y, and there is no phibar
+    P2 = loop_arrow["modules"][2]
+    bim = validate_bimodule(loop_arrow["algebra"], trivial_k, list(P2.actions),
+                            [Matrix.identity(QQ, P2.dim)])
+    kmod = regular_modules(trivial_k)[0]
+    t = make_triple(build_triangular(loop_arrow["algebra"], trivial_k, bim), P2, kmod,
+                    Matrix.identity(QQ, P2.dim))
+    assert t.phi.source is not kmod
+    with pytest.raises(ValidationError):
+        t.phibar()
 
 
 def test_monic_xc(lambda2):
@@ -361,22 +391,22 @@ def _xc_and_approximation_triples(lambda2, loop_arrow):
     return [Xc, approximation_triple(loop_arrow["modules"][3])]
 
 
+def _replace_everywhere(monkeypatch, original, spy):
+    """Patch spy in for original in every monomod module that imported it."""
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("monomod") \
+                and getattr(mod, original.__name__, None) is original:
+            monkeypatch.setattr(mod, original.__name__, spy)
+
+
 def test_classify_triple_decides_each_semi_gp_fact_once(monkeypatch, lambda2, loop_arrow):
     # every module of the classification gets one is_semi_gp call per
     # (bound, seed), and no kernel or image module is built on the way: the
     # only invariant-column modules are the indecomposable projectives that
     # submodule_generated builds, once per algebra
-    import sys
-
     from monomod import homology, modules
 
     calls, kept, built = [], [], []
-
-    def replace(original, spy):
-        for mod in list(sys.modules.values()):
-            if getattr(mod, "__name__", "").startswith("monomod") \
-                    and getattr(mod, original.__name__, None) is original:
-                monkeypatch.setattr(mod, original.__name__, spy)
 
     def semi_gp_spy(m, bound, seed=0):
         kept.append(m)  # keeps each id unique while the test runs
@@ -389,8 +419,8 @@ def test_classify_triple_decides_each_semi_gp_fact_once(monkeypatch, lambda2, lo
 
     original_semi_gp = homology.is_semi_gp
     original_invariant_columns = modules.module_on_invariant_columns
-    replace(original_semi_gp, semi_gp_spy)
-    replace(original_invariant_columns, invariant_columns_spy)
+    _replace_everywhere(monkeypatch, original_semi_gp, semi_gp_spy)
+    _replace_everywhere(monkeypatch, original_invariant_columns, invariant_columns_spy)
     from monomod.triangular import classify_triple
 
     for t in _xc_and_approximation_triples(lambda2, loop_arrow):
@@ -399,6 +429,42 @@ def test_classify_triple_decides_each_semi_gp_fact_once(monkeypatch, lambda2, lo
         classify_triple(t, bound=4, seed=3)
         assert calls and len(calls) == len(set(calls))
     assert set(built) <= {"submodule_generated"}
+
+
+def test_classify_t2_triple_builds_coker_phi_once_and_no_tensor_product(monkeypatch):
+    # over T2(A) the triple holds phibar: Y -> X itself, and Coker phi is
+    # built once and shared by the dual bundle and classify_triple: building
+    # X(3/2) and classifying it takes no tensor_over, two cokernels (Coker
+    # phi and Coker pi*) and the duals of 10 modules
+    from monomod import duality, modules
+    from monomod.gallery import lambda_q
+    from monomod.triangular import classify_triple
+
+    counts = {"tensor_over": 0, "cokernel": 0}
+    dualized = []
+
+    def counted(original):
+        def spy(*args, **kwargs):
+            counts[original.__name__] += 1
+            return original(*args, **kwargs)
+        return spy
+
+    def dual_data_spy(m):
+        if all(m is not seen for seen in dualized):
+            dualized.append(m)
+        return original_dual_data(m)
+
+    original_dual_data = duality._dual_data
+    for original in (modules.tensor_over, modules.cokernel):
+        _replace_everywhere(monkeypatch, original, counted(original))
+    monkeypatch.setattr(duality, "_dual_data", dual_data_spy)
+    A = lambda_q(QQ, 2)   # fresh, so no report or dual is cached from elsewhere
+    c = Fraction(3, 2)
+    Xc = t2_triple(t2_algebra(A), regular_modules(A)[0], module_M1qc(A, c), f1_map(A, c))
+    classify_triple(Xc, bound=4, seed=3)
+    assert counts == {"tensor_over": 0, "cokernel": 2}
+    assert len(dualized) == 10
+    assert t2_dual_bundle(Xc).coker is Xc.coker()[0]
 
 
 def test_classify_triple_conditions_name_their_modules(lambda2, loop_arrow):
