@@ -26,7 +26,7 @@ T = t2_algebra(L)
 print("2x2 extension of the local algebra: flat dim", T.flat.dim)
 
 M = module_M1qc(L, Fraction(0))
-Xc = t2_triple(T, regular_modules(L)[0], M, f1_map(L, Fraction(0)))
+Xc = t2_triple(T, regular_modules(L)[0], M, f1_map(M))
 print("X(0) =", Xc, "flat dim", Xc.flatten().dim)
 
 mono, wit = is_monic_bimodule(Xc)

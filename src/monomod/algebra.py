@@ -477,15 +477,11 @@ def regular_modules(A):
     return left, right
 
 
-def radical_and_socle(A, m=None):
-    """Radical basis of A and the socle of m (or of the left regular module).
-
-    The socle of a left module is {v : J v = 0}; for right modules the same
-    formula applies with the right action matrices.
-    """
+def radical_and_socle(A):
+    """Radical basis of A and the socle of the left regular module, the
+    vectors v with J v = 0."""
     rad = A.radical_basis()
-    if m is None:
-        m = regular_modules(A)[0]
+    m = regular_modules(A)[0]
     rows = (
         {j: x for j, x in enumerate(row) if x}
         for jv in rad for row in m.action_of_vector(jv).rows

@@ -168,6 +168,7 @@ def main(argv=None):
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--algebra", default=None)
 
+    caller_cap = _config.dimension_cap()
     try:
         try:
             args = ap.parse_args(argv)
@@ -199,6 +200,9 @@ def main(argv=None):
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 3
+    finally:
+        # the cap is process-wide: a library caller keeps the cap it had
+        _config.set_dimension_cap(caller_cap)
 
 
 def _dispatch(args, ws, fmt):

@@ -213,14 +213,13 @@ def classify(m, bound=6, seed=0):
 
 
 class ApproximationData:
-    __slots__ = ("map", "components", "target", "minimal", "inclusions")
+    __slots__ = ("map", "components", "target", "minimal")
 
-    def __init__(self, map, components, target, minimal, inclusions):
+    def __init__(self, map, components, target, minimal):
         self.map = map
         self.components = components
         self.target = target
         self.minimal = minimal
-        self.inclusions = inclusions
 
 
 def left_add_approximation(m):
@@ -237,7 +236,7 @@ def left_add_approximation(m):
         target = zero_module(algebra, "left")
         return ApproximationData(
             ModuleMap(m, target, Matrix(field, [], m.dim), check=False),
-            [], target, True, [],
+            [], target, True,
         )
     if minimal:
         gens = [g for (_e, g) in _minimal_generators(dual)]
@@ -248,8 +247,8 @@ def left_add_approximation(m):
         raise ValidationError("approximation components fail to generate the dual")
     reg = dd.basis[0].target
     comps = [ModuleMap(m, reg, dd.map_from_coords(g), check=False) for g in gens]
-    target, inclusions, _pr = direct_sum([reg] * len(comps), label=f"A^{len(comps)}")
+    target, _incl, _pr = direct_sum([reg] * len(comps), label=f"A^{len(comps)}")
     stack = Matrix.from_blocks(field, [reg.dim] * len(comps), [m.dim],
                                {(k, 0): c.matrix for k, c in enumerate(comps)})
     phi = ModuleMap(m, target, stack, check=False)
-    return ApproximationData(phi, comps, target, minimal, inclusions)
+    return ApproximationData(phi, comps, target, minimal)

@@ -14,6 +14,7 @@ from .duality import a_dual, canonical_map, classify, dual_map
 from .errors import ValidationError
 from .homology import ext_dims, is_semi_gp
 from .linalg import QQ, Eliminator, Field, Matrix, SpanAccumulator, basis_vector
+from .memo import memo
 from .modules import (
     ModuleMap,
     Verdict,
@@ -157,10 +158,10 @@ def module_M1qc(A, c):
     return validate_module(acts, "left", A, label=f"M(1,-q,{field.render(c)})")
 
 
-def f1_map(A, c):
-    """The approximation f1: M(1,-q,c) -> A, 1~ |-> x - y."""
+def f1_map(M):
+    """The approximation f1: M -> A, 1~ |-> x - y, of M = module_M1qc(A, c)."""
+    A = M.algebra
     field = A.field
-    M = module_M1qc(A, c)
     reg = regular_modules(A)[0]
     cols = [
         lambda_element(A, {"x": 1, "y": -1}),        # f1(1~) = x - y
@@ -248,11 +249,11 @@ def lsgp_example(field=QQ):
 
 def standard_family(field=QQ, q=Fraction(2), c=Fraction(0)):
     """The whole worked family in one bundle: the algebra, M(1,-q,c) on its
-    fixed basis, the generic constructors, f1, and the triple
-    X(c) = (A; M(1,-q,c))_{f1} over the 2x2 self-extension (flat dim 9)."""
+    fixed basis, f1, and the triple X(c) = (A; M(1,-q,c))_{f1} over the 2x2
+    self-extension (flat dim 9)."""
     A = lambda_q(field, q)
     M = module_M1qc(A, c)
-    f1 = f1_map(A, c)
+    f1 = f1_map(M)
     dd = a_dual(M)
     if generated_span(dd.dual, [dd.coords_of_map(f1.matrix)]).dim != dd.dual.dim:
         raise ValidationError("f1 does not generate the dual (approximation fails)")
@@ -263,25 +264,42 @@ def standard_family(field=QQ, q=Fraction(2), c=Fraction(0)):
     return {
         "algebra": A,
         "M": M,
-        "M_of": lambda a, b, cc: generic_M(A, a, b, cc),
-        "M_prime_of": lambda a, b, cc: generic_M_prime(A, a, b, cc),
         "f1": f1,
         "parent": parent,
         "X_c": X_c,
         "q": A.q_value,
-        "c": field.of(c),
         "finite_order_warning": A.q_finite_order_warning,
     }
 
 
-def dual_iso_chain(fam):
-    """The explicit chain M* -> M'(1,-q^-1,0) (f |-> a with (x-y)a = f(1~))
-    and M'* -> A(x-y)A (g |-> g(1~')); returns (theta, omega2, AwA)."""
-    A = fam["algebra"]
+@memo
+def _dual_iso_fixed_part(A):
+    """M'(1,-q^-1,0), its projection from A, omega2, A(x-y)A and its
+    inclusion into A: the part of dual_iso_chain that c does not change."""
     field = A.field
-    q = fam["q"]
-    dd = a_dual(fam["M"])
-    Mp, projMp = _generic_quotient(A, field.one, field.neg(field.inv(q)), field.zero, 1, "M'")
+    Mp, projMp = _generic_quotient(A, field.one, field.neg(field.inv(A.q_value)),
+                                   field.zero, 1, "M'")
+    AwA, inclAwA = ideal_A_w_A(A, lambda_element(A, {"x": 1, "y": -1}))
+    ddp = a_dual(Mp)
+    elw = Eliminator(inclAwA.matrix)
+    cols = []
+    for g in ddp.basis:
+        s = elw.solve(list(g.matrix.column(0)))
+        if s is None:
+            raise ValidationError("g(1~') is not in A(x-y)A")
+        cols.append(s)
+    omega2 = ModuleMap(ddp.dual, AwA, Matrix.from_columns(field, cols, AwA.dim))
+    return Mp, projMp, omega2, AwA, inclAwA
+
+
+def dual_iso_chain(M):
+    """The explicit chain for M = M(1,-q,c): theta: M* -> M'(1,-q^-1,0),
+    f |-> a with (x-y)a = f(1~), and omega2: M'* -> A(x-y)A, g |-> g(1~');
+    returns (theta, omega2, A(x-y)A, its inclusion into A)."""
+    A = M.algebra
+    field = A.field
+    Mp, projMp, omega2, AwA, inclAwA = _dual_iso_fixed_part(A)
+    dd = a_dual(M)
     solver = Eliminator(A.left_multiplication(lambda_element(A, {"x": 1, "y": -1})))
     cols = []
     for f in dd.basis:
@@ -290,16 +308,6 @@ def dual_iso_chain(fam):
             raise ValidationError("f(1~) is not in (x-y)A")
         cols.append(projMp.apply(a))
     theta = ModuleMap(dd.dual, Mp, Matrix.from_columns(field, cols, Mp.dim))
-    AwA, inclAwA = ideal_A_w_A(A, lambda_element(A, {"x": 1, "y": -1}))
-    ddp = a_dual(Mp)
-    elw = Eliminator(inclAwA.matrix)
-    cols2 = []
-    for g in ddp.basis:
-        s = elw.solve(list(g.matrix.column(0)))
-        if s is None:
-            raise ValidationError("g(1~') is not in A(x-y)A")
-        cols2.append(s)
-    omega2 = ModuleMap(ddp.dual, AwA, Matrix.from_columns(field, cols2, AwA.dim))
     return theta, omega2, AwA, inclAwA
 
 
@@ -371,19 +379,18 @@ def _scenario_dual_iso_family(params):
     if "c" in p:
         p["c_values"] = (p.pop("c"),)
     sc = Scenario("dual-iso-family", p)
+    A = lambda_q(field, field.of(p["q"]))
     for c in p["c_values"]:
-        fam = standard_family(field, field.of(p["q"]), field.of(c))
-        A = fam["algebra"]
-        Mp = generic_M_prime(A, field.one, field.neg(field.inv(fam["q"])), field.zero)
-        dd = a_dual(fam["M"])
-        v = is_isomorphic(dd.dual, Mp, seed=p["seed"])
+        c = field.of(c)
+        M = module_M1qc(A, c)
+        theta = dual_iso_chain(M)[0]
+        v = is_isomorphic(theta.source, theta.target, seed=p["seed"])
         sc.claim_verdict(
-            f"dual of M(1,-q,{field.render(field.of(c))}) is isomorphic to M'(1,-q^-1,0)",
+            f"dual of M(1,-q,{field.render(c)}) is isomorphic to M'(1,-q^-1,0)",
             "dual-iso",
             v,
-            {"verdict": v.describe(), "dual_dim": dd.dual.dim},
+            {"verdict": v.describe(), "dual_dim": theta.source.dim},
         )
-        theta, omega2, AwA, _ = dual_iso_chain(fam)
         sc.claim_bool(
             "the constructive chain f |-> a, (x-y)a = f(1~) is itself invertible",
             "dual-iso-chain",
@@ -455,11 +462,8 @@ def _scenario_x_family(params):
         vd,
         {"verdict": vd.describe()},
     )
-    w = lambda_element(A, {"x": 1, "y": -1})
-    AwA, inclAwA = ideal_A_w_A(A, w)
-    regL = regular_modules(A)[0]
-    iota = ModuleMap(AwA, regL, inclAwA.matrix)
-    target_dd = t2_triple(parent, regL, AwA, iota)
+    theta, omega2, AwA, inclAwA = dual_iso_chain(fam["M"])
+    target_dd = t2_triple(parent, regular_modules(A)[0], AwA, inclAwA)
     vdd2 = is_isomorphic(b.double_dual_triple.flatten(), target_dd.flatten(), seed=seed)
     sc.claim_verdict(
         "X(c)** is the triple (A; A(x-y)A) along the embedding",
@@ -468,6 +472,7 @@ def _scenario_x_family(params):
         {"verdict": vdd2.describe()},
     )
     # structure of A(x-y)A
+    w = lambda_element(A, {"x": 1, "y": -1})
     Aw, _ = ideal_A_w(A, w)
     zx = lambda_element(A, {"zx": 1})
     acc = SpanAccumulator(field, 6)
@@ -480,20 +485,14 @@ def _scenario_x_family(params):
         {"dim_Aw": Aw.dim, "dim_AwA": AwA.dim},
     )
     # the canonical map of M through the chain is right multiplication by x-y
-    theta, omega2, AwA2, inclAwA2 = dual_iso_chain(fam)
     theta_star = dual_map(theta)
     omega = omega2.compose(
         ModuleMap(a_dual(a_dual(fam["M"]).dual).dual, omega2.source,
                   theta_star.matrix.inverse(), check=False)
     )
     lhs = omega.compose(canonical_map(fam["M"]))
-    elw = Eliminator(inclAwA2.matrix)
-    rcols = [
-        elw.solve(lambda_element(A, {"x": 1, "y": -1})),
-        elw.solve(lambda_element(A, {"yx": q})),
-        elw.solve([field.zero] * 6),
-    ]
-    rmap = ModuleMap(fam["M"], AwA2, Matrix.from_columns(field, rcols, AwA2.dim))
+    # right multiplication by x-y sends 1~, x~, z~ where f1 sends them
+    rmap = ModuleMap(fam["M"], AwA, Eliminator(inclAwA.matrix).solve_matrix(fam["f1"].matrix))
     sc.claim_bool(
         "through the stored identifications the canonical map of M(1,-q,c) "
         "is right multiplication by x-y",

@@ -56,11 +56,10 @@ class SlotType:
     """One indecomposable-projective shape Ae (left) or eA (right): the block
     that every slot of this shape contributes to a projective P_i."""
 
-    __slots__ = ("e_index", "e_vec", "module", "basis_in_A", "gen_coord")
+    __slots__ = ("e_index", "module", "basis_in_A", "gen_coord")
 
-    def __init__(self, e_index, e_vec, module, basis_in_A, gen_coord):
+    def __init__(self, e_index, module, basis_in_A, gen_coord):
         self.e_index = e_index        # idempotent index, None = unit (free slot)
-        self.e_vec = e_vec
         self.module = module
         self.basis_in_A = basis_in_A  # columns: the slot basis as elements of A
         self.gen_coord = gen_coord    # coordinates of e in the slot basis
@@ -82,7 +81,6 @@ def slot_type(algebra, side, e_index):
     if e_index is None:
         return SlotType(
             None,
-            tuple(algebra.unit),
             reg,
             Matrix.identity(field, algebra.dim),
             list(algebra.unit),
@@ -90,7 +88,7 @@ def slot_type(algebra, side, e_index):
     e = list(algebra.idempotents[e_index])
     sub, incl = submodule_generated(reg, [e], label=f"P[e{e_index}]")
     gen = Eliminator(incl.matrix).solve(e)
-    return SlotType(e_index, tuple(e), sub, incl.matrix, gen)
+    return SlotType(e_index, sub, incl.matrix, gen)
 
 
 @memo
@@ -240,26 +238,28 @@ class _Step:
 
 
 class Resolution:
-    """Internal resolution state; extended lazily and cached on the module.
-    Its own lock serializes extensions, so resolving one module never waits
-    on another.  Extending to step n builds the kernels of steps 0..n-1,
-    which the covers need; the kernel of step n is built only if something
-    reads it.  Step 0 is built here, so the resolution keeps no reference
-    to its target: the module's cache holds the resolution, and a reference
-    back would be a cycle that only the cyclic garbage collector frees."""
+    """Internal resolution state, with no step until extended; extended
+    lazily and cached on the module.  Its own lock serializes extensions,
+    so resolving one module never waits on another.  Extending to step n
+    builds the kernels of steps 0..n-1, which the covers need; the kernel
+    of step n is built only if something reads it.  Step 0 covers the target
+    that extend_to is handed, so the resolution keeps no reference to it:
+    the module's cache holds the resolution, and a reference back would be
+    a cycle that only the cyclic garbage collector frees."""
 
-    def __init__(self, target, minimal):
+    def __init__(self, minimal):
         self.minimal = minimal
         self.steps = []
         self._lock = threading.Lock()
-        self._add_step(target)
 
     def proj(self, i):
         return self.steps[i].proj
 
-    def extend_to(self, n_steps):
-        """Ensure steps 0..n_steps exist."""
+    def extend_to(self, n_steps, target=None):
+        """Ensure steps 0..n_steps exist; step 0 covers target."""
         with self._lock:
+            if not self.steps:
+                self._add_step(target)
             while len(self.steps) <= n_steps:
                 self._add_step(self.steps[-1].kernel)
         return self
@@ -460,14 +460,12 @@ def resolution(m, minimal=None, length=0):
     it uses minimal covers whenever the algebra supports them."""
     if minimal is None:
         minimal = m.algebra.has_idempotents_and_radical()
-    res = _resolution(m, bool(minimal))
-    res.extend_to(length)
-    return res
+    return _resolution(m, bool(minimal)).extend_to(length, m)
 
 
 @memo
 def _resolution(m, minimal):
-    return Resolution(m, minimal)
+    return Resolution(minimal)
 
 
 class ProjResolution:
@@ -656,11 +654,11 @@ def hom_space_via_presentation(m, n):
 # Tor
 
 
-def tor_dims(u, x, bound, minimal=None):
+def tor_dims(u, x, bound):
     """Tor_0..Tor_bound of (u, x) for u right, x left over one algebra.
 
-    Computed from a resolution of x: u (x) P collapses to ue-spaces with
-    differentials acting by right multiplication.
+    Computed from resolution(x), minimal whenever the algebra allows: u (x) P
+    collapses to ue-spaces with differentials acting by right multiplication.
     """
     if u.side != "right" or x.side != "left":
         raise ValidationError("tor_dims needs (right module, left module)")
@@ -670,7 +668,7 @@ def tor_dims(u, x, bound, minimal=None):
         raise ValueError("bound must be >= 0")
     if x.dim == 0 or u.dim == 0:
         return [0] * (bound + 1)
-    steps = resolution(x, minimal, bound + 1).steps
+    steps = resolution(x, length=bound + 1).steps
     space_dims = [sum(_e_dim(u, st) for st in steps[i].slot_types) for i in range(bound + 2)]
     # t_i : T_i -> T_{i-1}
     ts = [

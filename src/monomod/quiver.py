@@ -105,7 +105,7 @@ class Quiver:
         return out
 
 
-def path_algebra(field, quiver, label=""):
+def path_algebra(field, quiver):
     """kQ/I as a validated Algebra; idempotents = trivial paths, radical =
     the nontrivial paths (declared and re-verified)."""
     paths = quiver.paths()
@@ -140,7 +140,7 @@ def path_algebra(field, quiver, label=""):
     pres = AlgebraPresentation(
         field, n, labels, unit, consts, idempotents=idems, radical_basis=rad or None
     )
-    B = validate_algebra(pres, label=label or "kQ/I")
+    B = validate_algebra(pres, label="kQ/I")
     B._quiver = quiver
     B._path_index = index
     B._paths = paths
@@ -188,7 +188,7 @@ def _outer(field, u, v):
     return out
 
 
-def build_tensor(A, quiver, label=""):
+def build_tensor(A, quiver):
     """A (x)_k kQ/I, validated, with idempotents (A idempotents) x (trivial
     paths) and the product radical declared."""
     field = A.field
@@ -232,7 +232,7 @@ def build_tensor(A, quiver, label=""):
         field, dim, labels, unit, consts, idempotents=idems,
         radical_basis=rad or None,
     )
-    flat = validate_algebra(pres, label=label or f"{A.label}(x)kQ")
+    flat = validate_algebra(pres, label=f"{A.label}(x)kQ")
     parent = TensorAlgebra(A, quiver, B, flat)
     flat._tensor_parent = parent
     return parent

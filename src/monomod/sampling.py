@@ -21,8 +21,8 @@ from .modules import (
 from .triangular import t2_triple
 
 
-def _random_scalar(field, rng, lo=-2, hi=2):
-    return field.of(rng.randint(lo, hi))
+def _random_scalar(field, rng):
+    return field.of(rng.randint(-2, 2))
 
 
 def random_vector(field, rng, n):
@@ -62,21 +62,19 @@ def random_module(A, rng, side="left", max_dim=8, allow_zero=True):
     return zero_module(A, side)
 
 
-def random_map(rng, m, n, lo=-2, hi=2):
-    """A random combination of a Hom-space basis."""
+def random_map(rng, m, n):
+    """A random combination of a Hom-space basis, coefficients in -2..2."""
     H = hom_space(m, n)
-    coeffs = [_random_scalar(m.field, rng, lo, hi) for _ in H]
+    coeffs = [_random_scalar(m.field, rng) for _ in H]
     out = combination(m.field, coeffs, [h.matrix for h in H], n.dim, m.dim)
     return ModuleMap(m, n, out, check=False)
 
 
-def random_submodule(m, rng, n_gens=None):
-    """Submodule generated by a few random vectors; (sub, inclusion)."""
+def random_submodule(m, rng):
+    """Submodule generated by one or two random vectors; (sub, inclusion)."""
     if m.dim == 0:
         return submodule_generated(m, [])
-    if n_gens is None:
-        n_gens = rng.randint(1, 2)
-    vecs = [random_vector(m.field, rng, m.dim) for _ in range(n_gens)]
+    vecs = [random_vector(m.field, rng, m.dim) for _ in range(rng.randint(1, 2))]
     return submodule_generated(m, vecs)
 
 

@@ -526,7 +526,8 @@ def classify_triple(t, bound=6, seed=0):
     y_rep = classify(t.Y, bound=bound, seed=seed)
     y_over_base = y_rep.semi_gp
     comparisons = ext_comparison_table(t.phi, regular_modules(A)[0], bound)
-    phi_dual = dual_map(t.phi)
+    # over T2(A), phi is phibar and the dual bundle holds its dual already
+    phi_dual = t2_dual_bundle(t).phibar_star if parent.is_t2 else dual_map(t.phi)
     phi_dual_epi = phi_dual.is_surjective()
     perp = {
         "y_over_base": y_over_base.describe(),

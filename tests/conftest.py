@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from monomod import config
 from monomod.algebra import AlgebraPresentation, validate_algebra
 from monomod.gallery import lambda_q, lsgp_example
 from monomod.linalg import QQ
@@ -36,3 +37,15 @@ def loop_arrow():
 @pytest.fixture()
 def rng():
     return random.Random(12345)
+
+
+@pytest.fixture(autouse=True)
+def _dimension_cap_unchanged():
+    # the cap is process-wide: a test that leaves it changed would change
+    # what every later test may compute
+    before = config.dimension_cap()
+    yield
+    after = config.dimension_cap()
+    if after != before:
+        config.set_dimension_cap(before)
+        pytest.fail(f"the test left the dimension cap at {after}, not {before}")

@@ -39,10 +39,9 @@ def run_child(args, cwd, env=None):
 @pytest.fixture
 def run_cli(capsys, monkeypatch):
     """cli.main(args) in this interpreter, run in cwd with env added to the
-    environment, as (returncode, stdout); the working directory, the
-    environment and the dimension cap that main sets are restored after
-    each call."""
-    from monomod import cli, config
+    environment, as (returncode, stdout); the working directory and the
+    environment are restored after each call."""
+    from monomod import cli
 
     def run(args, cwd, env=None):
         capsys.readouterr()
@@ -50,7 +49,6 @@ def run_cli(capsys, monkeypatch):
             mp.chdir(cwd)
             for key, value in (env or {}).items():
                 mp.setenv(key, value)
-            mp.setattr(config, "_dimension_cap", config.dimension_cap())
             try:
                 rc = cli.main(list(args))
             except SystemExit as exc:  # argparse's --help
@@ -560,20 +558,18 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
     "x-family",
 ])
 def test_verify_output_matches_golden_bytes(scenario, capsys, monkeypatch):
-    from monomod import cli, config
+    from monomod import cli
 
     monkeypatch.delenv(cli.ENV_CONFIG, raising=False)
-    monkeypatch.setattr(config, "_dimension_cap", config.dimension_cap())
     assert cli.main(["verify", scenario]) == 0
     with open(os.path.join(GOLDEN, scenario + ".json"), "rb") as fh:
         assert capsys.readouterr().out.encode("utf-8") == fh.read()
 
 
 def test_verify_pinned_invocation_matches_golden_bytes(capsys, monkeypatch):
-    from monomod import cli, config
+    from monomod import cli
 
     monkeypatch.delenv(cli.ENV_CONFIG, raising=False)
-    monkeypatch.setattr(config, "_dimension_cap", config.dimension_cap())
     for args, golden in (
         (["x-family", "--c", "3/2", "--seed", "7"], "x-family_c3-2_seed7.json"),
         (["t2-lift-sampled", "--seed", "3", "--samples", "4"],
@@ -582,3 +578,21 @@ def test_verify_pinned_invocation_matches_golden_bytes(capsys, monkeypatch):
         assert cli.main(["verify", *args]) == 0
         with open(os.path.join(GOLDEN, "pinned", golden), "rb") as fh:
             assert capsys.readouterr().out.encode("utf-8") == fh.read()
+
+
+def test_main_leaves_the_callers_dimension_cap(run_cli, tmp_path, monkeypatch):
+    # main sets the process-wide cap for its own command only: a library
+    # caller in the same interpreter keeps the cap it had, after a clean
+    # run and after an error exit alike
+    from monomod import cli, config
+
+    monkeypatch.delenv(cli.ENV_CONFIG, raising=False)
+    before = config.dimension_cap()
+    config.set_dimension_cap(100)
+    try:
+        assert run_cli(["gallery", "lambda-q"], tmp_path).returncode == 0
+        assert config.dimension_cap() == 100
+        assert run_cli(["--cap", "7", "gallery", "lambda-q"], tmp_path).returncode == 3
+        assert config.dimension_cap() == 100
+    finally:
+        config.set_dimension_cap(before)

@@ -95,12 +95,49 @@ def test_M_family_dims(lambda2):
         generic_M(lambda2, 0, 0, 0)
 
 
-def test_standard_family_contract(lambda2):
+def test_standard_family_contract(lambda2, monkeypatch):
+    from monomod import gallery
+
+    built = []
+
+    def spy(A, c):
+        built.append(c)
+        return module_M1qc(A, c)
+
+    monkeypatch.setattr(gallery, "module_M1qc", spy)
     fam = standard_family(QQ, 2, Fraction(1))
+    assert sorted(fam) == ["M", "X_c", "algebra", "f1", "finite_order_warning", "parent", "q"]
     assert fam["X_c"].X.dim + fam["X_c"].Y.dim == 9
     assert fam["M"].dim == 3
     f1 = fam["f1"]
     assert list(f1.matrix.column(0)) == lambda_element(lambda2, {"x": 1, "y": -1})
+    # M(1,-q,c) is built once: f1 and X(c) both read the family's M
+    assert len(built) == 1
+    assert f1.source is fam["M"] is fam["X_c"].Y
+
+
+def test_dual_iso_family_builds_only_modules_over_lambda_q(monkeypatch):
+    # the scenario reads Lambda(q), M(1,-q,c) and M'(1,-q^-1,0) alone: one
+    # algebra per run, one M per c, and no 2x2 extension
+    from monomod import gallery, triangular
+
+    calls = {"lambda_q": 0, "module_M1qc": 0, "build_triangular": 0}
+
+    def counting(module, name):
+        fn = getattr(module, name)
+
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+
+    counting(gallery, "lambda_q")
+    counting(gallery, "module_M1qc")
+    counting(triangular, "build_triangular")
+    sc = run_scenario("dual-iso-family", {})
+    assert not sc.failed and not sc.unknown
+    assert calls == {"lambda_q": 1, "module_M1qc": 3, "build_triangular": 0}
 
 
 def test_classification_of_M_family(lambda2):
@@ -132,7 +169,7 @@ def test_lsgp_example_shapes(loop_arrow):
 
 def test_dual_iso_chain_explicit(lambda2):
     fam = standard_family(QQ, 2, Fraction(0))
-    theta, omega2, AwA, _ = dual_iso_chain(fam)
+    theta, omega2, AwA, _ = dual_iso_chain(fam["M"])
     assert theta.is_isomorphism_map()
     assert omega2.is_isomorphism_map()
     assert AwA.dim == 3
@@ -180,7 +217,7 @@ def test_prime_field_end_to_end():
     phi = canonical_map(M)
     assert phi.kernel_dim() == 1 and phi.cokernel_dim() == 1
     T = t2_algebra(A)
-    Xc = t2_triple(T, regular_modules(A)[0], M, f1_map(A, F.of(1)))
+    Xc = t2_triple(T, regular_modules(A)[0], M, f1_map(M))
     b = t2_dual_bundle(Xc)  # exact identities assert internally
     assert b.dual_triple.U.dim == 3 and b.dual_triple.V.dim == 6
     Mp = generic_M_prime(A, F.one, F.neg(F.inv(F.of(2))), F.zero)
@@ -204,8 +241,8 @@ def test_finite_order_warning_is_real():
     A = lambda_q(F, 2)
     assert A.q_finite_order_warning
     T = t2_algebra(A)
-    Xc = t2_triple(T, regular_modules(A)[0], module_M1qc(A, F.of(0)),
-                   f1_map(A, F.of(0)))
+    M = module_M1qc(A, F.of(0))
+    Xc = t2_triple(T, regular_modules(A)[0], M, f1_map(M))
     v = is_semi_gp(Xc.flatten(), 6, seed=0)
     assert v.status == Verdict.FAILS
     assert v.witness["degree"] == 4

@@ -633,6 +633,28 @@ def test_resolutions_build_only_the_kernels_something_reads(monkeypatch, lambda2
     assert len(res.steps) == 5 and built == res.steps[:4]
 
 
+def test_every_step_is_built_inside_extend_to(monkeypatch, lambda2):
+    # step 0 is built like every later step, while Resolution.extend_to
+    # runs, so a timer around extend_to sees every cover
+    from monomod import homology
+
+    build = homology._build_cover_step
+    extend_code = homology.Resolution.extend_to.__code__
+    inside = []
+
+    def spy(m, minimal):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not extend_code:
+            frame = frame.f_back
+        inside.append(frame is not None)
+        return build(m, minimal)
+
+    monkeypatch.setattr(homology, "_build_cover_step", spy)
+    res = resolution(module_M1qc(lambda2, Fraction(7)), length=2)
+    assert len(res.steps) == 3
+    assert inside == [True, True, True]
+
+
 def test_zero_kernel_tests_read_the_kernel_dimension(monkeypatch):
     built = _spy_kernel_builds(monkeypatch)
     # the bimodule of T2(A) is A on both sides, projective: both resolutions

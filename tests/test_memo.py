@@ -56,7 +56,8 @@ def test_racing_first_reads_get_one_object(monkeypatch, lambda2):
 
     T = t2_algebra(lambda2)
     reg = regular_modules(lambda2)[0]
-    t = t2_triple(T, reg, module_M1qc(lambda2, Fraction(3)), f1_map(lambda2, Fraction(3)))
+    Y = module_M1qc(lambda2, Fraction(3))
+    t = t2_triple(T, reg, Y, f1_map(Y))
     M = module_M1qc(lambda2, Fraction(2))
     monkeypatch.setattr(triangular, "triple_to_module", meeting(triangular.triple_to_module))
     monkeypatch.setattr(duality, "hom_space", meeting(duality.hom_space))
@@ -91,7 +92,8 @@ def test_many_threads_reading_fresh_objects_agree(lambda2):
     T = t2_algebra(lambda2)
     reg = regular_modules(lambda2)[0]
     M = module_M1qc(lambda2, Fraction(5))
-    t = t2_triple(T, reg, module_M1qc(lambda2, Fraction(5)), f1_map(lambda2, Fraction(5)))
+    Y = module_M1qc(lambda2, Fraction(5))
+    t = t2_triple(T, reg, Y, f1_map(Y))
     got = []
 
     def read():

@@ -293,7 +293,7 @@ def _subquotient(f):
 def test_subquotient_f1(lambda2):
     from monomod.gallery import f1_map
 
-    f1 = f1_map(lambda2, Fraction(0))
+    f1 = f1_map(module_M1qc(lambda2, Fraction(0)))
     sq = _subquotient(f1)
     assert sq.kernel.dim == 1
     assert sq.image.dim == 2
@@ -626,7 +626,7 @@ def test_subquotient_outputs_revalidate(lambda2, rng):
     # laws exhaustively
     from monomod.gallery import f1_map
 
-    f1 = f1_map(lambda2, Fraction(0))
+    f1 = f1_map(module_M1qc(lambda2, Fraction(0)))
     sq = _subquotient(f1)
     for mod in (sq.kernel, sq.image, sq.cokernel):
         validate_module(list(mod.actions), mod.side, mod.algebra)

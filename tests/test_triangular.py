@@ -135,7 +135,7 @@ def test_t2_triple_phi_is_phibar(loop_arrow, trivial_k):
 def test_monic_xc(lambda2):
     T = t2_algebra(lambda2)
     M = module_M1qc(lambda2, Fraction(0))
-    Xc = t2_triple(T, regular_modules(lambda2)[0], M, f1_map(lambda2, Fraction(0)))
+    Xc = t2_triple(T, regular_modules(lambda2)[0], M, f1_map(M))
     mono, wit = is_monic_bimodule(Xc)
     assert not mono
     assert wit == [QQ.of(0), QQ.of(0), QQ.of(1)]  # the class of z spans the kernel
@@ -152,7 +152,7 @@ def test_cached_work_is_freed_by_reference_counting(lambda2):
         M = module_M1qc(lambda2, Fraction(3))
         resolution(M, length=2)
         assert a_dual(M).dual.dim == 3
-        t = t2_triple(T, reg, M, f1_map(lambda2, Fraction(3)))
+        t = t2_triple(T, reg, M, f1_map(M))
         t2_dual_bundle(t)
         refs = [weakref.ref(M), weakref.ref(t)]
         del M, t
@@ -387,7 +387,8 @@ def _xc_and_approximation_triples(lambda2, loop_arrow):
     algebra (not monic, with a 3-dimensional cokernel)."""
     T = t2_algebra(lambda2)
     c = Fraction(3, 2)
-    Xc = t2_triple(T, regular_modules(lambda2)[0], module_M1qc(lambda2, c), f1_map(lambda2, c))
+    M = module_M1qc(lambda2, c)
+    Xc = t2_triple(T, regular_modules(lambda2)[0], M, f1_map(M))
     return [Xc, approximation_triple(loop_arrow["modules"][3])]
 
 
@@ -460,7 +461,8 @@ def test_classify_t2_triple_builds_coker_phi_once_and_no_tensor_product(monkeypa
     monkeypatch.setattr(duality, "_dual_data", dual_data_spy)
     A = lambda_q(QQ, 2)   # fresh, so no report or dual is cached from elsewhere
     c = Fraction(3, 2)
-    Xc = t2_triple(t2_algebra(A), regular_modules(A)[0], module_M1qc(A, c), f1_map(A, c))
+    M = module_M1qc(A, c)
+    Xc = t2_triple(t2_algebra(A), regular_modules(A)[0], M, f1_map(M))
     classify_triple(Xc, bound=4, seed=3)
     assert counts == {"tensor_over": 0, "cokernel": 2}
     assert len(dualized) == 10
@@ -491,7 +493,7 @@ def test_classify_triple_conditions_name_their_modules(lambda2, loop_arrow):
 
 def test_classify_triple_reads_dual_maps_off_the_bundle(monkeypatch, lambda2, loop_arrow):
     # phibar* and beta* come from the cached dual bundle: classify_triple
-    # itself dualizes only phi and pi*
+    # itself dualizes only pi*
     from monomod import triangular
 
     Xc = _xc_and_approximation_triples(lambda2, loop_arrow)[0]
@@ -504,7 +506,7 @@ def test_classify_triple_reads_dual_maps_off_the_bundle(monkeypatch, lambda2, lo
 
     monkeypatch.setattr(triangular, "dual_map", spy)
     triangular.classify_triple(Xc, bound=4, seed=3)
-    assert len(calls) == 2
+    assert calls == [b.pi_star]
     assert b.phibar_star.matrix == dual_map(Xc.phibar()).matrix
     assert b.beta_star.matrix == dual_map(b.beta).matrix
 
