@@ -14,7 +14,7 @@ from .duality import a_dual, canonical_map, classify, dual_map
 from .errors import ValidationError
 from .homology import ext_dims, is_semi_gp
 from .linalg import QQ, Eliminator, Field, Matrix, SpanAccumulator, basis_vector
-from .memo import memo
+from .memo import interned, memo
 from .modules import (
     ModuleMap,
     Verdict,
@@ -48,8 +48,19 @@ def lambda_q(field=QQ, q=Fraction(2)):
     q must be nonzero; a q of finite multiplicative order (over Q: q = 1 or
     q = -1; over F_p: always) is allowed but stamped with a warning flag,
     since the high-degree expectations downstream assume infinite order.
+
+    Built once per process for each (field, field.of(q)), so 2,
+    Fraction(2) and "2" give one algebra, as do two equal fields; the
+    algebra is kept (monomod.memo.interned), checked and stamped, and
+    everything memoized on it (its 2x2 extension, regular modules,
+    radical) is built once with it.
     """
-    q = field.of(q)
+    return _lambda_q(field, field.of(q))
+
+
+@interned
+def _lambda_q(field, q):
+    """Lambda(q) for q = field.of(q), checked and stamped before it is kept."""
     if not q:
         raise ValidationError("lambda_q needs q != 0")
     consts = []
@@ -198,7 +209,13 @@ LSGP_LABELS = ["e1", "e2", "alpha", "beta"]
 
 def lsgp_algebra(field=QQ):
     """Path algebra of (loop beta at 2, arrow alpha: 2 -> 1) modulo beta^2
-    and alpha o beta.  Basis e1, e2, alpha, beta; dim 4; radical dim 2."""
+    and alpha o beta.  Basis e1, e2, alpha, beta; dim 4; radical dim 2.
+    Built once per process for each field (monomod.memo.interned)."""
+    return _lsgp_algebra(field)
+
+
+@interned
+def _lsgp_algebra(field):
     one = field.one
     consts = [
         (0, 0, 0, one),   # e1 e1
@@ -273,12 +290,38 @@ def standard_family(field=QQ, q=Fraction(2), c=Fraction(0)):
 
 
 @memo
-def _dual_iso_fixed_part(A):
-    """M'(1,-q^-1,0), its projection from A, omega2, A(x-y)A and its
-    inclusion into A: the part of dual_iso_chain that c does not change."""
+def _m_prime(A):
+    """M'(1,-q^-1,0) and the matrix of its projection from A: the target
+    of theta, which c does not change."""
     field = A.field
-    Mp, projMp = _generic_quotient(A, field.one, field.neg(field.inv(A.q_value)),
-                                   field.zero, 1, "M'")
+    return _generic_quotient(A, field.one, field.neg(field.inv(A.q_value)),
+                             field.zero, 1, "M'")
+
+
+def dual_iso_theta(M):
+    """The explicit isomorphism for M = M(1,-q,c): theta: M* -> M'(1,-q^-1,0),
+    f |-> a with (x-y)a = f(1~)."""
+    A = M.algebra
+    field = A.field
+    Mp, projMp = _m_prime(A)
+    dd = a_dual(M)
+    solver = Eliminator(A.left_multiplication(lambda_element(A, {"x": 1, "y": -1})))
+    cols = []
+    for f in dd.basis:
+        a = solver.solve(list(f.matrix.column(0)))
+        if a is None:
+            raise ValidationError("f(1~) is not in (x-y)A")
+        cols.append(projMp.apply(a))
+    return ModuleMap(dd.dual, Mp, Matrix.from_columns(field, cols, Mp.dim))
+
+
+@memo
+def dual_iso_omega2(A):
+    """omega2: M'(1,-q^-1,0)* -> A(x-y)A, g |-> g(1~'), the second link of
+    the chain from M(1,-q,c)* to A(x-y)A; returns (omega2, A(x-y)A, its
+    inclusion into A).  It needs g(1~') in A(x-y)A, which fails for q = 1."""
+    field = A.field
+    Mp = _m_prime(A)[0]
     AwA, inclAwA = ideal_A_w_A(A, lambda_element(A, {"x": 1, "y": -1}))
     ddp = a_dual(Mp)
     elw = Eliminator(inclAwA.matrix)
@@ -289,26 +332,7 @@ def _dual_iso_fixed_part(A):
             raise ValidationError("g(1~') is not in A(x-y)A")
         cols.append(s)
     omega2 = ModuleMap(ddp.dual, AwA, Matrix.from_columns(field, cols, AwA.dim))
-    return Mp, projMp, omega2, AwA, inclAwA
-
-
-def dual_iso_chain(M):
-    """The explicit chain for M = M(1,-q,c): theta: M* -> M'(1,-q^-1,0),
-    f |-> a with (x-y)a = f(1~), and omega2: M'* -> A(x-y)A, g |-> g(1~');
-    returns (theta, omega2, A(x-y)A, its inclusion into A)."""
-    A = M.algebra
-    field = A.field
-    Mp, projMp, omega2, AwA, inclAwA = _dual_iso_fixed_part(A)
-    dd = a_dual(M)
-    solver = Eliminator(A.left_multiplication(lambda_element(A, {"x": 1, "y": -1})))
-    cols = []
-    for f in dd.basis:
-        a = solver.solve(list(f.matrix.column(0)))
-        if a is None:
-            raise ValidationError("f(1~) is not in (x-y)A")
-        cols.append(projMp.apply(a))
-    theta = ModuleMap(dd.dual, Mp, Matrix.from_columns(field, cols, Mp.dim))
-    return theta, omega2, AwA, inclAwA
+    return omega2, AwA, inclAwA
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +407,7 @@ def _scenario_dual_iso_family(params):
     for c in p["c_values"]:
         c = field.of(c)
         M = module_M1qc(A, c)
-        theta = dual_iso_chain(M)[0]
+        theta = dual_iso_theta(M)
         v = is_isomorphic(theta.source, theta.target, seed=p["seed"])
         sc.claim_verdict(
             f"dual of M(1,-q,{field.render(c)}) is isomorphic to M'(1,-q^-1,0)",
@@ -462,7 +486,8 @@ def _scenario_x_family(params):
         vd,
         {"verdict": vd.describe()},
     )
-    theta, omega2, AwA, inclAwA = dual_iso_chain(fam["M"])
+    theta = dual_iso_theta(fam["M"])
+    omega2, AwA, inclAwA = dual_iso_omega2(A)
     target_dd = t2_triple(parent, regular_modules(A)[0], AwA, inclAwA)
     vdd2 = is_isomorphic(b.double_dual_triple.flatten(), target_dd.flatten(), seed=seed)
     sc.claim_verdict(
@@ -529,6 +554,16 @@ def _scenario_approximation_pipeline(params):
     return sc
 
 
+@interned
+def _kx2_algebra():
+    """k[x]/(x^2) over Q, built once per process."""
+    pres = AlgebraPresentation(
+        QQ, 2, ["1", "x"], [1, 0],
+        [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)], idempotents=[[1, 0]],
+    )
+    return validate_algebra(pres, label="k[x]/(x^2)")
+
+
 def _scenario_t2_lift_sampled(params):
     """Sampled checks that the approximation construction lifts module
     classes to the 2x2 extension consistently."""
@@ -536,11 +571,7 @@ def _scenario_t2_lift_sampled(params):
                               max_dim=5)
     sc = Scenario("t2-lift-sampled", p)
     if p["algebra"] == "kx2":
-        pres = AlgebraPresentation(
-            QQ, 2, ["1", "x"], [1, 0],
-            [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)], idempotents=[[1, 0]],
-        )
-        A = validate_algebra(pres, label="k[x]/(x^2)")
+        A = _kx2_algebra()
     elif p["algebra"] == "loop-arrow":
         A = lsgp_algebra(QQ)
     else:

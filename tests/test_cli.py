@@ -580,19 +580,63 @@ def test_verify_pinned_invocation_matches_golden_bytes(capsys, monkeypatch):
             assert capsys.readouterr().out.encode("utf-8") == fh.read()
 
 
+_TWICE_IN_ONE_INTERPRETER = """
+import contextlib, io
+from monomod import cli, memo
+
+assert not memo._interned, "the table of kept algebras starts empty"
+for run in (1, 2):
+    for scenario in ("x-family", "dual-iso-family"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["verify", scenario]) == 0
+        with open(f"{scenario}.{run}.json", "w", encoding="utf-8", newline="") as fh:
+            fh.write(out.getvalue())
+print("done")
+"""
+
+
+def test_verify_output_does_not_depend_on_the_kept_algebras(tmp_path):
+    # the in-process golden tests run with Lambda(2) and T2(Lambda(2)) kept
+    # already; a fresh interpreter runs each scenario once with an empty
+    # table and once with everything the first runs kept
+    from monomod import cli
+
+    env = _cli_env()
+    env.pop(cli.ENV_CONFIG, None)
+    r = subprocess.run([sys.executable, "-c", _TWICE_IN_ONE_INTERPRETER],
+                       capture_output=True, text=True, cwd=tmp_path, env=env)
+    assert r.returncode == 0 and r.stdout == "done\n", r.stderr
+    for scenario in ("x-family", "dual-iso-family"):
+        with open(os.path.join(GOLDEN, scenario + ".json"), "rb") as fh:
+            golden = fh.read()
+        for run in (1, 2):
+            assert (tmp_path / f"{scenario}.{run}.json").read_bytes() == golden, (scenario, run)
+
+
 def test_main_leaves_the_callers_dimension_cap(run_cli, tmp_path, monkeypatch):
     # main sets the process-wide cap for its own command only: a library
     # caller in the same interpreter keeps the cap it had, after a clean
-    # run and after an error exit alike
+    # run and after an error exit alike.  The failing call validates a
+    # module over an algebra file this process has not loaded, so no kept
+    # algebra answers it: the action laws need the algebra's generators,
+    # whose closure stacks products of Lambda(2)'s radical into a 12x6
+    # matrix.
     from monomod import cli, config
+    from monomod import io as mio
+    from monomod.algebra import regular_modules
+    from monomod.gallery import lambda_q
 
     monkeypatch.delenv(cli.ENV_CONFIG, raising=False)
+    mio.dump_algebra(lambda_q(), tmp_path / "lambda.json")
+    mio.dump_module(regular_modules(lambda_q())[0], tmp_path / "regular.json", "lambda.json")
     before = config.dimension_cap()
     config.set_dimension_cap(100)
     try:
         assert run_cli(["gallery", "lambda-q"], tmp_path).returncode == 0
         assert config.dimension_cap() == 100
-        assert run_cli(["--cap", "7", "gallery", "lambda-q"], tmp_path).returncode == 3
+        r = run_cli(["--cap", "7", "module", "validate", "regular.json"], tmp_path)
+        assert r.returncode == 3 and "exceeds dimension cap 7" in r.stdout
         assert config.dimension_cap() == 100
     finally:
         config.set_dimension_cap(before)

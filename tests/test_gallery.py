@@ -8,7 +8,8 @@ from monomod.duality import classify
 from monomod.errors import ValidationError
 from monomod.gallery import (
     LAMBDA_LABELS,
-    dual_iso_chain,
+    dual_iso_omega2,
+    dual_iso_theta,
     generic_M,
     generic_M_prime,
     ideal_A_w,
@@ -140,6 +141,15 @@ def test_dual_iso_family_builds_only_modules_over_lambda_q(monkeypatch):
     assert calls == {"lambda_q": 1, "module_M1qc": 3, "build_triangular": 0}
 
 
+@pytest.mark.parametrize("field", ["Q", "F3"])
+def test_dual_iso_family_reports_both_claims_at_q_1(field):
+    # no dual-iso claim reads omega2, which needs g(1~') in A(x-y)A and so
+    # does not exist at q = 1: the scenario still reports both claims per c
+    sc = run_scenario("dual-iso-family", {"q": 1, "field": field})
+    assert [c["anchor"] for c in sc.claims] == ["dual-iso", "dual-iso-chain"] * 3
+    assert [c["status"] for c in sc.claims] == ["pass"] * 6
+
+
 def test_classification_of_M_family(lambda2):
     for c in [0, 1, -1, 2, Fraction(1, 2)]:
         M = module_M1qc(lambda2, Fraction(c))
@@ -169,7 +179,8 @@ def test_lsgp_example_shapes(loop_arrow):
 
 def test_dual_iso_chain_explicit(lambda2):
     fam = standard_family(QQ, 2, Fraction(0))
-    theta, omega2, AwA, _ = dual_iso_chain(fam["M"])
+    theta = dual_iso_theta(fam["M"])
+    omega2, AwA, _ = dual_iso_omega2(lambda2)
     assert theta.is_isomorphism_map()
     assert omega2.is_isomorphism_map()
     assert AwA.dim == 3

@@ -4,14 +4,19 @@ through it, and racing first reads agree."""
 import re
 import sys
 import threading
+import types
 from fractions import Fraction
 from pathlib import Path
 
-from monomod import duality, triangular
-from monomod.algebra import regular_modules
+import pytest
+
+from monomod import algebra, duality, memo as memo_module, triangular
+from monomod.algebra import Algebra, regular_modules
 from monomod.duality import a_dual, canonical_map
-from monomod.gallery import f1_map, module_M1qc
-from monomod.memo import memo, remember
+from monomod.errors import ValidationError
+from monomod.gallery import f1_map, lambda_q, lsgp_algebra, module_M1qc, run_scenario
+from monomod.linalg import GF, QQ
+from monomod.memo import interned, memo, remember
 from monomod.triangular import t2_algebra, t2_triple
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "monomod"
@@ -113,6 +118,131 @@ def test_many_threads_reading_fresh_objects_agree(lambda2):
     assert len(got) == 8
     for column in zip(*got):
         assert all(x is column[0] for x in column)
+
+
+def test_interned_keeps_the_first_stored_value_per_process():
+    calls = []
+
+    @interned
+    def build(k, tag):
+        calls.append(k)
+        return [k, tag]
+
+    assert build(1, "t") is build(1, "t")
+    assert build(2, "t") is not build(1, "t") and build(1, "u") is not build(1, "t")
+    assert calls == [1, 2, 1]
+
+
+def test_racing_first_builds_of_an_algebra_get_one_object(monkeypatch):
+    # both threads wait inside validate_algebra until the other one is there
+    # too, so both miss the table, both build Lambda(q) for a q no other
+    # test uses, and both must get what was stored first; so must a later read
+    from monomod import gallery
+
+    q = Fraction(17, 19)
+    assert all(q not in key[1] for key in memo_module._interned)
+    barrier = threading.Barrier(2, timeout=30)
+    validate = gallery.validate_algebra
+
+    def meeting(*args, **kwargs):
+        barrier.wait()
+        return validate(*args, **kwargs)
+
+    monkeypatch.setattr(gallery, "validate_algebra", meeting)
+    got, errors = [None, None], []
+
+    def read(k):
+        try:
+            got[k] = lambda_q(QQ, q)
+        except Exception as exc:  # reported below
+            errors.append(exc)
+            barrier.abort()
+
+    threads = [threading.Thread(target=read, args=(k,)) for k in range(2)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=60)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
+    assert got[0] is got[1] is lambda_q(QQ, q)
+    assert got[0].q_value == q
+
+
+def test_interned_many_threads_agree():
+    # no barrier: eight threads race through twenty first reads each,
+    # switching as often as the interpreter lets
+    @interned
+    def build(k):
+        return [k]
+
+    got = []
+
+    def read():
+        got.append([build(k) for k in range(20)])
+
+    threads = [threading.Thread(target=read) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert len(got) == 8
+    for column in zip(*got):
+        assert all(x is column[0] for x in column)
+
+
+def test_gallery_algebras_are_built_once_per_process():
+    # every spelling of q and every copy of an equal field find one algebra
+    two = lambda_q(QQ, 2)
+    assert two is lambda_q() is lambda_q(QQ, Fraction(2)) is lambda_q(QQ, "2")
+    assert lambda_q(GF(5), 2) is lambda_q(GF(5), "2") is lambda_q(GF(5), 7)
+    assert lsgp_algebra() is lsgp_algebra(QQ) is lsgp_algebra(field=QQ)
+    assert lsgp_algebra(GF(5)) is lsgp_algebra(GF(5))
+    # a different q or a different field is a different algebra
+    assert lambda_q(QQ, 3) is not two and lambda_q(QQ, -2) is not two
+    assert lambda_q(GF(5), 2) is not two and lambda_q(GF(7), 2) is not lambda_q(GF(5), 2)
+    assert lsgp_algebra(GF(5)) is not lsgp_algebra(QQ)
+    # each is stamped and checked before it is kept
+    assert two.q_value == 2 and not two.q_finite_order_warning
+    assert lambda_q(GF(5), 7).q_value == 2 and lambda_q(GF(5), 7).q_finite_order_warning
+
+
+def test_a_failed_build_is_not_kept():
+    before = dict(memo_module._interned)
+    for _ in range(2):
+        with pytest.raises(ValidationError):
+            lambda_q(QQ, 0)
+        with pytest.raises(ValidationError):
+            lambda_q(GF(5), 5)
+    assert memo_module._interned == before
+
+
+def test_second_x_family_run_builds_no_algebra():
+    # x-family's algebras come from the table: a run with a new c validates
+    # no algebra and closes no generating set, not even of T2(Lambda(q))
+    closure = next(code for code in Algebra.generators.__wrapped__.__code__.co_consts
+                   if isinstance(code, types.CodeType) and code.co_name == "closure")
+    watched = {algebra.validate_algebra.__code__: "validate_algebra", closure: "closure"}
+    calls = {"validate_algebra": 0, "closure": 0}
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in watched:
+            calls[watched[frame.f_code]] += 1
+
+    run_scenario("x-family", {"c": Fraction(1, 3), "bound": 2})
+    sys.setprofile(profile)
+    try:
+        sc = run_scenario("x-family", {"c": Fraction(-5, 3), "bound": 2})
+    finally:
+        sys.setprofile(None)
+    assert not sc.failed
+    assert calls == {"validate_algebra": 0, "closure": 0}
 
 
 def test_no_cache_is_read_or_written_by_hand():

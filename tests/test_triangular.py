@@ -459,9 +459,9 @@ def test_classify_t2_triple_builds_coker_phi_once_and_no_tensor_product(monkeypa
     for original in (modules.tensor_over, modules.cokernel):
         _replace_everywhere(monkeypatch, original, counted(original))
     monkeypatch.setattr(duality, "_dual_data", dual_data_spy)
-    A = lambda_q(QQ, 2)   # fresh, so no report or dual is cached from elsewhere
+    A = lambda_q(QQ, 2)
     c = Fraction(3, 2)
-    M = module_M1qc(A, c)
+    M = module_M1qc(A, c)   # fresh, so no report or dual of it is cached from elsewhere
     Xc = t2_triple(t2_algebra(A), regular_modules(A)[0], M, f1_map(M))
     classify_triple(Xc, bound=4, seed=3)
     assert counts == {"tensor_over": 0, "cokernel": 2}
