@@ -37,6 +37,7 @@ from .homology import (
     ProjResolution,
     ext_dims,
     ext_induced_map,
+    has_minimal_covers,
     is_semi_gp,
     resolve,
     tor_dims,

@@ -254,18 +254,13 @@ class Algebra:
 
     # -- radical ------------------------------------------------------------
 
+    @memo
     def has_radical(self):
         try:
             self.radical_basis()
             return True
         except ValidationError:
             return False
-
-    @memo
-    def has_idempotents_and_radical(self):
-        """Whether minimal projective covers are available: declared
-        idempotents and a computable radical."""
-        return self.idempotents is not None and self.has_radical()
 
     @memo
     def radical_basis(self):

@@ -8,7 +8,7 @@ identification downstream is an explicit matrix in these coordinates.
 
 from .algebra import regular_modules
 from .errors import ValidationError
-from .homology import _minimal_generators, is_semi_gp
+from .homology import _minimal_generators, has_minimal_covers, is_semi_gp
 from .linalg import Matrix, basis_vector, combination
 from .memo import memo
 from .modules import (
@@ -231,7 +231,7 @@ def left_add_approximation(m):
     dd = a_dual(m)
     dual = dd.dual
     field = m.field
-    minimal = algebra.has_idempotents_and_radical()
+    minimal = has_minimal_covers(algebra)
     if dual.dim == 0:
         target = zero_module(algebra, "left")
         return ApproximationData(

@@ -8,8 +8,9 @@ generator to, one per slot of P_{i-1}.  That makes Hom(P, N) = eN and
 u (x) P = ue concrete coordinate spaces, so Ext and Tor complexes never
 solve intertwiner systems: every differential is one slot-block matrix of
 multiplications by stored algebra elements (_slot_block_matrix).  A cover is
-minimal exactly when each of its slots has a one-dimensional top, a fact
-computed once per slot type.
+minimal exactly when each of its slots has a one-dimensional top, decided
+once per algebra (has_minimal_covers); an algebra without them gets free
+covers.
 
 P_i is still a Module (_SlotSum), so resolve() and the kernel inclusions
 can hand it out, but its dimension is all it knows at once: its
@@ -89,6 +90,19 @@ def slot_type(algebra, side, e_index):
     sub, incl = submodule_generated(reg, [e], label=f"P[e{e_index}]")
     gen = Eliminator(incl.matrix).solve(e)
     return SlotType(e_index, sub, incl.matrix, gen)
+
+
+@memo
+def has_minimal_covers(algebra):
+    """Declared idempotents, a computable radical, and a one-dimensional top
+    for every slot Ae: a cover lifting a basis of top(m) then has its kernel
+    in rad(P).  dim top(Ae) = dim top(eA), so the left slots decide both."""
+    return (
+        algebra.idempotents is not None
+        and algebra.has_radical()
+        and all(slot_type(algebra, "left", e).top_dim == 1
+                for e in range(len(algebra.idempotents)))
+    )
 
 
 @memo
@@ -297,20 +311,13 @@ class Resolution:
 def _build_cover_step(m, minimal):
     algebra = m.algebra
     field = m.field
-    if minimal:
+    if has_minimal_covers(algebra):
         gens = _minimal_generators(m)
+        if not minimal:
+            gens = [(None, g) for (_e, g) in gens]
     else:
-        # free covers: slots are copies of the whole algebra; use a
-        # minimal-size generating set when the radical is known
-        try:
-            gens = [(None, g) for (_e, g) in _minimal_generators(m)]
-        except ValidationError:
-            gens = [(None, g) for g in _free_generators(m)]
+        gens = [(None, g) for g in _free_generators(m)]
     slot_types = [slot_type(algebra, m.side, e_idx) for (e_idx, _) in gens]
-    # The cover sends J.P onto J.m and the generators lift a basis of top(m),
-    # so its kernel lies in rad(P) exactly when every slot has a 1-dim top.
-    if minimal and any(st.top_dim != 1 for st in slot_types):
-        raise ValidationError("minimal-unavailable: kernel escapes rad(P)")
     proj = _SlotSum(algebra, m.side, slot_types)
     offsets = []
     off = 0
@@ -327,7 +334,7 @@ def _build_cover_step(m, minimal):
 
 
 def _free_generators(m):
-    """Vectors generating m, for free covers when the radical is unknown.
+    """Vectors generating m, for free covers without has_minimal_covers.
 
     The candidates are the columns of the idempotent actions (the basis
     vectors when there are no idempotents).  They are tried in order of the
@@ -366,12 +373,11 @@ def _free_generators(m):
 
 
 def _minimal_generators(m):
-    """(idempotent index, generator vector) pairs lifting a basis of top(m)."""
+    """(idempotent index, generator vector) pairs lifting a basis of top(m),
+    under has_minimal_covers."""
     algebra = m.algebra
-    if algebra.idempotents is None:
-        raise ValidationError("minimal-unavailable: algebra has no idempotents")
     field = m.field
-    rad_image = radical_image(m)  # raises when the radical is unavailable
+    rad_image = radical_image(m)
     if m.dim == 0:
         return []
     top_dim = m.dim - rad_image.dim
@@ -383,10 +389,6 @@ def _minimal_generators(m):
         )
         for j in projected.pivot_columns():
             gens.append((e_idx, E.column(j)))
-    if len(gens) != top_dim:
-        raise ValidationError(
-            "minimal-unavailable: idempotent parts do not exhaust the top"
-        )
     return gens
 
 
@@ -456,10 +458,13 @@ def _elem_grid(matrix, src, tgt):
 
 
 def resolution(m, minimal=None, length=0):
-    """Cached internal resolution, extended to `length` steps.  By default
-    it uses minimal covers whenever the algebra supports them."""
+    """Cached internal resolution, extended to `length` steps, minimal by
+    default exactly when has_minimal_covers holds."""
+    covers = has_minimal_covers(m.algebra)
     if minimal is None:
-        minimal = m.algebra.has_idempotents_and_radical()
+        minimal = covers
+    elif minimal and not covers:
+        raise ValidationError("minimal-unavailable: the algebra has no minimal projective covers")
     return _resolution(m, bool(minimal)).extend_to(length, m)
 
 
@@ -502,10 +507,6 @@ class ProjResolution:
                     raise ValidationError("minimal resolution image escapes the radical")
         return True
 
-    def syzygy(self, i):
-        res = resolution(self.target, self.minimal, i - 1)
-        return res.syzygy(i)
-
 
 def _image_in_radical(d):
     """Every column of d lies in J.P, P = d.target = (+) slots.  J.P is the
@@ -524,11 +525,11 @@ def _image_in_radical(d):
     return True
 
 
-def resolve(m, n, minimal=True):
+def resolve(m, n, minimal=None):
     """A projective resolution P_0..P_n of m.
 
-    minimal=True needs idempotents + a computable radical; otherwise use
-    minimal=False for generator-spanned free covers.
+    Minimal by default exactly when has_minimal_covers holds, free
+    otherwise; minimal=True without minimal covers raises ValidationError.
     """
     if n < 0:
         raise ValueError("resolution length must be >= 0")
@@ -539,7 +540,7 @@ def resolve(m, n, minimal=True):
         for i in range(1, n + 1)
     ]
     aug = ModuleMap(res.proj(0), m, res.steps[0].d_matrix, check=False)
-    return ProjResolution(m, terms, diffs, aug, minimal)
+    return ProjResolution(m, terms, diffs, aug, res.minimal)
 
 
 # ---------------------------------------------------------------------------

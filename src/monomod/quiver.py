@@ -210,13 +210,9 @@ def build_tensor(A, quiver):
     idems = [_outer(field, ea, eb) for ea in idemA for eb in B.idempotents]
     # J(A (x) B) = J_A (x) B + A (x) J_B (separable semisimple quotients)
     rad = []
-    try:
-        radA = A.radical_basis()
-    except ValidationError:
-        radA = None
-    if radA is not None:
+    if A.has_radical():
         e_paths = [basis_vector(field, nP, j) for j in range(nP)]
-        rad = [_outer(field, rv, e) for rv in radA for e in e_paths]
+        rad = [_outer(field, rv, e) for rv in A.radical_basis() for e in e_paths]
         rad += [
             _outer(field, basis_vector(field, nA, i), e_paths[j])
             for i in range(nA)
@@ -455,7 +451,6 @@ def monic_check(x, mode="combinatorial", bound=6):
         rep = module_to_rep(_tensor_parent(x), x)
     parent = rep.parent
     if mode == "combinatorial":
-        verdict = None
         for (S, res, length), v in zip(
             _right_simple_resolutions(parent.B), parent.quiver.vertices
         ):

@@ -112,13 +112,12 @@ def build_triangular(A, B, bimodule, label=""):
     )
     # rad(Lambda) = rad(A) (+) M (+) rad(B); declared (and re-verified) so
     # that small-characteristic ground fields keep minimal covers
-    try:
+    rad = None
+    if A.has_radical() and B.has_radical():
         rad = ([_flat_vector(field, parts, {"A": v}) for v in A.radical_basis()]
                + [_flat_vector(field, parts, {"M": basis_vector(field, nM, j)})
                   for j in range(nM)]
                + [_flat_vector(field, parts, {"B": v}) for v in B.radical_basis()])
-    except ValidationError:
-        rad = None
     pres = AlgebraPresentation(field, parts["B"].stop, labels, unit, consts,
                                idempotents=idems, radical_basis=rad)
     flat = validate_algebra(pres, label=label or f"tri({A.label},{B.label})")
@@ -325,13 +324,13 @@ def right_triple_to_module(t):
 
 class T2DualBundle:
     """All the 2x2 dual/double-dual data of one left T2-module, with the
-    explicit identifications h (dual), h2 (dual of the dual triple) and
-    tilde_h (double dual) to the generic Hom-space realizations."""
+    explicit identifications h (dual) and tilde_h (double dual) to the
+    generic Hom-space realizations."""
 
     __slots__ = (
         "pi", "pi_star", "p", "phibar_star", "beta", "beta_star",
         "dual_triple", "double_dual_triple",
-        "h", "h2", "tilde_h", "phi_components", "coker",
+        "h", "tilde_h", "coker",
     )
 
     def __init__(self, **kw):
@@ -432,7 +431,7 @@ def t2_dual_bundle(t):
     return T2DualBundle(
         pi=pi, pi_star=pi_star, p=p, phibar_star=phis, beta=beta, beta_star=beta_star,
         dual_triple=dual_triple, double_dual_triple=ddt,
-        h=h, h2=h2, tilde_h=tilde_h, phi_components=phi_components, coker=coker,
+        h=h, tilde_h=tilde_h, coker=coker,
     )
 
 

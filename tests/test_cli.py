@@ -350,15 +350,16 @@ def test_algebra_cache_follows_file_bytes(tmp_path):
 def test_dump_algebra_keeps_a_declared_radical(tmp_path):
     import monomod.io as mio
     from monomod.gallery import lambda_q
+    from monomod.homology import has_minimal_covers
     from monomod.linalg import GF
     from monomod.quiver import Quiver, build_tensor
 
     T = build_tensor(lambda_q(GF(5), 2), Quiver([1, 2], [("g", 2, 1)])).flat
-    assert T.has_idempotents_and_radical()
+    assert has_minimal_covers(T)
     path = tmp_path / "tensor.json"
     mio.dump_algebra(T, path)
     loaded = mio.load_algebra(str(path))
-    assert loaded.has_idempotents_and_radical()
+    assert has_minimal_covers(loaded)
     assert loaded.radical_basis() == T.radical_basis()
     assert loaded.idempotents == T.idempotents
 

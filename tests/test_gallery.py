@@ -150,6 +150,21 @@ def test_dual_iso_family_reports_both_claims_at_q_1(field):
     assert [c["status"] for c in sc.claims] == ["pass"] * 6
 
 
+def test_x_family_reports_every_claim_at_q_1(capsys):
+    # omega2 does not exist at q = 1, so only the claim that reads it is
+    # undecided; the others fail or pass at this finite-order q
+    from monomod import cli
+
+    assert cli.main(["verify", "x-family", "--q=1"]) == 1
+    claims = json.loads(capsys.readouterr().out)["claims"]
+    assert len(claims) == 11
+    status = {c["anchor"]: c["status"] for c in claims}
+    assert status["finite-order-warning"] == "unknown"
+    mult = claims[-2]
+    assert mult["anchor"] == "x-family/canonical-map-as-multiplication"
+    assert (mult["status"], mult["data"]) == ("unknown", {"reason": "g(1~') is not in A(x-y)A"})
+
+
 def test_classification_of_M_family(lambda2):
     for c in [0, 1, -1, 2, Fraction(1, 2)]:
         M = module_M1qc(lambda2, Fraction(c))
@@ -180,10 +195,10 @@ def test_lsgp_example_shapes(loop_arrow):
 def test_dual_iso_chain_explicit(lambda2):
     fam = standard_family(QQ, 2, Fraction(0))
     theta = dual_iso_theta(fam["M"])
-    omega2, AwA, _ = dual_iso_omega2(lambda2)
+    omega2 = dual_iso_omega2(lambda2)
     assert theta.is_isomorphism_map()
     assert omega2.is_isomorphism_map()
-    assert AwA.dim == 3
+    assert omega2.target.dim == 3
 
 
 def test_scenarios_pass():

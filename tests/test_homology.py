@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 
 from monomod.algebra import AlgebraPresentation, regular_modules, validate_algebra
+from monomod import config, homology
+from monomod.duality import classify
 from monomod.errors import ValidationError
 from monomod.gallery import ideal_A_w_A, lambda_element, lambda_q, module_M1qc
 from monomod.homology import (
@@ -17,6 +19,7 @@ from monomod.homology import (
     ext_comparison_table,
     ext_dims,
     ext_induced_map,
+    has_minimal_covers,
     hom_space_via_presentation,
     is_semi_gp,
     lift_chain_map,
@@ -241,7 +244,7 @@ def test_chain_lift_through_free_slots():
     A = validate_algebra(AlgebraPresentation(
         QQ, 2, ["1", "x"], [1, 0], [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)],
     ))
-    assert not A.has_idempotents_and_radical()
+    assert not has_minimal_covers(A)
     S = validate_module([Matrix.from_rows(QQ, [[1]]), Matrix.from_rows(QQ, [[0]])], "left", A)
     f = hom_space(regular_modules(A)[0], S)[0]
     lifts, res_s, res_t = lift_chain_map(f, 2)
@@ -268,9 +271,92 @@ def test_minimality_needs_one_dimensional_slot_tops():
         [Matrix.from_rows(QQ, [[1]]), Matrix.from_rows(QQ, [[0]])], "left", A
     )
     for m in (S1, regular_modules(A)[0]):
-        with pytest.raises(ValidationError, match="minimal-unavailable: kernel escapes rad"):
+        with pytest.raises(ValidationError, match="minimal-unavailable: the algebra has no minimal"):
             resolve(m, 2, minimal=True)
     assert resolve(S1, 2, minimal=False).check_certificates()
+
+
+def _algebras_without_minimal_covers():
+    """M2(Q) with e11, e22, where the slot A.e11 (a column) has a
+    2-dimensional top although e11.A.e11 = k, and k x k with the single
+    idempotent 1, whose slot A has a 2-dimensional top; each with a simple
+    module."""
+    units = [(1, 1), (1, 2), (2, 1), (2, 2)]
+    consts = [(a, b, units.index((i, l)), 1)
+              for a, (i, j) in enumerate(units) for b, (k, l) in enumerate(units) if j == k]
+    M2 = validate_algebra(AlgebraPresentation(
+        QQ, 4, ["e11", "e12", "e21", "e22"], [1, 0, 0, 1], consts,
+        idempotents=[[1, 0, 0, 0], [0, 0, 0, 1]],
+    ), label="M2(Q)")
+    column = validate_module(
+        [Matrix.from_rows(QQ, [[int((r, c) == (i, j)) for c in (1, 2)] for r in (1, 2)])
+         for (i, j) in units], "left", M2)
+    kk = validate_algebra(AlgebraPresentation(
+        QQ, 2, ["e1", "e2"], [1, 1], [(0, 0, 0, 1), (1, 1, 1, 1)], idempotents=[[1, 1]],
+    ), label="k x k")
+    S1 = validate_module([Matrix.from_rows(QQ, [[1]]), Matrix.from_rows(QQ, [[0]])], "left", kk)
+    return [(M2, column), (kk, S1)]
+
+
+def test_algebras_without_minimal_covers_get_free_covers():
+    # semisimple, so every Ext^i and Tor_i with i >= 1 vanishes; the free
+    # covers give no syzygy period, so no semi-GP verdict is certified
+    for A, S in _algebras_without_minimal_covers():
+        assert A.has_radical() and A.idempotents is not None
+        assert not has_minimal_covers(A)
+        reg, regr = regular_modules(A)
+        for m in (S, reg):
+            r = resolve(m, 2)
+            assert r.minimal is False and r.check_certificates()
+            assert all(st.e_index is None for st in r.terms[0].slot_types)
+            assert ext_dims(m, reg, 2).dims == [len(hom_space(m, reg)), 0, 0]
+            assert tor_dims(regr, m, 2) == [m.dim, 0, 0]
+            assert is_semi_gp(m, 2).status == Verdict.UNKNOWN
+            rep = classify(m, bound=2)
+            assert rep.torsionless and rep.semi_gp.status == Verdict.UNKNOWN
+
+
+def test_explicit_minimal_raises_before_any_cover_is_built(monkeypatch):
+    built = []
+    build = homology._build_cover_step
+    monkeypatch.setattr(homology, "_build_cover_step",
+                        lambda m, minimal: built.append(m) or build(m, minimal))
+    simples = [S for _A, S in _algebras_without_minimal_covers()]
+    for S in simples:
+        with pytest.raises(ValidationError, match="minimal-unavailable"):
+            resolve(S, 2, minimal=True)
+    assert built == []
+    # S is cyclic, so its free cover is one copy of the algebra
+    assert [resolve(S, 2).terms[0].dim for S in simples] == [4, 2]
+    assert built
+
+
+def test_gallery_and_benchmark_algebras_have_minimal_covers():
+    from monomod.gallery import _kx2_algebra, lsgp_algebra
+
+    kx2_f5 = validate_algebra(AlgebraPresentation(
+        GF(5), 2, ["1", "x"], [1, 0], [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)],
+        idempotents=[[1, 0]],
+    ))
+    k_f5 = validate_algebra(AlgebraPresentation(GF(5), 1, ["1"], [1], [(0, 0, 0, 1)],
+                                                idempotents=[[1]]))
+    bases = [lambda_q(QQ, 2), lambda_q(QQ, 3), lambda_q(GF(3), 2), lambda_q(GF(5), 2),
+             lsgp_algebra(QQ), _kx2_algebra()]
+    algebras = bases + [t2_algebra(A).flat for A in bases]
+    quivers = [Quiver([1, 2], [("g", 2, 1)]),
+               Quiver([1, 2, 3], [("g1", 2, 1), ("g2", 3, 2)]),
+               Quiver([1, 2, 3], [("a", 3, 2), ("b", 2, 1)], relations=[("a", "b")])]
+    algebras += [build_tensor(A, Q).flat
+                 for A in (kx2_f5, lambda_q(GF(5), 2)) for Q in quivers]
+    algebras.append(build_tensor(k_f5, quivers[2]).flat)
+    # checking the declared radical of Lambda(2) (x) kA3 (dim 36) builds a
+    # 1089 x 36 matrix, over the default cap: the benchmark's known cap fault
+    before = config.dimension_cap()
+    config.set_dimension_cap(2048)
+    try:
+        assert all(has_minimal_covers(A) for A in algebras)
+    finally:
+        config.set_dimension_cap(before)
 
 
 def test_ext_matches_tor_against_dual(loop_arrow):
@@ -297,7 +383,7 @@ def test_resolution_uses_minimal_covers_exactly_when_available():
             field, 2, ["1", "x"], [1, 0], [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)],
             idempotents=idempotents,
         ))
-        assert A.has_idempotents_and_radical() is minimal
+        assert has_minimal_covers(A) is minimal
         S = validate_module(
             [Matrix.from_rows(field, [[1]]), Matrix.from_rows(field, [[0]])], "left", A
         )
@@ -636,7 +722,7 @@ def test_resolutions_build_only_the_kernels_something_reads(monkeypatch, lambda2
 def test_every_step_is_built_inside_extend_to(monkeypatch, lambda2):
     # step 0 is built like every later step, while Resolution.extend_to
     # runs, so a timer around extend_to sees every cover
-    from monomod import homology
+    from monomod import config, homology
 
     build = homology._build_cover_step
     extend_code = homology.Resolution.extend_to.__code__

@@ -9,7 +9,7 @@ coordinate order that round trips consistently still fails here.
 import random
 
 from monomod.algebra import AlgebraPresentation, regular_modules, validate_algebra
-from monomod.homology import resolution, resolve
+from monomod.homology import has_minimal_covers, resolution, resolve
 from monomod.linalg import GF, QQ, Matrix, basis_vector
 from monomod.modules import (
     ModuleMap,
@@ -252,7 +252,7 @@ def test_builds_without_a_radical_fall_back_to_free_covers():
     assert [B.dim for B in flats] == [6, 6]
     for B in flats:
         assert B._declared_radical is None
-        assert not B.has_idempotents_and_radical()
+        assert not has_minimal_covers(B)
         # the free cover of B, itself free of rank 1, is one copy of B:
         # the picks in the idempotent parts sum to a generator
         res = resolution(regular_modules(B)[0], length=3)
