@@ -176,13 +176,9 @@ class Algebra:
 
     def _product_matrix(self, column_terms):
         """The matrix whose column j has the entries column_terms(j), a
-        sparse tuple of (k, coeff)."""
-        z = self.field.zero
-        rows = [[z] * self.dim for _ in range(self.dim)]
-        for j in range(self.dim):
-            for k, c in column_terms(j):
-                rows[k][j] = c
-        return Matrix(self.field, rows, self.dim)
+        sparse tuple of (k, coeff) with canonical nonzero coefficients."""
+        return Matrix.from_columns(self.field, [dict(column_terms(j)) for j in range(self.dim)],
+                                   self.dim)
 
     def left_multiplication(self, vec):
         """L_v for a coefficient vector v."""
@@ -477,10 +473,7 @@ def radical_and_socle(A):
     vectors v with J v = 0."""
     rad = A.radical_basis()
     m = regular_modules(A)[0]
-    rows = (
-        {j: x for j, x in enumerate(row) if x}
-        for jv in rad for row in m.action_of_vector(jv).rows
-    )
+    rows = (row for jv in rad for row in m.action_of_vector(jv).sparse_rows)
     socle_cols = sparse_kernel(A.field, m.dim, rows).columns()
     return {
         "radical_basis": [tuple(v) for v in rad],

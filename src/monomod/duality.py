@@ -50,9 +50,9 @@ class DualData:
         coefficient on basis[i] is the entry at its pivot; the expansion is
         then verified exactly."""
         dm = self.module.dim
-        coords = []
-        for p in self._pivots:
-            coords.append(matrix.rows[p // dm][p % dm])
+        rows = matrix.sparse_rows
+        z = matrix.field.zero
+        coords = [rows[p // dm].get(p % dm, z) for p in self._pivots]
         if self.map_from_coords(coords) != matrix:
             raise ValidationError("matrix is not in the stored Hom space")
         return coords
@@ -83,7 +83,7 @@ def _dual_data(m):
     basis = hom_space(m, regular_modules(algebra)[0 if m.side == "left" else 1])
     # the RREF basis is read off at the first nonzero of each row-major vec
     pivots = [
-        next(j for j, x in enumerate(x for row in f.matrix.rows for x in row) if x)
+        next(r * m.dim + min(row) for r, row in enumerate(f.matrix.sparse_rows) if row)
         for f in basis
     ]
     dual_side = "right" if m.side == "left" else "left"

@@ -31,10 +31,11 @@ against K times that action, which holds exactly when K is invariant.
 """
 
 import threading
+from itertools import accumulate, compress
 
 from .algebra import regular_modules
 from .errors import ValidationError
-from .linalg import Eliminator, Matrix, SpanAccumulator
+from .linalg import Eliminator, Matrix, SpanAccumulator, row_combination
 from .memo import memo
 from .modules import (
     Module,
@@ -131,33 +132,33 @@ def _slot_block_matrix(n, src_slots, tgt_slots, lam):
     """Matrix of (+)_s e_s N -> (+)_t e_t N whose block from source slot s to
     target slot t is v -> lam(s, t) . v.  Columns run over (source slot, basis
     vector of its e-part), rows over the e-coordinates of each target slot."""
-    field = n.field
+    tgt_offsets = [0, *accumulate(_e_dim(n, tt) for tt in tgt_slots)]
     cols = []
     for s, st in enumerate(src_slots):
         basis, _ = _e_part_of_module(n, st.e_index)
         vecs = [list(basis.column(b)) for b in range(basis.ncols)]
-        outs = [[] for _ in vecs]
+        outs = [{} for _ in vecs]
         for t, tt in enumerate(tgt_slots):
             elem = lam(s, t)
             if any(elem):
                 act = n.action_of_vector(elem)
+                off = tgt_offsets[t]
                 for out, v in zip(outs, vecs):
-                    out.extend(_e_coords(n, tt.e_index, act.apply(v)))
-            else:
-                zeros = [field.zero] * _e_dim(n, tt)
-                for out in outs:
-                    out.extend(zeros)
+                    coords = _e_coords(n, tt.e_index, act.apply(v))
+                    for k in compress(range(len(coords)), coords):
+                        out[off + k] = coords[k]
         cols.extend(outs)
-    return Matrix.from_columns(field, cols, sum(_e_dim(n, tt) for tt in tgt_slots))
+    return Matrix.from_columns(n.field, cols, tgt_offsets[-1])
 
 
 def _slot_image_columns(field, images, st):
     """Columns a_l . p over the basis a_l of slot st, given images[i] = b_i . p
     for the algebra basis b_i: the images of the slot basis under the map
-    from the slot sending its generator to p.  They are the rows of B^T R,
-    where B holds the a_l as columns and R has the rows images."""
+    from the slot sending its generator to p, as {row: value} maps.  They
+    are the rows of B^T R, where B holds the a_l as columns and R has the
+    rows images."""
     applied = Matrix(field, images, len(images[0]))
-    return (st.basis_in_A.transpose() * applied).rows
+    return (st.basis_in_A.transpose() * applied).sparse_rows
 
 
 def _homology_dim(dims, maps, i):
@@ -360,7 +361,7 @@ def _free_generators(m):
     for _neg_dim, k, v, span in candidates:
         if not generated.contains(v):
             picks[k].append(v)
-            for row in span.rows:
+            for row in span.sparse_rows:
                 generated.add(row)
     gens = []
     for t in range(max(map(len, picks))):
@@ -385,7 +386,7 @@ def _minimal_generators(m):
     for e_idx, e in enumerate(algebra.idempotents):
         E = m.action_of_vector(list(e))
         projected = Matrix.from_columns(
-            field, [rad_image.project(E.column(j)) for j in range(m.dim)], top_dim
+            field, [rad_image.project(c) for c in E.sparse_columns()], top_dim
         )
         for j in projected.pivot_columns():
             gens.append((e_idx, E.column(j)))
@@ -403,41 +404,22 @@ def _kernel_module(step):
     K: no P_i-sized product and no solve."""
     d = step.d_matrix
     field = d.field
-    z = field.zero
+    canon = field.canon
     K = d.kernel_matrix()
     k = K.ncols
     pivots = d.pivot_columns()
     pivset = set(pivots)
     free = [j for j in range(d.ncols) if j not in pivset]
-    k_rows = K.rows
-    k_supports = [[c for c, x in enumerate(row) if x] for row in k_rows]
+    k_rows = K.sparse_rows
     acts = []
     for i in range(step.proj.algebra.dim):
         aK = []  # the rows of a_i.K
         for st, off in zip(step.slot_types, step.offsets):
-            for arow in st.module.actions[i].rows:
-                acc = [z] * k
-                for l, a in enumerate(arow):
-                    if a:
-                        krow, support = k_rows[off + l], k_supports[off + l]
-                        for c in support:
-                            acc[c] += a * krow[c]
-                        field.reduce(acc, support)
-                aK.append(tuple(acc))
+            for arow in st.module.actions[i].sparse_rows:
+                aK.append(row_combination(canon, arow, k_rows, off) if arow else arow)
         X = tuple(aK[f] for f in free)
-        x_supports = [None] * k  # nonzero positions of each row of X, on first use
         for pc in pivots:
-            acc = [z] * k
-            krow = k_rows[pc]
-            for c in k_supports[pc]:
-                x, xrow = krow[c], X[c]
-                support = x_supports[c]
-                if support is None:
-                    support = x_supports[c] = [j for j, y in enumerate(xrow) if y]
-                for j in support:
-                    acc[j] += x * xrow[j]
-                field.reduce(acc, support)
-            if tuple(acc) != aK[pc]:
+            if row_combination(canon, k_rows[pc], X) != aK[pc]:
                 raise ValidationError("subspace is not action-invariant", witness=i)
         acts.append(Matrix._trusted(field, X, k))
     sub = Module(step.proj.algebra, step.proj.side, k, acts)

@@ -55,12 +55,8 @@ def _entries_to_matrix(field, entries, nrows, ncols):
 
 
 def matrix_to_entries(m):
-    return [
-        [r, c, m.field.render(m.rows[r][c])]
-        for r in range(m.nrows)
-        for c in range(m.ncols)
-        if m.rows[r][c]
-    ]
+    render = m.field.render
+    return [[r, c, render(x)] for r, c, x in m.entries()]
 
 
 _algebra_cache = {}

@@ -6,16 +6,25 @@ over Q an integral entry is a Python int and any other entry a
 `fractions.Fraction` with denominator greater than 1; F_p entries are ints
 in [0, p).
 
+The matrices downstream are almost all zeros, so there is one sparse row
+type: a row is a {column: value} map of its nonzero entries, the form that
+`Matrix` stores and that `SpanAccumulator` keeps its echelon rows in.  A
+stored zero never survives and every entry is canonical, so equal matrices
+have equal rows, and every kernel visits only nonzeros.  The dense view
+(`Matrix.rows`) is built only for printing, files and tests.
+
 The two fields differ only in their scalars, so every matrix kernel is
-written once, for both: the product (`Matrix.__mul__`), the matrix-vector
-product (`Matrix.apply`), the linear combination sum c_i M_i of stored
-matrices (`combination`, which is how an algebra element acts, how a Hom
-space's coordinates become a map, and how path maps are summed), and the
-eliminations below.  The product, `apply` and the eliminations add and
-multiply raw entries with Python's operators and then call the field's
-`reduce` hook on the positions they wrote, which over Q turns an integral
-Fraction back into an int and over F_p takes residues mod p; `combination`
-goes through the field's `add` and `mul`, which return the same forms.
+written once, for both: the product (`Matrix.__mul__`, one `row_combination`
+of the rows of the right factor per row of the left), the matrix-vector
+product (`Matrix.apply`, through the cached columns at the vector's
+nonzeros), the linear combination sum c_i M_i of stored matrices
+(`combination`, which is how an algebra element acts, how a Hom space's
+coordinates become a map, and how path maps are summed), and the
+eliminations below.  They add and multiply raw entries with Python's
+operators; the field's `canon` then drops the sums that cancel and brings
+the others to canonical form (over Q an integral Fraction becomes an int,
+over F_p a residue mod p), and its `reduce` does the same in place for the
+dense vectors of `apply` and the echelon rows.
 
 There is one elimination.  `SpanAccumulator` takes vectors one at a time
 and keeps a sparse reduced echelon basis of their span.  A matrix's rref,
@@ -26,6 +35,7 @@ the solutions of `Eliminator` (a matrix's columns fed in tagged by position;
 """
 
 from fractions import Fraction
+from itertools import compress
 
 from .config import dimension_cap
 from .errors import DimensionCapExceeded, DimensionMismatch, InconsistentSystem
@@ -72,12 +82,14 @@ class Field:
     elements are ints in [0, p).  Both fields share the constants `zero`
     (0) and `one` (1).  A subclass supplies the scalar operations (`of`,
     `add`, `sub`, `mul`, `neg`, `inv`, `render`, `spec_string`),
-    `random_element(rng)` for randomized searches, and `reduce(row,
+    `random_element(rng)` for randomized searches, `reduce(row,
     positions)`, which brings sums of products of elements at those
-    positions of a list back to canonical elements in place.  `of` is the
-    one exception to the canonical form: over Q it returns a Fraction, so a
-    value a caller reads back (a parameter such as `Lambda(q).q_value`)
-    divides exactly with `/`.
+    positions of a list or map back to canonical elements in place, and
+    `canon(items)`, the {position: element} map of the (position, sum of
+    products) pairs whose canonical element is not zero: the row form of
+    `Matrix`.  `of` is the one exception to the canonical form: over Q it
+    returns a Fraction, so a value a caller reads back (a parameter such as
+    `Lambda(q).q_value`) divides exactly with `/`.
 
     `kind` ('Q' or 'Fp'), `p` (None over Q), `characteristic` and
     `elements` (None over Q, range(p) over F_p) are plain data.
@@ -155,6 +167,10 @@ class Rationals(Field):
             if type(x) is Fraction and x.denominator == 1:
                 row[j] = x.numerator
 
+    def canon(self, items):
+        return {j: x.numerator if type(x) is Fraction and x.denominator == 1 else x
+                for j, x in items if x}
+
     def render(self, a):
         return str(a.numerator) if a.denominator == 1 else f"{a.numerator}/{a.denominator}"
 
@@ -212,6 +228,10 @@ class PrimeField(Field):
         for j in positions:
             row[j] %= p
 
+    def canon(self, items):
+        p = self.p
+        return {j: y for j, x in items if (y := x % p)}
+
     def render(self, a):
         return str(a)
 
@@ -245,6 +265,14 @@ def _offsets(dims):
     return out
 
 
+def _dense(row, n, zero):
+    """The {position: value} map row as a tuple of length n."""
+    v = [zero] * n
+    for j, x in row.items():
+        v[j] = x
+    return tuple(v)
+
+
 def _check_cap(rows, cols):
     cap = dimension_cap()
     if rows > cap or cols > cap:
@@ -252,13 +280,27 @@ def _check_cap(rows, cols):
 
 
 class Matrix:
-    """Immutable dense matrix over a Field.  Rows are tuples of raw elements."""
+    """Immutable sparse matrix over a Field.
 
-    __slots__ = ("field", "nrows", "ncols", "rows", "_span_cache")
+    Row i is the map `sparse_rows[i]` from the columns of its nonzero
+    entries to those entries, each canonical (see Field): no zero is stored,
+    so two matrices are equal exactly when their rows are equal maps, and no
+    kernel below reads a zero.  The maps are never changed once a matrix
+    holds them, so matrices share them freely (a product's row can be a row
+    of a factor, a transpose's rows are the cached columns).  Column j as a
+    {row: value} map is `sparse_columns()[j]`, built on first read and kept.
+    `rows` is the dense view, a tuple of row tuples built when it is first
+    read; only printing, files, tests and the benchmark's checks read it.
+    """
+
+    __slots__ = ("field", "nrows", "ncols", "sparse_rows", "_cols", "_dense", "_span_cache")
 
     def __init__(self, field, rows, ncols=None):
+        """The matrix of dense rows of field elements, sequences of length
+        ncols; an integral Fraction is stored as its int, and over F_p an
+        int as its residue."""
         self.field = field
-        rows = [tuple(r) for r in rows]
+        rows = list(rows)
         self.nrows = len(rows)
         if ncols is None:
             if not rows:
@@ -269,20 +311,21 @@ class Matrix:
             if len(r) != ncols:
                 raise DimensionMismatch("ragged rows")
         _check_cap(self.nrows, self.ncols)
-        self.rows = tuple(rows)
-        self._span_cache = None
+        canon = field.canon
+        self.sparse_rows = tuple(canon(enumerate(r)) for r in rows)
+        self._cols = self._dense = self._span_cache = None
 
     @classmethod
     def _trusted(cls, field, rows, ncols):
-        """A matrix on a tuple of row tuples of length ncols that a kernel
-        has just built, with a shape bounded by checked inputs: no copy and
-        no checks."""
+        """A matrix on a tuple of canonical {column: value} rows that a
+        kernel has just built, with a shape bounded by checked inputs: no
+        copy and no checks."""
         self = object.__new__(cls)
         self.field = field
         self.nrows = len(rows)
         self.ncols = ncols
-        self.rows = rows
-        self._span_cache = None
+        self.sparse_rows = rows
+        self._cols = self._dense = self._span_cache = None
         return self
 
     # -- constructors -------------------------------------------------
@@ -290,35 +333,58 @@ class Matrix:
     @classmethod
     def from_rows(cls, field, rows, ncols=None):
         """The matrix of rows of ints, Fractions or strings, read through
-        `field.of` and brought to canonical elements."""
-        conv, reduce = field.of, field.reduce
-        out = []
-        for r in rows:
-            row = [conv(x) for x in r]
-            reduce(row, range(len(row)))
-            out.append(row)
-        return cls(field, out, ncols)
+        `field.of`."""
+        conv = field.of
+        return cls(field, [[conv(x) for x in r] for r in rows], ncols)
 
     @classmethod
     def zero(cls, field, nrows, ncols):
-        z = field.zero
-        return cls(field, [(z,) * ncols for _ in range(nrows)], ncols)
+        _check_cap(nrows, ncols)
+        return cls._trusted(field, ({},) * nrows, ncols)
 
     @classmethod
     def identity(cls, field, n):
-        z, o = field.zero, field.one
-        return cls(field, [tuple(o if i == j else z for j in range(n)) for i in range(n)], n)
+        _check_cap(n, n)
+        o = field.one
+        return cls._trusted(field, tuple({i: o} for i in range(n)), n)
 
     @classmethod
     def from_columns(cls, field, cols, nrows):
-        for c in cols:
-            if len(c) != nrows:
-                raise DimensionMismatch("column length mismatch")
+        """The matrix whose columns are cols: dense sequences of length
+        nrows, read as the constructor reads rows, or {row: value} maps of
+        canonical nonzero entries (a kernel's output), taken as they are."""
         _check_cap(nrows, len(cols))
-        rows = tuple(zip(*cols)) if cols else ((),) * nrows
-        return cls._trusted(field, rows, len(cols))
+        rows = [{} for _ in range(nrows)]
+        for j, c in enumerate(cols):
+            if not isinstance(c, dict):
+                if len(c) != nrows:
+                    raise DimensionMismatch("column length mismatch")
+                c = field.canon(enumerate(c))
+            for i, x in c.items():
+                rows[i][j] = x
+        return cls._trusted(field, tuple(rows), len(cols))
 
     # -- basic structure ----------------------------------------------
+
+    @property
+    def rows(self):
+        """The dense rows, as tuples of field elements."""
+        dense = self._dense
+        if dense is None:
+            z, n = self.field.zero, self.ncols
+            dense = self._dense = tuple(_dense(r, n, z) for r in self.sparse_rows)
+        return dense
+
+    def sparse_columns(self):
+        """The columns as {row: value} maps, built once."""
+        cols = self._cols
+        if cols is None:
+            cols = [{} for _ in range(self.ncols)]
+            for i, r in enumerate(self.sparse_rows):
+                for j, x in r.items():
+                    cols[j][i] = x
+            cols = self._cols = tuple(cols)
+        return cols
 
     def __eq__(self, other):
         return (
@@ -326,32 +392,37 @@ class Matrix:
             and self.field == other.field
             and self.nrows == other.nrows
             and self.ncols == other.ncols
-            and self.rows == other.rows
+            and self.sparse_rows == other.sparse_rows
         )
 
     def __hash__(self):
-        return hash((self.field, self.nrows, self.ncols, self.rows))
+        return hash((self.field, self.nrows, self.ncols,
+                     tuple(frozenset(r.items()) for r in self.sparse_rows)))
 
     def __repr__(self):
         body = "; ".join(" ".join(self.field.render(x) for x in r) for r in self.rows)
         return f"Matrix({self.nrows}x{self.ncols}: {body})"
 
+    def entries(self):
+        """The stored (nonzero) entries as (row, column, value), in (row,
+        column) order whatever order the row maps were filled in."""
+        return [(i, j, r[j]) for i, r in enumerate(self.sparse_rows) for j in sorted(r)]
+
     def column(self, j):
-        return tuple(r[j] for r in self.rows)
+        """Column j as a dense tuple."""
+        return _dense(self.sparse_columns()[j], self.nrows, self.field.zero)
 
     def columns(self):
-        return list(self.transpose().rows)
+        """The columns as dense tuples."""
+        return [self.column(j) for j in range(self.ncols)]
 
     def is_zero(self):
-        return all(not x for r in self.rows for x in r)
+        return not any(self.sparse_rows)
 
     def is_identity(self):
         if self.nrows != self.ncols:
             return False
-        o = self.field.one
-        return all(
-            (x == o if i == j else not x) for i, r in enumerate(self.rows) for j, x in enumerate(r)
-        )
+        return all(len(r) == 1 and r.get(i) == 1 for i, r in enumerate(self.sparse_rows))
 
     # -- arithmetic ----------------------------------------------------
 
@@ -365,24 +436,20 @@ class Matrix:
 
     def __add__(self, other):
         self._same_shape(other)
-        add = self.field.add
-        rows = tuple(tuple(map(add, r1, r2)) for r1, r2 in zip(self.rows, other.rows))
-        return Matrix._trusted(self.field, rows, self.ncols)
+        one = self.field.one
+        return _sum_of_terms(self.field, [(one, self), (one, other)], self.nrows, self.ncols)
 
     def __sub__(self, other):
         self._same_shape(other)
-        sub = self.field.sub
-        rows = tuple(tuple(map(sub, r1, r2)) for r1, r2 in zip(self.rows, other.rows))
-        return Matrix._trusted(self.field, rows, self.ncols)
+        field = self.field
+        return _sum_of_terms(field, [(field.one, self), (field.neg(field.one), other)],
+                             self.nrows, self.ncols)
 
     def __neg__(self):
-        neg = self.field.neg
-        return Matrix._trusted(self.field, tuple(tuple(map(neg, r)) for r in self.rows), self.ncols)
+        return self.scale(self.field.neg(self.field.one))
 
     def scale(self, c):
-        mul = self.field.mul
-        rows = tuple(tuple(mul(c, a) for a in r) for r in self.rows)
-        return Matrix._trusted(self.field, rows, self.ncols)
+        return _sum_of_terms(self.field, [(c, self)] if c else [], self.nrows, self.ncols)
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -393,73 +460,57 @@ class Matrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
-        field = self.field
-        z = field.zero
-        brows = other.rows
-        n = other.ncols
-        # nonzero positions of each row of other, found on its first use
-        supports = [None] * other.nrows
-        out = []
-        for arow in self.rows:
-            acc = [z] * n
-            for k, a in enumerate(arow):
-                if a:
-                    brow = brows[k]
-                    support = supports[k]
-                    if support is None:
-                        support = supports[k] = [j for j, b in enumerate(brow) if b]
-                    for j in support:
-                        acc[j] += a * brow[j]
-                    field.reduce(acc, support)
-            out.append(tuple(acc))
-        return Matrix._trusted(field, tuple(out), n)
+        canon = self.field.canon
+        brows = other.sparse_rows
+        return Matrix._trusted(
+            self.field,
+            tuple(row_combination(canon, arow, brows) if arow else arow
+                  for arow in self.sparse_rows),
+            other.ncols)
 
     def apply(self, vec):
-        """Matrix times a plain vector (list/tuple), returns a list.  The
-        vector's nonzero positions are found once, and each row is read only
-        there."""
+        """Matrix times a plain vector (list/tuple), returns a list.  Only
+        the columns at the vector's nonzero positions are read."""
         if len(vec) != self.ncols:
             raise DimensionMismatch("vector length mismatch")
-        field = self.field
-        z = field.zero
-        support = [(j, v) for j, v in enumerate(vec) if v]
-        out = []
-        for row in self.rows:
-            s = z
-            for j, v in support:
-                a = row[j]
-                if a:
-                    s += a * v
-            out.append(s)
-        field.reduce(out, range(self.nrows))
+        cols = self.sparse_columns()
+        out = [self.field.zero] * self.nrows
+        for j in compress(range(len(vec)), vec):
+            v = vec[j]
+            for i, a in cols[j].items():
+                out[i] += a * v
+        self.field.reduce(out, range(self.nrows))
         return out
 
     def transpose(self):
-        return Matrix._trusted(self.field, tuple(zip(*self.rows)) if self.nrows else
-                               ((),) * self.ncols, self.nrows)
+        """Shares its rows with this matrix's cached columns, and the other
+        way round."""
+        t = Matrix._trusted(self.field, self.sparse_columns(), self.nrows)
+        t._cols = self.sparse_rows
+        return t
 
     def trace(self):
         if self.nrows != self.ncols:
             raise DimensionMismatch("trace of non-square matrix")
         field = self.field
         s = field.zero
-        for i in range(self.nrows):
-            s = field.add(s, self.rows[i][i])
+        for i, r in enumerate(self.sparse_rows):
+            x = r.get(i)
+            if x:
+                s = field.add(s, x)
         return s
 
     def hstack(self, other):
         if self.nrows != other.nrows or self.field != other.field:
             raise DimensionMismatch("hstack mismatch")
-        return Matrix(
-            self.field,
-            [r1 + r2 for r1, r2 in zip(self.rows, other.rows)],
-            self.ncols + other.ncols,
-        )
+        return Matrix.from_blocks(self.field, [self.nrows], [self.ncols, other.ncols],
+                                  {(0, 0): self, (0, 1): other})
 
     def vstack(self, other):
         if self.ncols != other.ncols or self.field != other.field:
             raise DimensionMismatch("vstack mismatch")
-        return Matrix(self.field, list(self.rows) + list(other.rows), self.ncols)
+        return Matrix.from_blocks(self.field, [self.nrows, other.nrows], [self.ncols],
+                                  {(0, 0): self, (1, 0): other})
 
     @classmethod
     def from_blocks(cls, field, row_dims, col_dims, blocks):
@@ -468,19 +519,18 @@ class Matrix:
         row_offsets = _offsets(row_dims)
         col_offsets = _offsets(col_dims)
         ncols = col_offsets[-1]
-        z = field.zero
-        rows = [[z] * ncols for _ in range(row_offsets[-1])]
+        _check_cap(row_offsets[-1], ncols)
+        rows = [{} for _ in range(row_offsets[-1])]
         for (r, c), b in blocks.items():
             if b.nrows != row_dims[r] or b.ncols != col_dims[c]:
                 raise DimensionMismatch(f"block {(r, c)} is {b.nrows}x{b.ncols}, "
                                         f"expected {row_dims[r]}x{col_dims[c]}")
             r0, c0 = row_offsets[r], col_offsets[c]
-            for i, row in enumerate(b.rows):
+            for i, row in enumerate(b.sparse_rows):
                 out = rows[r0 + i]
-                for j, x in enumerate(row):
-                    if x:
-                        out[c0 + j] = x
-        return cls(field, rows, ncols)
+                for j, x in row.items():
+                    out[c0 + j] = x
+        return cls._trusted(field, tuple(rows), ncols)
 
     @classmethod
     def block_diag(cls, field, blocks):
@@ -491,24 +541,23 @@ class Matrix:
         if self.field != other.field:
             raise DimensionMismatch("field mismatch")
         mul = self.field.mul
-        z = self.field.zero
-        rows = []
-        for r1 in self.rows:
-            for r2 in other.rows:
-                row = []
-                for a in r1:
-                    if a:
-                        row.extend(mul(a, b) if b else z for b in r2)
-                    else:
-                        row.extend([z] * other.ncols)
-                rows.append(tuple(row))
-        return Matrix(self.field, rows, self.ncols * other.ncols)
+        n = other.ncols
+        _check_cap(self.nrows * other.nrows, self.ncols * n)
+        rows = tuple({j1 * n + j2: mul(a, b) for j1, a in r1.items() for j2, b in r2.items()}
+                     for r1 in self.sparse_rows for r2 in other.sparse_rows)
+        return Matrix._trusted(self.field, rows, self.ncols * n)
 
     def submatrix(self, row_idx, col_idx):
-        rows = self.rows
+        """The entries at the given rows and the given distinct columns, in
+        their order."""
+        place = {c: k for k, c in enumerate(col_idx)}
+        if len(place) != len(col_idx):
+            raise ValueError("submatrix columns must be distinct")
+        rows = self.sparse_rows
         return Matrix._trusted(
-            self.field, tuple(tuple(rows[i][j] for j in col_idx) for i in row_idx), len(col_idx)
-        )
+            self.field,
+            tuple({place[j]: x for j, x in rows[i].items() if j in place} for i in row_idx),
+            len(place))
 
     # -- elimination ----------------------------------------------------
 
@@ -519,7 +568,7 @@ class Matrix:
         got = self._span_cache
         if got is None:
             acc = SpanAccumulator(self.field, self.ncols)
-            for r in self.rows:
+            for r in self.sparse_rows:
                 acc.add(r)
             got = self._span_cache = (acc, tuple(acc.pivots))
         return got
@@ -527,10 +576,11 @@ class Matrix:
     def rref(self):
         """The reduced row echelon form: the accumulator's rows, then zero
         rows.  It shares this matrix's accumulator, as its own rows span
-        the same space."""
+        the same space, and that accumulator's rows, which nothing adds to
+        once it is cached."""
         acc, pivots = self._span()
-        zero_row = (self.field.zero,) * self.ncols
-        R = Matrix._trusted(self.field, tuple(acc.rows) + (zero_row,) * (self.nrows - len(pivots)),
+        R = Matrix._trusted(self.field,
+                            tuple(acc.sparse_rows) + ({},) * (self.nrows - len(pivots)),
                             self.ncols)
         R._span_cache = self._span_cache
         return R
@@ -560,28 +610,60 @@ class Matrix:
         return el.solve_matrix(Matrix.identity(self.field, self.nrows))
 
 
+def row_combination(canon, coeffs, rows, offset=0):
+    """The sum of a * rows[offset + l] over the entries (l, a) of the
+    {position: value} map coeffs, rows being {column: value} maps, as the
+    map canon (a field's `canon`) makes of it.  A lone coefficient 1 returns
+    its row itself."""
+    if len(coeffs) == 1:
+        (l, a), = coeffs.items()
+        row = rows[offset + l]
+        return row if a == 1 else canon((j, a * b) for j, b in row.items())
+    acc = {}
+    get = acc.get
+    for l, a in coeffs.items():
+        for j, b in rows[offset + l].items():
+            acc[j] = get(j, 0) + a * b
+    return canon(acc.items())
+
+
 def combination(field, coeffs, matrices, nrows, ncols):
     """The nrows x ncols matrix sum of c * M over the pairs (c, M) of coeffs
-    and matrices; the zero matrix when every c is zero.  Only the nonzero
+    and matrices; the zero matrix when every c is zero.  coeffs is a
+    sequence, or a {position: c} map of the nonzero ones.  Only the stored
     entries of the matrices with a nonzero c are read, so a matrix whose
-    coefficient is zero may be None.  The sums go through the field's add
-    and mul: on the action matrices of the benchmark workloads that measured
-    faster than raw sums followed by `reduce` over the written positions,
-    over Q (where add and mul check for an integral Fraction) as over F_p."""
+    coefficient is zero may be None; a lone M with c = 1 is returned as it
+    is."""
     _check_cap(nrows, ncols)
-    add, mul = field.add, field.mul
-    acc = [[field.zero] * ncols for _ in range(nrows)]
-    for c, m in zip(coeffs, matrices):
-        if c:
-            if m.field != field or m.nrows != nrows or m.ncols != ncols:
-                raise DimensionMismatch(
-                    f"cannot add a {m.nrows}x{m.ncols} matrix over {m.field} "
-                    f"into a {nrows}x{ncols} combination over {field}")
-            for arow, row in zip(acc, m.rows):
-                for j, x in enumerate(row):
-                    if x:
-                        arow[j] = add(arow[j], mul(c, x))
-    return Matrix._trusted(field, tuple(map(tuple, acc)), ncols)
+    items = coeffs.items() if isinstance(coeffs, dict) else enumerate(coeffs)
+    terms = [(c, matrices[i]) for i, c in items if c]
+    for _c, m in terms:
+        if m.field != field or m.nrows != nrows or m.ncols != ncols:
+            raise DimensionMismatch(
+                f"cannot add a {m.nrows}x{m.ncols} matrix over {m.field} "
+                f"into a {nrows}x{ncols} combination over {field}")
+    return _sum_of_terms(field, terms, nrows, ncols)
+
+
+def _sum_of_terms(field, terms, nrows, ncols):
+    """combination's sum over its (nonzero c, M) pairs, whose shapes it has
+    checked."""
+    if len(terms) == 1 and terms[0][0] == 1:
+        return terms[0][1]
+    acc = [None] * nrows
+    for c, m in terms:
+        for i, row in enumerate(m.sparse_rows):
+            if row:
+                a = acc[i]
+                if a is None:
+                    acc[i] = {j: c * x for j, x in row.items()}
+                else:
+                    get = a.get
+                    for j, x in row.items():
+                        a[j] = get(j, 0) + c * x
+    canon = field.canon
+    return Matrix._trusted(field, tuple({} if a is None else canon(a.items()) for a in acc),
+                           ncols)
 
 
 class Eliminator:
@@ -604,10 +686,8 @@ class Eliminator:
         self.ncols = A.ncols
         acc = self._acc = SpanAccumulator(field, n + A.ncols)
         self.pivots = []
-        for j, col in enumerate(A.columns()):
-            v = {i: x for i, x in enumerate(col) if x}
-            v[n + j] = field.one
-            v = acc._reduce(v)
+        for j, col in enumerate(A.sparse_columns()):
+            v = acc._reduce({**col, n + j: field.one})
             if min(v) < n:
                 acc.add(v)
                 self.pivots.append(j)
@@ -616,16 +696,20 @@ class Eliminator:
     def solve(self, b):
         """The solution of A x = b supported on the pivot columns, or None
         if the system is inconsistent."""
-        n = self.nrows
-        if len(b) != n:
+        if len(b) != self.nrows:
             raise DimensionMismatch("rhs length mismatch")
+        x = self._solution(b)
+        return None if x is None else list(_dense(x, self.ncols, self.field.zero))
+
+    def _solution(self, b):
+        """solve() for a sequence or {row: value} map b, as a {column:
+        value} map."""
         v = self._acc._reduce(b)
+        n = self.nrows
         if v and min(v) < n:
             return None
-        x = [self.field.zero] * self.ncols
-        for j, y in v.items():
-            x[j - n] = self.field.neg(y)
-        return x
+        neg = self.field.neg
+        return {j - n: neg(y) for j, y in v.items()}
 
     def solve_matrix(self, B):
         """X with A X = B (columns as solve() gives them), or None if some
@@ -634,7 +718,7 @@ class Eliminator:
             raise DimensionMismatch("rhs height mismatch")
         if B.field != self.field:
             raise DimensionMismatch("field mismatch")
-        cols = [self.solve(b) for b in B.columns()]
+        cols = [self._solution(b) for b in B.sparse_columns()]
         return None if None in cols else Matrix.from_columns(self.field, cols, self.ncols)
 
 
@@ -673,22 +757,24 @@ class SpanAccumulator:
         return [j for j in range(self.length) if j not in rows]
 
     @property
+    def sparse_rows(self):
+        """The basis as {column: value} maps, by increasing pivot; a later
+        add may change them."""
+        rows = self._rows
+        return [rows[p] for p in sorted(rows)]
+
+    @property
     def rows(self):
         """The basis as dense row tuples, by increasing pivot."""
-        z = self.field.zero
-        out = []
-        for p in sorted(self._rows):
-            v = [z] * self.length
-            for j, x in self._rows[p].items():
-                v[j] = x
-            out.append(tuple(v))
-        return out
+        return [_dense(r, self.length, self.field.zero) for r in self.sparse_rows]
 
     def _reduce(self, vec):
         """vec reduced against the stored rows, as a {column: value} map
         with no entry at a pivot."""
-        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
-        v = {j: x for j, x in items if x}
+        if isinstance(vec, dict):
+            v = {j: x for j, x in vec.items() if x}
+        else:
+            v = {j: vec[j] for j in compress(range(len(vec)), vec)}
         rows = self._rows
         # subtracting a stored row leaves the entries at the other pivots
         for c in [c for c in v if c in rows]:
@@ -723,12 +809,12 @@ class SpanAccumulator:
         return True
 
     def add_columns(self, matrix):
-        for c in matrix.columns():
+        for c in matrix.sparse_columns():
             self.add(c)
 
     def basis_columns_matrix(self):
         """Basis vectors as columns (echelon rows transposed)."""
-        return Matrix.from_columns(self.field, self.rows, self.length)
+        return Matrix.from_columns(self.field, self.sparse_rows, self.length)
 
     def project(self, vec):
         """Coordinates of vec + span on the complement columns."""
@@ -740,23 +826,25 @@ class SpanAccumulator:
         """The matrix of project: column j is the image of the j-th
         standard basis vector."""
         field = self.field
-        z, o, neg = field.zero, field.one, field.neg
+        o, neg = field.one, field.neg
         place = {c: k for k, c in enumerate(self.complement)}
-        rows = [[z] * self.length for _ in place]
-        for c, k in place.items():
-            rows[k][c] = o
+        _check_cap(len(place), self.length)
+        rows = [{c: o} for c in place]
         for p, row in self._rows.items():
             for j, x in row.items():
                 if j != p:
                     rows[place[j]][p] = neg(x)
-        return Matrix(field, rows, self.length)
+        return Matrix._trusted(field, tuple(rows), self.length)
 
     def section_matrix(self):
         """Columns: the standard basis vectors at the complement columns,
         a right inverse of projection_matrix."""
-        return Matrix.from_columns(
-            self.field, [basis_vector(self.field, self.length, c) for c in self.complement],
-            self.length)
+        complement = self.complement
+        _check_cap(self.length, len(complement))
+        rows = [{} for _ in range(self.length)]
+        for k, c in enumerate(complement):
+            rows[c] = {k: self.field.one}
+        return Matrix._trusted(self.field, tuple(rows), len(complement))
 
     def kernel_matrix(self):
         """Columns form a basis of the vectors that every stored row sends

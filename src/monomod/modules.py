@@ -84,16 +84,9 @@ class Verdict:
 
 def _json_safe(obj):
     if isinstance(obj, Matrix):
-        return {
-            "rows": obj.nrows,
-            "cols": obj.ncols,
-            "entries": [
-                [r, c, obj.field.render(obj.rows[r][c])]
-                for r in range(obj.nrows)
-                for c in range(obj.ncols)
-                if obj.rows[r][c]
-            ],
-        }
+        render = obj.field.render
+        return {"rows": obj.nrows, "cols": obj.ncols,
+                "entries": [[r, c, render(x)] for r, c, x in obj.entries()]}
     if isinstance(obj, ModuleMap):
         return _json_safe(obj.matrix)
     if isinstance(obj, Verdict):
@@ -133,7 +126,8 @@ class Module:
         return self.actions[i]
 
     def action_of_vector(self, vec):
-        """Sum of c * action over the nonzero coordinates c of vec."""
+        """Sum of c * action over the nonzero coordinates c of vec, a
+        coordinate sequence or a {basis index: c} map."""
         return combination(self.field, vec, self.actions, self.dim, self.dim)
 
     def __repr__(self):
@@ -168,11 +162,11 @@ def validate_module(actions, side, algebra, label=""):
         rho_g = m.actions[g]
         # column i is b_g * b_i on the left, b_i * b_g on the right
         prods = products(g)
-        for i, prod in enumerate(prods.columns()):
+        for i, prod in enumerate(prods.sparse_columns()):
             # b_g * b_i is zero for most pairs in a radical: no zero
             # combination is built to compare with
             lhs = rho_g * m.actions[i]
-            if not (lhs == m.action_of_vector(prod) if any(prod) else lhs.is_zero()):
+            if not (lhs == m.action_of_vector(prod) if prod else lhs.is_zero()):
                 raise ValidationError(
                     f"action law fails at pair "
                     f"({algebra.basis_labels[g]}, {algebra.basis_labels[i]})",
@@ -320,18 +314,12 @@ def quotient_module(m, subspace_columns, label="", accumulator=None):
 
 def radical_image(m):
     """The span of J.m, J the radical of the algebra, as a SpanAccumulator.
-    Each radical element's action is read row by row into sparse
-    {row: value} columns, and only the nonzero ones are added, in column
-    order: most columns of a radical action are zero.  Its dimension is kept
-    as radical_image_dim(m)."""
+    The nonzero columns of each radical element's action are added, in
+    column order: most columns of a radical action are zero.  Its dimension
+    is kept as radical_image_dim(m)."""
     acc = SpanAccumulator(m.field, m.dim)
     for jv in m.algebra.radical_basis():
-        cols = [{} for _ in range(m.dim)]
-        for r, row in enumerate(m.action_of_vector(jv).rows):
-            for c, x in enumerate(row):
-                if x:
-                    cols[c][r] = x
-        for col in cols:
+        for col in m.action_of_vector(jv).sparse_columns():
             if col:
                 acc.add(col)
     remember(m, radical_image_dim, acc.dim)
@@ -458,14 +446,18 @@ def hom_space_direct(m, n):
     sub = field.sub
     forced, rows = set(), []
     for g in m.algebra.generators():
-        n_rows = [[(s, a) for s, a in enumerate(row) if a] for row in n.actions[g].rows]
-        m_cols = [[(s, b) for s, b in enumerate(col) if b]
-                  for col in m.actions[g].columns()]
+        m_cols = m.actions[g].sparse_columns()
         live_cols = [c for c in range(dm) if m_cols[c]]
-        for r, n_row in enumerate(n_rows):
+        for r, n_row in enumerate(n.actions[g].sparse_rows):
             for c in (range(dm) if n_row else live_cols):
-                row = {last - (s * dm + c): a for s, a in n_row}
-                for s, b in m_cols[c]:
+                m_col = m_cols[c]
+                if len(n_row) + len(m_col) == 1:
+                    # one entry, which nothing cancels: its variable is 0
+                    (s, _a), = (n_row or m_col).items()
+                    forced.add(last - (s * dm + c) if n_row else last - (r * dm + s))
+                    continue
+                row = {last - (s * dm + c): a for s, a in n_row.items()}
+                for s, b in m_col.items():
                     j = last - (r * dm + s)
                     x = sub(row.get(j, 0), b)
                     if x:
@@ -482,11 +474,12 @@ def hom_space_direct(m, n):
     reduced = ({place[j]: x for j, x in row.items() if j in place} for row in rows)
     K = sparse_kernel(field, len(unforced), (row for row in reduced if row))
     mats = []
-    for k in reversed(range(K.ncols)):
-        v = [field.zero] * (dm * dn)
-        for j, x in zip(unforced, K.column(k)):
-            v[last - j] = x
-        mats.append(Matrix(field, [v[r * dm:(r + 1) * dm] for r in range(dn)], dm))
+    for col in reversed(K.sparse_columns()):
+        F = [{} for _ in range(dm)]  # the columns of the map
+        for k, x in col.items():
+            r, c = divmod(last - unforced[k], dm)
+            F[c][r] = x
+        mats.append(Matrix.from_columns(field, F, dn))
     return mats
 
 
@@ -590,16 +583,17 @@ def _composites_in_trace_radical(field, H, Hback, E):
     """Whether tr(g.f.e) = 0 for every g in Hback, f in H and e in E: every
     composite g.f then lies in I = {x in E : tr(xy) = 0 for all y in E}."""
     add, mul, zero = field.add, field.mul, field.zero
-    # tr(C.e) = sum over (i, j) of C[i][j] * e[j][i]
-    transposed = [e.transpose().rows for e in E]
+    # tr(C.e) = sum over (i, j) of C[i][j] * e[j][i], row i of C against
+    # column i of e
+    e_columns = [e.sparse_columns() for e in E]
     for g in Hback:
         for f in H:
             C = g.matrix * f.matrix
-            entries = [(i, j, x) for i, row in enumerate(C.rows) for j, x in enumerate(row) if x]
-            for eT in transposed:
+            entries = [(i, j, x) for i, row in enumerate(C.sparse_rows) for j, x in row.items()]
+            for ecols in e_columns:
                 s = zero
                 for i, j, x in entries:
-                    y = eT[i][j]
+                    y = ecols[i].get(j)
                     if y:
                         s = add(s, mul(x, y))
                 if s:

@@ -1,13 +1,14 @@
 """Seeded random generators for modules, maps and triples.
 
-Random modules are quotients of random sums P of indecomposable projectives
-by submodules generated inside rad P, so every sample is a valid nonzero
-module with projective cover P.  All randomness flows through a caller-owned
-random.Random instance for reproducibility.
+Random modules are quotients of random sums P of projectives by submodules
+generated by random vectors; over an algebra with a computable radical the
+vectors lie in rad P, so P is the projective cover of the sample.  All
+randomness flows through a caller-owned random.Random instance for
+reproducibility.
 """
 
 from .algebra import regular_modules
-from .linalg import Matrix, combination
+from .linalg import Matrix, SpanAccumulator, combination
 from .modules import (
     ModuleMap,
     direct_sum,
@@ -30,7 +31,17 @@ def random_vector(field, rng, n):
 
 
 def random_module(A, rng, side="left", max_dim=8, allow_zero=True):
-    """A random quotient of a small sum of projectives, dim <= max_dim."""
+    """A random quotient of dimension at most max_dim of a sum P of one or
+    two projectives Ae (of A itself when A declares no idempotents) by the
+    submodule that one to three random vectors generate.  With allow_zero
+    it is the zero module with probability 0.06, and never otherwise.
+
+    Over an algebra with a computable radical the vectors are drawn inside
+    rad P, so P is the projective cover of the sample, which is never zero;
+    when no draw is small enough it is the smallest such quotient, the top
+    of P.  Otherwise they are drawn anywhere in P, a draw that leaves zero
+    is drawn again, and the last resort is P itself.  A ValueError says
+    that not even that is small enough when allow_zero is False."""
     if allow_zero and rng.random() < 0.06:
         return zero_module(A, side)
     reg = regular_modules(A)[0 if side == "left" else 1]
@@ -46,20 +57,26 @@ def random_module(A, rng, side="left", max_dim=8, allow_zero=True):
             big, _i, _p = direct_sum(projs)
     else:
         big = reg
-    rad = radical_image(big)
-    spanning = Matrix(A.field, rad.rows, big.dim).transpose()
+    if A.has_radical():
+        rad = radical_image(big)
+        spanning = rad.basis_columns_matrix()
+    else:
+        rad = SpanAccumulator(A.field, big.dim)
+        spanning = Matrix.identity(A.field, big.dim)
     for _ in range(24):
         nvecs = rng.randint(1, 3)
-        vecs = [spanning.apply(random_vector(A.field, rng, rad.dim)) for _ in range(nvecs)]
+        vecs = [spanning.apply(random_vector(A.field, rng, spanning.ncols)) for _ in range(nvecs)]
         quot, _proj, _sec = quotient_module(big, None, label="rand",
                                             accumulator=generated_span(big, vecs))
-        if quot.dim <= max_dim:
+        if 0 < quot.dim <= max_dim:
             return quot
-    # fall back to the smallest such quotient, the top of P
     quot, _proj, _sec = quotient_module(big, None, label="rand", accumulator=rad)
-    if quot.dim <= max_dim:
+    if 0 < quot.dim <= max_dim:
         return quot
-    return zero_module(A, side)
+    if allow_zero:
+        return zero_module(A, side)
+    raise ValueError(f"no nonzero quotient of a {big.dim}-dimensional projective has "
+                     f"dimension at most {max_dim}")
 
 
 def random_map(rng, m, n):

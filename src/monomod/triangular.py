@@ -87,19 +87,13 @@ def build_triangular(A, B, bimodule, label=""):
         for k, c in terms:
             consts.append((oB + i, oB + j, oB + k, c))
     for i in range(nA):
-        L = bimodule.left_actions[i]
-        for j in range(nM):
-            for k in range(nM):
-                c = L.rows[k][j]
-                if c:
-                    consts.append((i, oM + j, oM + k, c))
+        for j, col in enumerate(bimodule.left_actions[i].sparse_columns()):
+            for k in sorted(col):
+                consts.append((i, oM + j, oM + k, col[k]))
     for i in range(nB):
-        R = bimodule.right_actions[i]
-        for j in range(nM):
-            for k in range(nM):
-                c = R.rows[k][j]
-                if c:
-                    consts.append((oM + j, oB + i, oM + k, c))
+        for j, col in enumerate(bimodule.right_actions[i].sparse_columns()):
+            for k in sorted(col):
+                consts.append((oM + j, oB + i, oM + k, col[k]))
     unit = _flat_vector(field, parts, {"A": A.unit, "B": B.unit})
     idemA = A.idempotents if A.idempotents is not None else [A.unit]
     idemB = B.idempotents if B.idempotents is not None else [B.unit]

@@ -437,8 +437,98 @@ def test_dimension_cap_refusal():
         with pytest.raises(DimensionCapExceeded):
             Matrix.zero(QQ, 9, 2)
         Matrix.zero(QQ, 8, 8)
+        eye = Matrix.identity(QQ, 8)
+        refused = [
+            lambda: Matrix(QQ, [[1]] * 9, 1),
+            lambda: Matrix.from_rows(QQ, [[1] * 9]),
+            lambda: Matrix.identity(QQ, 9),
+            # dense columns too long, and sparse columns too many
+            lambda: Matrix.from_columns(QQ, [[1] * 9], 9),
+            lambda: Matrix.from_columns(QQ, [{0: 1}] * 9, 1),
+            lambda: combination(QQ, [1], [eye], 9, 8),
+            lambda: eye.hstack(Matrix.zero(QQ, 8, 1)),
+            lambda: eye.vstack(Matrix.zero(QQ, 1, 8)),
+            lambda: Matrix.block_diag(QQ, [eye, Matrix.identity(QQ, 1)]),
+            lambda: Matrix.identity(QQ, 3).kronecker(Matrix.identity(QQ, 3)),
+            lambda: SpanAccumulator(QQ, 9).projection_matrix(),
+            lambda: SpanAccumulator(QQ, 9).section_matrix(),
+        ]
+        for build in refused:
+            with pytest.raises(DimensionCapExceeded):
+                build()
+        assert combination(QQ, [1, 1], [eye, eye], 8, 8) == eye.scale(2)
+        assert Matrix.from_columns(QQ, [{7: 1}] * 8, 8).rank() == 1
     finally:
         set_dimension_cap(512)
+
+
+def _stored(m):
+    return [x for r in m.sparse_rows for x in r.values()]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)])
+def test_every_route_stores_one_canonical_matrix(field):
+    # T built five ways: dense rows, columns, a product and a combination
+    # whose entries cancel, and a transpose
+    if field.p is None:
+        F = Fraction
+        T = [[2, 0, F(1, 3)], [0, 0, 0], [0, 3, 0]]
+        dense = Matrix(field, [[F(4, 2), F(0), F(1, 3)], [0, F(0, 5), 0], [0, F(6, 2), 0]])
+        cols = [[F(2), 0, 0], {2: 3}, [F(1, 3), F(0), 0]]
+        # row 0 sums 3/2 + 1/2, row 1 cancels, row 2 is 2 * 3/2
+        A = [[1, 1, 0], [1, -3, 0], [0, 0, 2]]
+        B = [[F(3, 2), 0, F(1, 4)], [F(1, 2), 0, F(1, 12)], [0, F(3, 2), 0]]
+        M1 = [[1, 5, F(1, 6)], [7, 0, 0], [0, F(3, 4), 0]]
+        M2 = [[0, -5, 0], [-7, 0, 0], [0, F(3, 4), 0]]
+        coeffs = [2, 2]
+    else:
+        T = [[1, 0, 1], [0, 0, 0], [0, 1, 0]]
+        dense = Matrix(field, [[3, 0, 1], [2, 0, 4], [0, 5, 0]])
+        cols = [[1, 0, 0], {2: 1}, [3, 2, 0]]
+        # row 0 cancels in column 1, row 1 cancels everywhere
+        A = [[1, 1, 0], [1, 1, 1], [0, 1, 1]]
+        B = [[0, 1, 0], [1, 1, 1], [1, 0, 1]]
+        M1 = [[1, 1, 0], [1, 0, 0], [0, 0, 1]]
+        M2 = [[0, 1, 1], [1, 0, 0], [0, 1, 1]]
+        coeffs = [1, 1]
+    routes = {
+        "dense": dense,
+        "from_columns": Matrix.from_columns(field, cols, 3),
+        "product": Matrix.from_rows(field, A) * Matrix.from_rows(field, B),
+        "combination": combination(field, coeffs,
+                                   [Matrix.from_rows(field, M1), Matrix.from_rows(field, M2)],
+                                   3, 3),
+        "transpose": Matrix(field, [list(c) for c in zip(*T)]).transpose(),
+    }
+    for name, m in routes.items():
+        assert m == routes["dense"] and hash(m) == hash(routes["dense"]), name
+        assert [list(r) for r in m.rows] == T, name
+        assert [len(r) for r in m.sparse_rows] == [2, 0, 1], name
+        stored = _stored(m)
+        assert all(stored), name
+        _assert_canonical(field, stored)
+        if field.p is None:
+            assert sorted(type(x).__name__ for x in stored) == ["Fraction", "int", "int"], name
+    assert routes["product"].sparse_rows[1] == {}
+
+
+def test_insertion_order_does_not_reach_output():
+    from monomod.io import matrix_to_entries
+    from monomod.modules import _json_safe
+
+    # row 0 of the product is filled at column 2 before column 0
+    A = Matrix.from_rows(QQ, [[1, 1], [0, 2]])
+    B = Matrix.from_rows(QQ, [[0, 0, Fraction(1, 2)], [3, 0, 0]])
+    P = A * B
+    assert list(P.sparse_rows[0]) == [2, 0]
+    dense = Matrix.from_rows(QQ, [[3, 0, Fraction(1, 2)], [6, 0, 0]])
+    assert matrix_to_entries(P) == matrix_to_entries(dense) == [
+        [0, 0, "3"], [0, 2, "1/2"], [1, 0, "6"]]
+    assert _json_safe({"m": P}) == _json_safe({"m": dense})
+    assert P.entries() == dense.entries()
+    assert P.rref().rows == dense.rref().rows
+    assert P.pivot_columns() == dense.pivot_columns()
+    assert P.kernel_matrix().rows == dense.kernel_matrix().rows
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(7)])

@@ -12,6 +12,7 @@ from monomod.gallery import (
     generic_M_prime,
     lambda_element,
     lambda_q,
+    lsgp_algebra,
     lsgp_example,
     module_M1qc,
 )
@@ -37,6 +38,7 @@ from monomod.modules import (
     zero_module,
 )
 from monomod.sampling import random_map, random_module
+from monomod.triangular import t2_algebra
 from test_linalg import _assert_canonical
 
 
@@ -333,6 +335,27 @@ def test_random_module_without_zero_draws_no_zero_module(kx2, loop_arrow, lambda
         rng = random.Random(99)
         dims = [random_module(A, rng, max_dim=5, allow_zero=False).dim for _ in range(100)]
         assert min(dims) >= 1 and max(dims) <= 5, A.label
+
+
+def test_random_module_without_a_radical_draws_anywhere_in_P():
+    # over F_3 the trace form cannot find the radical of loop-arrow (dim 4),
+    # and T2(k[x]/(x^2)) over F_2 (dim 6) declares none
+    kx2_f2 = validate_algebra(AlgebraPresentation(
+        GF(2), 2, ["1", "x"], [1, 0], [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)],
+        idempotents=[[1, 0]]))
+    for A in (lsgp_algebra(GF(3)), t2_algebra(kx2_f2).flat):
+        assert not A.has_radical()
+        rng = random.Random(1)
+        samples = [random_module(A, rng, max_dim=4, allow_zero=False) for _ in range(40)]
+        assert all(1 <= m.dim <= 4 for m in samples), A.label
+        # a sample that keeps all of a projective is the last resort, not the rule
+        assert len({m.dim for m in samples}) > 1, A.label
+        for m in samples[:5]:
+            validate_module(m.actions, m.side, A)
+    rng = random.Random(2)
+    with pytest.raises(ValueError, match="dimension at most 0"):
+        random_module(lsgp_algebra(GF(3)), rng, max_dim=0, allow_zero=False)
+    assert random_module(lsgp_algebra(GF(3)), rng, max_dim=0).dim == 0
 
 
 def test_tensor_regular_identity(kx2, rng):
