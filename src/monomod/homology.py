@@ -108,10 +108,14 @@ def has_minimal_covers(algebra):
 
 @memo
 def _e_part_of_module(n, e_index):
-    """(basis matrix, Eliminator) of eN inside N; identity shortcut for e=1."""
-    if e_index is None:
+    """(basis matrix, Eliminator) of eN inside N.  When e is the unit (a
+    free slot, or a declared idempotent equal to algebra.unit) eN = N, and
+    the identity basis comes with no Eliminator: coordinates are the vector
+    itself."""
+    algebra = n.algebra
+    if e_index is None or algebra.idempotents[e_index] == algebra.unit:
         return Matrix.identity(n.field, n.dim), None
-    return idempotent_slice(n, n.algebra.idempotents[e_index])
+    return idempotent_slice(n, algebra.idempotents[e_index])
 
 
 def _e_coords(n, e_index, vec):
@@ -559,6 +563,12 @@ class HomComplex:
         self.upto = upto
         return self
 
+    def cocycle_dim(self, i):
+        """dim of the cocycles at degree i, valid for 0 <= i <= upto - 1.
+        P_(i+1) -> P_i -> Omega^i -> 0 is exact, so this is dim Hom(Omega^i m, n)
+        (dim Hom(m, n) at i = 0)."""
+        return self.space_dims[i] - self.deltas[i].rank()
+
     def ext_dim(self, i):
         """dim Ext^i(m, n), valid for 0 <= i <= upto - 1."""
         return _homology_dim(self.space_dims, self.deltas, i)
@@ -788,6 +798,20 @@ def is_semi_gp(m, bound, seed=0):
     Otherwise all pairs are searched in lexicographic order, reusing the
     verdicts already computed, and the first isomorphic pair is the
     certificate.
+
+    Before a pair (i, j) of unequal modules reaches is_isomorphic it is
+    screened by Hom dimensions read off the resolution.  The resolution
+    holds exact sequences P_(i+1) -> P_i -> Omega^i -> 0, so Hom(Omega^i, N)
+    is the space of cocycles at degree i of Hom(P_., N), and its dimension
+    is one rank in the Hom complex into N.  Omega^i ~ Omega^j forces
+    dim Hom(Omega^i, Omega^j) = dim End(Omega^j), so a pair whose two
+    dimensions differ is refuted exactly; both are read from one complex
+    into Omega^j, built the first time target j needs it.  A pair that
+    passes the screen, and every pair whose action matrices are equal (the
+    screen cannot refute those, and a periodic module often repeats its
+    syzygy matrices), goes to is_isomorphic as before.  The screen refutes
+    only non-isomorphic pairs, so the search reaches the same first
+    isomorphic pair and gets the same certificate.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -809,11 +833,27 @@ def is_semi_gp(m, bound, seed=0):
         if s.dim == 0:
             return Verdict.holds({"zero_syzygy_at": i, "finite_projective_dimension": True})
     verdicts = {}
+    complexes = {}
+
+    def hom_dim(i, j):
+        """dim Hom(Omega^i, Omega^j), read off the complex into Omega^j."""
+        C = complexes.get(j)
+        if C is None:
+            C = complexes[j] = HomComplex(res, syzygies[j - 1], bound + 1)
+        return C.cocycle_dim(i)
 
     def pair(i, j):
         v = verdicts.get((i, j))
         if v is None:
-            v = verdicts[i, j] = is_isomorphic(syzygies[i - 1], syzygies[j - 1], seed=seed)
+            si, sj = syzygies[i - 1], syzygies[j - 1]
+            if si.actions != sj.actions and hom_dim(i, j) != hom_dim(j, j):
+                v = Verdict.fails({
+                    "reason": "dim Hom(Omega^i, Omega^j) != dim End(Omega^j)",
+                    "dims": (hom_dim(i, j), hom_dim(j, j)),
+                })
+            else:
+                v = is_isomorphic(si, sj, seed=seed)
+            verdicts[i, j] = v
         return v
 
     # Omega^i ~ Omega^j gives Omega^(i+1) ~ Omega^(j+1) in a minimal

@@ -12,6 +12,7 @@ from monomod.duality import classify
 from monomod.errors import ValidationError
 from monomod.gallery import ideal_A_w_A, lambda_element, lambda_q, module_M1qc
 from monomod.homology import (
+    HomComplex,
     _image_in_radical,
     _kernel_module,
     _SlotSum,
@@ -473,15 +474,69 @@ def _nakayama_simple():
     return validate_module(acts, "left", A, label="S1")
 
 
+def _nakayama_draws(*picks):
+    """Draws number picks (from 0) of random_module over the Nakayama
+    algebra of _nakayama_simple, seed 11."""
+    A, rng = _nakayama_simple().algebra, random.Random(11)
+    draws = [random_module(A, rng, max_dim=7, allow_zero=False) for _ in range(max(picks) + 1)]
+    return [draws[k] for k in picks]
+
+
 def test_pruned_periodicity_search_matches_every_pair(kx2, loop_arrow):
     periodic = simples_and_projectives(kx2)["simples"][0]   # period (1, 2)
     S1 = _nakayama_simple()
     v = is_semi_gp(S1, 6)
     assert v.certificate["syzygy_period"] == (1, 5)
-    mods = list(_x0_flats()) + loop_arrow["modules"] + [periodic, S1]
+    # three modules whose isomorphic syzygy pair (1, 5) has unequal action
+    # matrices: a search that refutes pairs it should not loses the period
+    draws = _nakayama_draws(9, 14, 15)
+    for m in draws:
+        res = resolution(m, length=5)
+        assert res.syzygy(1).actions != res.syzygy(5).actions
+        assert is_semi_gp(m, 6).certificate["syzygy_period"] == (1, 5)
+    mods = list(_x0_flats()) + loop_arrow["modules"] + [periodic, S1] + draws
     for m in mods:
         for bound in (1, 2, 6):
             assert is_semi_gp(m, bound).describe() == _semi_gp_by_every_pair(m, bound).describe()
+
+
+def test_complex_hom_dims_match_hom_spaces(lambda2, loop_arrow):
+    # the dimensions is_semi_gp screens syzygy pairs with, read off the Hom
+    # complex into Omega^j, against the Hom spaces themselves
+    F7 = GF(7)
+    mods = [
+        _x0_flats()[0],
+        module_M1qc(lambda2, Fraction(3, 2)),
+        module_M1qc(lambda_q(F7, 2), Fraction(3, 2)),
+        loop_arrow["modules"][3],                # I(1)
+        *_nakayama_draws(9),
+    ]
+    bound = 4
+    for m in mods:
+        res = resolution(m, length=bound + 1)
+        syz = [res.syzygy(i) for i in range(1, bound + 1)]
+        assert all(s.dim for s in syz)
+        for j, n in enumerate(syz, start=1):
+            C = HomComplex(res, n, bound + 1)
+            for i, s in enumerate(syz, start=1):
+                assert C.cocycle_dim(i) == len(hom_space(s, n)), (m.label, i, j)
+
+
+def test_semi_gp_of_x_family_screens_every_pair(monkeypatch):
+    # X(c) ends in unknown at bound 6 after refuting its five pairs
+    # (i, 6); the Hom-dimension screen refutes all five, so no pair
+    # reaches is_isomorphic, and the verdict is the every-pair search's
+    flat = _x_family(Fraction(3, 2)).flatten()
+    expected = _semi_gp_by_every_pair(flat, 6).describe()
+    calls = []
+
+    def spy(m, n, *args, **kwargs):
+        calls.append((m.dim, n.dim))
+        return is_isomorphic(m, n, *args, **kwargs)
+
+    monkeypatch.setattr(homology, "is_isomorphic", spy)
+    assert is_semi_gp(flat, 6).describe() == expected
+    assert calls == []
 
 
 def _kernels_by_invariant_columns(step):
