@@ -206,10 +206,9 @@ def main(argv=None):
 
 
 def _dispatch(args, ws, fmt):
-    bound = getattr(args, "bound", None) or ws["bound"]
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        seed = ws["seed"]
+    # an option left unset falls back to the workspace; 0 is a value
+    bound, seed = (ws[k] if getattr(args, k, None) is None else getattr(args, k)
+                   for k in ("bound", "seed"))
 
     if args.cmd == "algebra" and args.sub == "validate":
         A = mio.load_algebra(args.file)

@@ -5,9 +5,10 @@ Resolutions are built from idempotent-column projectives Ae (or eA on the
 right), one slot per generator: P_i is the direct sum of its slot blocks,
 and each differential is stored as the algebra elements it sends each slot
 generator to, one per slot of P_{i-1}.  That makes Hom(P, N) = eN and
-u (x) P = ue concrete coordinate spaces, so Ext and Tor complexes never
-solve intertwiner systems: every differential is one slot-block matrix of
-multiplications by stored algebra elements (_slot_block_matrix).  A cover is
+u (x) P = ue coordinate spaces, read through the rank factorization
+rho(e) = B.R of idempotent_slice, so Ext and Tor complexes solve nothing:
+each block of a differential is the restricted_action R_t.rho(a).B_s of a
+stored algebra element a between two slices (_slot_block_matrix).  A cover is
 minimal exactly when each of its slots has a one-dimensional top, decided
 once per algebra (has_minimal_covers); an algebra without them gets free
 covers.
@@ -31,7 +32,6 @@ against K times that action, which holds exactly when K is invariant.
 """
 
 import threading
-from itertools import accumulate, compress
 
 from .algebra import regular_modules
 from .errors import ValidationError
@@ -46,6 +46,7 @@ from .modules import (
     is_isomorphic,
     radical_image,
     radical_image_dim,
+    restricted_action,
     submodule_generated,
 )
 
@@ -108,24 +109,10 @@ def has_minimal_covers(algebra):
 
 @memo
 def _e_part_of_module(n, e_index):
-    """(basis matrix, Eliminator) of eN inside N.  When e is the unit (a
-    free slot, or a declared idempotent equal to algebra.unit) eN = N, and
-    the identity basis comes with no Eliminator: coordinates are the vector
-    itself."""
+    """idempotent_slice (B, R) of eN inside N, e the slot's idempotent or
+    the unit for a free slot (e_index None), whose slice is (I, I)."""
     algebra = n.algebra
-    if e_index is None or algebra.idempotents[e_index] == algebra.unit:
-        return Matrix.identity(n.field, n.dim), None
-    return idempotent_slice(n, algebra.idempotents[e_index])
-
-
-def _e_coords(n, e_index, vec):
-    basis, solver = _e_part_of_module(n, e_index)
-    if solver is None:
-        return list(vec)
-    sol = solver.solve(list(vec))
-    if sol is None:
-        raise ValidationError("vector not in the idempotent part")
-    return sol
+    return idempotent_slice(n, algebra.unit if e_index is None else algebra.idempotents[e_index])
 
 
 def _e_dim(n, st):
@@ -134,25 +121,20 @@ def _e_dim(n, st):
 
 def _slot_block_matrix(n, src_slots, tgt_slots, lam):
     """Matrix of (+)_s e_s N -> (+)_t e_t N whose block from source slot s to
-    target slot t is v -> lam(s, t) . v.  Columns run over (source slot, basis
-    vector of its e-part), rows over the e-coordinates of each target slot."""
-    tgt_offsets = [0, *accumulate(_e_dim(n, tt) for tt in tgt_slots)]
-    cols = []
-    for s, st in enumerate(src_slots):
-        basis, _ = _e_part_of_module(n, st.e_index)
-        vecs = [list(basis.column(b)) for b in range(basis.ncols)]
-        outs = [{} for _ in vecs]
-        for t, tt in enumerate(tgt_slots):
+    target slot t is v -> lam(s, t) . v, the restricted_action of lam(s, t)
+    between the two slices.  Columns run over (source slot, basis vector of
+    its e-part), rows over the e-coordinates of each target slot."""
+    src = [_e_part_of_module(n, st.e_index) for st in src_slots]
+    tgt = [_e_part_of_module(n, tt.e_index) for tt in tgt_slots]
+    blocks = {}
+    for s, source in enumerate(src):
+        for t, target in enumerate(tgt):
             elem = lam(s, t)
             if any(elem):
-                act = n.action_of_vector(elem)
-                off = tgt_offsets[t]
-                for out, v in zip(outs, vecs):
-                    coords = _e_coords(n, tt.e_index, act.apply(v))
-                    for k in compress(range(len(coords)), coords):
-                        out[off + k] = coords[k]
-        cols.extend(outs)
-    return Matrix.from_columns(n.field, cols, tgt_offsets[-1])
+                blocks[t, s] = restricted_action(n, elem, source, target,
+                                                 "vector not in the idempotent part")
+    return Matrix.from_blocks(n.field, [R.nrows for _B, R in tgt],
+                              [B.ncols for B, _R in src], blocks)
 
 
 def _slot_image_columns(field, images, st):
@@ -412,8 +394,7 @@ def _kernel_module(step):
     K = d.kernel_matrix()
     k = K.ncols
     pivots = d.pivot_columns()
-    pivset = set(pivots)
-    free = [j for j in range(d.ncols) if j not in pivset]
+    free = _free_columns(d)
     k_rows = K.sparse_rows
     acts = []
     for i in range(step.proj.algebra.dim):
@@ -428,6 +409,22 @@ def _kernel_module(step):
         acts.append(Matrix._trusted(field, X, k))
     sub = Module(step.proj.algebra, step.proj.side, k, acts)
     return sub, ModuleMap(sub, step.proj, K, check=False)
+
+
+def _free_columns(d):
+    """The non-pivot columns of d, increasing: the rows on which
+    d.kernel_matrix() is the identity."""
+    pivots = set(d.pivot_columns())
+    return [j for j in range(d.ncols) if j not in pivots]
+
+
+def _kernel_coords(K, free, V, message):
+    """X with K.X = V for K = d.kernel_matrix(), the identity on the rows
+    free = _free_columns(d): V's rows there, checked exactly by K.X == V."""
+    X = V.submatrix(free, range(V.ncols))
+    if K * X != V:
+        raise ValidationError(message)
+    return X
 
 
 def _elem_grid(matrix, src, tgt):
@@ -574,20 +571,17 @@ class HomComplex:
         return _homology_dim(self.space_dims, self.deltas, i)
 
     def cohomology(self, i):
-        """(cocycle basis K in C_i coords, span of the coboundaries in K
-        coords) at degree i: cohomology is the quotient by that span."""
+        """(cocycle basis K in C_i coords, the rows free where K is the
+        identity, span of the coboundaries in K coords) at degree i:
+        cohomology is the quotient by that span."""
         field = self.n.field
-        K = self.deltas[i].kernel_matrix() if i < len(self.deltas) else Matrix.identity(
-            field, self.space_dims[i]
-        )
-        # image of delta_{i-1} expressed inside the kernel
+        d = self.deltas[i] if i < len(self.deltas) else Matrix.zero(field, 0, self.space_dims[i])
+        K, free = d.kernel_matrix(), _free_columns(d)
         boundaries = SpanAccumulator(field, K.ncols)
         if i > 0:
-            sols = Eliminator(K).solve_matrix(self.deltas[i - 1])
-            if sols is None:
-                raise ValidationError("image escapes kernel: complex broken")
-            boundaries.add_columns(sols)
-        return K, boundaries
+            boundaries.add_columns(_kernel_coords(K, free, self.deltas[i - 1],
+                                                  "image escapes kernel: complex broken"))
+        return K, free, boundaries
 
 
 class ExtTable:
@@ -731,18 +725,13 @@ def _cochain_map(res_s, res_t, F, n_mod, i):
 
 def _cohomology_descent(Cs, Ct, G, i):
     """Matrix of the map on cohomology at degree i, plus (tgt_dim, src_dim)."""
-    field = Cs.n.field
-    Kt, bt = Ct.cohomology(i)
-    Ks, bs = Cs.cohomology(i)
-    ks_solver = Eliminator(Ks)
-    cols = []
-    for c in bt.complement:
-        in_k = ks_solver.solve(G.apply(list(Kt.column(c))))
-        if in_k is None:
-            raise ValidationError("induced cochain map does not preserve cocycles")
-        cols.append(bs.project(in_k))
+    Kt, _free, bt = Ct.cohomology(i)
+    Ks, free, bs = Cs.cohomology(i)
+    in_k = _kernel_coords(Ks, free, G * Kt.submatrix(range(Kt.nrows), bt.complement),
+                          "induced cochain map does not preserve cocycles")
+    cols = [bs.project(c) for c in in_k.sparse_columns()]
     src_dim = Ks.ncols - bs.dim
-    return Matrix.from_columns(field, cols, src_dim), Kt.ncols - bt.dim, src_dim
+    return Matrix.from_columns(Cs.n.field, cols, src_dim), Kt.ncols - bt.dim, src_dim
 
 
 def _ext_induced_maps(f, n, first, last):

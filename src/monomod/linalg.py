@@ -600,6 +600,12 @@ class Matrix:
         """Columns = the pivot columns of self (a basis of the column space)."""
         return self.submatrix(range(self.nrows), list(self.pivot_columns()))
 
+    def rank_factorization(self):
+        """(B, R) with self = B.R: B the column_space_matrix and R the
+        nonzero rows of the rref."""
+        rows = tuple(self._span()[0].sparse_rows)
+        return self.column_space_matrix(), Matrix._trusted(self.field, rows, self.ncols)
+
     def inverse(self):
         """Via Eliminator: its rows are sparse, so the cap bounds only n."""
         if self.nrows != self.ncols:

@@ -333,9 +333,10 @@ def radical_image_dim(m):
 
 
 def idempotent_slice(m, e):
-    """(basis matrix, Eliminator) of the slice e.m of m for an idempotent e."""
-    basis = m.action_of_vector(e).column_space_matrix()
-    return basis, Eliminator(basis)
+    """The slice e.m of m for an idempotent e as the rank factorization
+    rho(e) = B.R: B (a basis of e.m) is the pivot columns of rho(e), and as
+    rho(e) fixes e.m and R.B = I, R.v is v's coordinates in B.  1 gives (I, I)."""
+    return m.action_of_vector(e).rank_factorization()
 
 
 def idempotent_slices(m, idempotents):
@@ -347,12 +348,14 @@ def idempotent_slices(m, idempotents):
 
 
 def restricted_action(m, vec, source, target, message):
-    """Matrix of v -> vec.v from the slice source to the slice target, in
-    their bases; raises ValidationError(message) if the image leaves target."""
-    sol = target[1].solve_matrix(m.action_of_vector(vec) * source[0])
-    if sol is None:
+    """Matrix X = R_t.rho(vec).B_s of v -> vec.v between idempotent slices
+    (B_s, R_s) = source and (B_t, R_t) = target, checked exactly by
+    B_t.X == rho(vec).B_s; raises ValidationError(message) if that fails."""
+    image = m.action_of_vector(vec) * source[0]
+    X = target[1] * image
+    if target[0] * X != image:
         raise ValidationError(message)
-    return sol
+    return X
 
 
 def cokernel(f):

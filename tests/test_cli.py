@@ -192,6 +192,19 @@ def test_ext_tor(files, run_cli):
     assert [row["dim"] for row in json.loads(r.stdout)["rows"]] == [1, 1, 1, 1]
 
 
+def test_ext_bound_zero_prints_ext0_alone(files, run_cli):
+    # --bound 0 is a bound, not a missing option: no fallback to the default
+    r = run_cli(["ext", "simple.json", "simple.json", "--bound", "0"], files)
+    assert r.returncode == 0
+    assert json.loads(r.stdout)["rows"] == [{"i": 0, "dim": 1}]
+
+
+def test_classify_bound_zero_exits3(files, run_cli):
+    r = run_cli(["module", "classify", "simple.json", "--bound", "0"], files)
+    assert r.returncode == 3
+    assert "bound must be >= 1" in json.loads(r.stdout)["error"]
+
+
 def test_t2_commands(files, run_cli):
     r = run_cli(["t2", "build", "triple.json"], files)
     assert r.returncode == 0

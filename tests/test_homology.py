@@ -15,6 +15,7 @@ from monomod.homology import (
     HomComplex,
     _image_in_radical,
     _kernel_module,
+    _slot_block_matrix,
     _SlotSum,
     _Step,
     ext_comparison_table,
@@ -28,11 +29,12 @@ from monomod.homology import (
     resolve,
     tor_dims,
 )
-from monomod.linalg import GF, QQ, Matrix, basis_vector
+from monomod.linalg import GF, QQ, Eliminator, Matrix, basis_vector
 from monomod.modules import (
     ModuleMap,
     Verdict,
     hom_space,
+    idempotent_slice,
     is_isomorphic,
     k_dual,
     module_on_invariant_columns,
@@ -600,6 +602,122 @@ def test_step_kernels_match_invariant_column_oracle(kx2, lambda2):
             _kernel_module(bad)
         with pytest.raises(ValidationError, match="subspace is not action-invariant"):
             _kernels_by_invariant_columns(bad)
+
+
+def _t2_kx2_gf2():
+    """T2(k[x]/(x^2)) over GF(2): no radical is known, so its covers are free."""
+    F2 = GF(2)
+    pres = AlgebraPresentation(F2, 2, ["1", "x"], [1, 0],
+                               [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)],
+                               idempotents=[[1, 0]])
+    return t2_algebra(validate_algebra(pres, label="k[x]/(x^2) over F2")).flat
+
+
+def _slice_basis(n, st):
+    """The basis of eN the blocks were read in before: the pivot columns of
+    rho(e), e the slot's idempotent or the unit for a free slot."""
+    algebra = n.algebra
+    e = algebra.unit if st.e_index is None else algebra.idempotents[st.e_index]
+    return n.action_of_vector(e).column_space_matrix()
+
+
+def _blocks_by_solving(n, src_slots, tgt_slots, lam):
+    """_slot_block_matrix by the route it took before: every basis vector
+    of each source slice is moved by lam(s, t), and the image's coordinates
+    are solved for through an Eliminator of the target slice's basis."""
+    tgt = [_slice_basis(n, tt) for tt in tgt_slots]
+    solvers = [Eliminator(B) for B in tgt]
+    cols = []
+    for s, st in enumerate(src_slots):
+        B = _slice_basis(n, st)
+        for b in range(B.ncols):
+            v = list(B.column(b))
+            col = []
+            for t, solver in enumerate(solvers):
+                coords = solver.solve(n.action_of_vector(lam(s, t)).apply(v))
+                if coords is None:
+                    raise ValidationError("vector not in the idempotent part")
+                col.extend(coords)
+            cols.append(col)
+    return Matrix.from_columns(n.field, cols, sum(B.ncols for B in tgt))
+
+
+def _block_assembly_cases(lambda2, loop_arrow):
+    """(module, its algebra's regular modules) for the block assembly
+    checks: idempotents neither of which is the unit, the unit as the one
+    idempotent, a loop-arrow module, and free slots over GF(2)."""
+    T2 = _t2_kx2_gf2()
+    reg2 = regular_modules(T2)[0]
+    mods = [
+        _x0_flats()[0],
+        module_M1qc(lambda_q(GF(7), 2), Fraction(3, 2)),
+        loop_arrow["modules"][3],                # I(1)
+        *(submodule_generated(reg2, [basis_vector(GF(2), T2.dim, j)])[0]
+          for j in range(T2.dim)),
+    ]
+    return [(m, regular_modules(m.algebra)) for m in mods]
+
+
+def test_slot_blocks_match_per_vector_solves(lambda2, loop_arrow):
+    # every Hom-complex delta and every Tor map, built through
+    # restricted_action, equals the per-vector solve entry for entry
+    bound = 3
+    seen = set()
+    for m, (left, right) in _block_assembly_cases(lambda2, loop_arrow):
+        steps = resolution(m, length=bound + 1).steps
+        seen.update((st.e_index is None, st.e_index is not None and
+                     m.algebra.idempotents[st.e_index] == m.algebra.unit)
+                    for step in steps for st in step.slot_types)
+        for n in (left, m):
+            C = HomComplex(resolution(m), n, bound + 1)
+            for i in range(1, bound + 2):
+                ref = _blocks_by_solving(n, steps[i - 1].slot_types, steps[i].slot_types,
+                                         lambda j2, j: steps[i].d_elems[j][j2])
+                assert C.deltas[i - 1].entries() == ref.entries(), (m.label, i)
+        for i in range(1, bound + 2):
+            def lam(j, j2):
+                return steps[i].d_elems[j][j2]
+            got = _slot_block_matrix(right, steps[i].slot_types, steps[i - 1].slot_types, lam)
+            ref = _blocks_by_solving(right, steps[i].slot_types, steps[i - 1].slot_types, lam)
+            assert got.entries() == ref.entries(), (m.label, i)
+    # free slots, unit idempotents and proper idempotents all occur
+    assert seen == {(True, False), (False, True), (False, False)}
+
+
+def test_slot_block_refuses_an_image_outside_the_target_slice(lambda2):
+    # e0 moves e0.N into itself, not into e1.N: the block from an e0-slot
+    # to an e1-slot must be refused, not read as the zero block
+    flat = _x0_flats()[0]
+    algebra = flat.algebra
+    n = regular_modules(algebra)[0]
+    e0 = list(algebra.idempotents[0])
+    s0, s1 = (homology.slot_type(algebra, "left", k) for k in (0, 1))
+    with pytest.raises(ValidationError, match="not in the idempotent part"):
+        _slot_block_matrix(n, [s0], [s1], lambda s, t: e0)
+    with pytest.raises(ValidationError, match="not in the idempotent part"):
+        _blocks_by_solving(n, [s0], [s1], lambda s, t: e0)
+    # the same element between e0-slots is the identity of e0.N
+    assert _slot_block_matrix(n, [s0], [s0], lambda s, t: e0).is_identity()
+
+
+def test_idempotent_slice_is_a_rank_factorization(lambda2, loop_arrow):
+    # rho(e) = B.R with R.B = I, for every declared idempotent, the unit
+    # and 0, over Q, GF(2) and GF(7); B is the pivot columns of rho(e)
+    mods = [m for m, _regs in _block_assembly_cases(lambda2, loop_arrow)]
+    assert {m.field for m in mods} == {QQ, GF(2), GF(7)}
+    for m in mods:
+        algebra = m.algebra
+        zero = [algebra.field.zero] * algebra.dim
+        for e in [*algebra.idempotents, algebra.unit, zero]:
+            E = m.action_of_vector(e)
+            B, R = idempotent_slice(m, e)
+            assert B * R == E
+            assert R * B == Matrix.identity(m.field, E.rank())
+            assert B == E.column_space_matrix()
+        B, R = idempotent_slice(m, algebra.unit)
+        assert B.is_identity() and R.is_identity()
+        B, R = idempotent_slice(m, zero)
+        assert (B.nrows, B.ncols, R.nrows, R.ncols) == (m.dim, 0, 0, m.dim)
 
 
 def _x_family(c):
