@@ -2,9 +2,16 @@
 
 An AlgebraPresentation is raw data; validate_algebra() checks associativity
 exhaustively over basis triples, the unit law, and the optional idempotent
-set, and returns a sealed Algebra handle.  Radicals come from the trace
-bilinear form (char 0 or char p > dim), or from a declared radical basis
-which is then verified.
+set, and returns a sealed Algebra handle.
+
+The radical J is the kernel of the trace bilinear form (char 0 or char p >
+dim), or a declared basis, which is checked to be a two-sided ideal with a
+nondegenerate trace form on A/J (where the characteristic allows that
+test).  Either way J is checked nilpotent: J^(k+1) = J.J^k is spanned by
+the products of the two bases, and the dimensions must fall to 0.  Each
+vector of these spans (a Gram row, a kernel column, a product) is added to
+a SpanAccumulator as it is made, so no matrix is stacked just to read its
+rank or rref.
 """
 
 from .errors import DimensionMismatch, ValidationError
@@ -265,22 +272,16 @@ class Algebra:
             return self._verify_declared_radical()
         return self._radical_by_trace_form()
 
-    def _trace_form_kernel(self, table_dim, trace_of_basis, product):
-        field = self.field
-        rows = []
-        for i in range(table_dim):
-            row = [field.zero] * table_dim
-            for j in range(table_dim):
-                s = field.zero
-                for k, c in product(i, j):
-                    t = trace_of_basis[k]
-                    if t and c:
-                        s = field.add(s, field.mul(c, t))
-                row[j] = s
-            rows.append(row)
-        G = Matrix(field, rows, table_dim)
-        K = G.kernel_matrix()
-        return K
+    def _trace_form_kernel(self, n, product):
+        """Kernel (columns) of the trace form (x, y) -> tr L_xy of an algebra
+        on n basis vectors with products product(i, j), sparse (k, coeff);
+        each Gram row goes to sparse_kernel as it is made."""
+        traces = [sum(c for j in range(n) for k, c in product(i, j) if k == j)
+                  for i in range(n)]
+        canon = self.field.canon
+        rows = (canon((j, sum(c * traces[k] for k, c in product(i, j))) for j in range(n))
+                for i in range(n))
+        return sparse_kernel(self.field, n, rows)
 
     def _characteristic_ok(self, dim):
         ch = self.field.characteristic
@@ -292,37 +293,30 @@ class Algebra:
                 "unsupported-characteristic: trace-form radical needs char 0 or "
                 f"char p > dim; declare radical_basis explicitly (char {self.field.characteristic}, dim {self.dim})"
             )
-        traces = [self.left_matrix(i).trace() for i in range(self.dim)]
-        K = self._trace_form_kernel(self.dim, traces, self.basis_product)
-        vecs = [list(K.column(j)) for j in range(K.ncols)]
-        rad = Matrix(self.field, vecs, self.dim).rref() if vecs else Matrix(
-            self.field, [], self.dim
-        )
-        rad = rad.submatrix(range(rad.rank()), range(self.dim))
-        self._check_radical_nilpotent([list(r) for r in rad.rows])
-        return [tuple(r) for r in rad.rows]
+        rad = SpanAccumulator(self.field, self.dim)
+        rad.add_columns(self._trace_form_kernel(self.dim, self.basis_product))
+        rows = rad.rows
+        self._check_radical_nilpotent(rows)
+        return rows
 
     def _check_radical_nilpotent(self, rad_vectors):
-        # J^(dim) = 0, checked exhaustively by iterating spans of products
+        # J^(k+1) = J.J^k; J is nilpotent iff these dimensions fall to 0
         current = rad_vectors
-        for _ in range(self.dim + 1):
-            if not current:
-                return
-            prods = [self.product_vectors(u, v) for u in rad_vectors for v in current]
-            m = Matrix(self.field, prods, self.dim)
-            r = m.rref().submatrix(range(m.rank()), range(self.dim))
-            nxt = [list(row) for row in r.rows]
-            if len(nxt) >= len(current):
+        while current:
+            power = SpanAccumulator(self.field, self.dim)
+            for u in rad_vectors:
+                for v in current:
+                    power.add(self.product_vectors(u, v))
+            if power.dim >= len(current):
                 raise ValidationError("radical candidate is not nilpotent")
-            current = nxt
-        raise ValidationError("radical candidate is not nilpotent")
+            current = power.rows
 
     def _verify_declared_radical(self):
         field = self.field
         J = SpanAccumulator(field, self.dim)
         for v in self._declared_radical:
             J.add(v)
-        jvecs = [list(r) for r in J.rows]
+        jvecs = J.rows
         for i in range(self.dim):
             e = basis_vector(field, self.dim, i)
             for jv in jvecs:
@@ -335,34 +329,21 @@ class Algebra:
                     )
         self._check_radical_nilpotent(jvecs)
         self._check_semisimple_quotient(J)
-        return [tuple(v) for v in jvecs]
+        return jvecs
 
     def _check_semisimple_quotient(self, J):
         # trace form of A/J must be nondegenerate -- only checkable for
         # char 0 or char p > dim(A/J)
-        field = self.field
         qdim = self.dim - J.dim
         if not self._characteristic_ok(qdim):
             return  # declared radical accepted with the unverifiable part skipped
         comp = J.complement
 
         def qprod(i, j):
-            ei = basis_vector(field, self.dim, comp[i])
-            ej = basis_vector(field, self.dim, comp[j])
-            vec = J.project(self.product_vectors(ei, ej))
+            vec = J.project(dict(self.basis_product(comp[i], comp[j])))
             return [(k, c) for k, c in enumerate(vec) if c]
 
-        # quotient left-multiplication traces
-        traces = []
-        for k in range(qdim):
-            t = field.zero
-            for j in range(qdim):
-                for kk, c in qprod(k, j):
-                    if kk == j:
-                        t = field.add(t, c)
-            traces.append(t)
-        K = self._trace_form_kernel(qdim, traces, qprod)
-        if K.ncols != 0:
+        if self._trace_form_kernel(qdim, qprod).ncols != 0:
             raise ValidationError(
                 "declared radical too small: quotient trace form degenerate"
             )

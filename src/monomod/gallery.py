@@ -96,12 +96,13 @@ def _check_lambda_structure(A):
     rad = A.radical_basis()
     if len(rad) != 5:
         raise ValidationError(f"Lambda(q) radical has dim {len(rad)}, expected 5")
-    j2 = [A.product_vectors(u, v) for u in rad for v in rad]
-    m2 = Matrix(A.field, j2, 6)
-    if m2.rank() != 2:
+    j2 = SpanAccumulator(A.field, 6)
+    for u in rad:
+        for v in rad:
+            j2.add(A.product_vectors(u, v))
+    if j2.dim != 2:
         raise ValidationError("Lambda(q) J^2 should have dim 2")
-    j3 = [A.product_vectors(u, list(v)) for u in rad for v in m2.rref().rows[:2]]
-    if any(any(vec) for vec in j3):
+    if any(any(A.product_vectors(u, v)) for u in rad for v in j2.rows):
         raise ValidationError("Lambda(q) J^3 should vanish")
 
 

@@ -370,12 +370,12 @@ def _minimal_generators(m):
     top_dim = m.dim - rad_image.dim
     gens = []
     for e_idx, e in enumerate(algebra.idempotents):
+        # column j of e's action is a generator exactly when its image in
+        # top(m) grows the span of the images of the columns before it
         E = m.action_of_vector(list(e))
-        projected = Matrix.from_columns(
-            field, [rad_image.project(c) for c in E.sparse_columns()], top_dim
-        )
-        for j in projected.pivot_columns():
-            gens.append((e_idx, E.column(j)))
+        top = SpanAccumulator(field, top_dim)
+        gens.extend((e_idx, E.column(j)) for j, c in enumerate(E.sparse_columns())
+                    if top.add(rad_image.project(c)))
     return gens
 
 
@@ -533,8 +533,9 @@ def resolve(m, n, minimal=None):
 class HomComplex:
     """Coordinates of Hom(P_i, n) = (+)_slots eN over a resolution of m.
 
-    deltas[i-1] is the matrix of Hom(P_{i-1}, n) -> Hom(P_i, n), h -> h o d_i,
-    assembled from the stored algebra elements of each differential.
+    delta(i) is the matrix of Hom(P_i, n) -> Hom(P_(i+1), n), h -> h o d_(i+1),
+    assembled from the stored algebra elements of the differential when it
+    is first read: a caller that reads only some degrees builds only those.
     """
 
     def __init__(self, res, n, upto):
@@ -542,7 +543,7 @@ class HomComplex:
         self.n = n
         self.upto = -1
         self.space_dims = []
-        self.deltas = []
+        self._cache = {}  # the coboundaries, kept by memo
         self.ensure(upto)
 
     def ensure(self, upto):
@@ -553,33 +554,36 @@ class HomComplex:
         steps = self.res.steps
         for i in range(self.upto + 1, upto + 1):
             self.space_dims.append(sum(_e_dim(self.n, st) for st in steps[i].slot_types))
-            if i >= 1:
-                self.deltas.append(_slot_block_matrix(
-                    self.n, steps[i - 1].slot_types, steps[i].slot_types,
-                    lambda j2, j: steps[i].d_elems[j][j2]))
         self.upto = upto
         return self
+
+    @memo
+    def delta(self, i):
+        """The coboundary out of degree i, valid for 0 <= i <= upto - 1."""
+        steps = self.res.steps
+        return _slot_block_matrix(self.n, steps[i].slot_types, steps[i + 1].slot_types,
+                                  lambda j2, j: steps[i + 1].d_elems[j][j2])
 
     def cocycle_dim(self, i):
         """dim of the cocycles at degree i, valid for 0 <= i <= upto - 1.
         P_(i+1) -> P_i -> Omega^i -> 0 is exact, so this is dim Hom(Omega^i m, n)
         (dim Hom(m, n) at i = 0)."""
-        return self.space_dims[i] - self.deltas[i].rank()
+        return self.space_dims[i] - self.delta(i).rank()
 
     def ext_dim(self, i):
         """dim Ext^i(m, n), valid for 0 <= i <= upto - 1."""
-        return _homology_dim(self.space_dims, self.deltas, i)
+        return self.cocycle_dim(i) - (self.delta(i - 1).rank() if i else 0)
 
     def cohomology(self, i):
         """(cocycle basis K in C_i coords, the rows free where K is the
         identity, span of the coboundaries in K coords) at degree i:
         cohomology is the quotient by that span."""
         field = self.n.field
-        d = self.deltas[i] if i < len(self.deltas) else Matrix.zero(field, 0, self.space_dims[i])
+        d = self.delta(i) if i < self.upto else Matrix.zero(field, 0, self.space_dims[i])
         K, free = d.kernel_matrix(), _free_columns(d)
         boundaries = SpanAccumulator(field, K.ncols)
         if i > 0:
-            boundaries.add_columns(_kernel_coords(K, free, self.deltas[i - 1],
+            boundaries.add_columns(_kernel_coords(K, free, self.delta(i - 1),
                                                   "image escapes kernel: complex broken"))
         return K, free, boundaries
 
@@ -615,7 +619,7 @@ def hom_space_via_presentation(m, n):
     reference that hom_space_direct is checked against."""
     res = resolution(m, length=1)
     C = HomComplex(res, n, 1)
-    K = C.deltas[0].kernel_matrix()
+    K = C.delta(0).kernel_matrix()
     field = n.field
     step0 = res.steps[0]
     # preimages of the m-basis under the augmentation

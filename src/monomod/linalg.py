@@ -489,17 +489,6 @@ class Matrix:
         t._cols = self.sparse_rows
         return t
 
-    def trace(self):
-        if self.nrows != self.ncols:
-            raise DimensionMismatch("trace of non-square matrix")
-        field = self.field
-        s = field.zero
-        for i, r in enumerate(self.sparse_rows):
-            x = r.get(i)
-            if x:
-                s = field.add(s, x)
-        return s
-
     def hstack(self, other):
         if self.nrows != other.nrows or self.field != other.field:
             raise DimensionMismatch("hstack mismatch")

@@ -225,16 +225,23 @@ class ModuleMap:
         return cls(source, target, Matrix.zero(source.field, target.dim, source.dim), check=False)
 
     def compose(self, other):
-        """self after other."""
-        if other.target is not self.source and other.target.dim != self.source.dim:
-            raise DimensionMismatch("composition mismatch")
+        """self after other; other's target must be self's source, the same
+        module object."""
+        if other.target is not self.source:
+            raise DimensionMismatch("composition mismatch: other.target is not self.source")
         return ModuleMap(other.source, self.target, self.matrix * other.matrix, check=False)
 
     def __add__(self, other):
+        self._check_parallel(other)
         return ModuleMap(self.source, self.target, self.matrix + other.matrix, check=False)
 
     def __sub__(self, other):
+        self._check_parallel(other)
         return ModuleMap(self.source, self.target, self.matrix - other.matrix, check=False)
+
+    def _check_parallel(self, other):
+        if other.source is not self.source or other.target is not self.target:
+            raise DimensionMismatch("maps between different modules")
 
     def rank(self):
         return self.matrix.rank()

@@ -10,8 +10,11 @@ from monomod.algebra import (
     validate_algebra,
 )
 from monomod.errors import DimensionMismatch, ValidationError
-from monomod.linalg import GF, QQ, Matrix
+from monomod.gallery import lambda_q
+from monomod.homology import has_minimal_covers
+from monomod.linalg import GF, QQ, Matrix, SpanAccumulator, basis_vector
 from monomod.modules import validate_module
+from monomod.quiver import Quiver, build_tensor
 
 
 def test_kx2_validates(kx2):
@@ -163,6 +166,42 @@ def test_declared_radical_verified(kx2):
             [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)],
             radical_basis=[[0, 1, 0]],
         )
+
+
+def test_declared_radical_refusals():
+    # k[x]/(x^2) with three wrong radicals, each refused for its own reason
+    def declared(rad):
+        return validate_algebra(AlgebraPresentation(
+            QQ, 2, ["1", "x"], [1, 0],
+            [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)],
+            radical_basis=rad,
+        ))
+
+    with pytest.raises(ValidationError, match="not a two-sided ideal"):
+        declared([[1, 0]]).radical_basis()
+    with pytest.raises(ValidationError, match="not nilpotent"):
+        declared([[1, 0], [0, 1]]).radical_basis()
+    with pytest.raises(ValidationError, match="too small"):
+        declared([]).radical_basis()
+
+
+@pytest.mark.parametrize("field", [GF(5), QQ], ids=["F5", "Q"])
+def test_radical_of_lambda2_tensor_a3(field):
+    # J(Lambda(2) (x) kA3) = J(Lambda(2)) (x) kA3 + Lambda(2) (x) J(kA3), of
+    # dimension 5*6 + 6*3 - 5*3 = 33; its nilpotency check once stacked
+    # all 33^2 products into one matrix, over the dimension cap
+    T = build_tensor(lambda_q(field, 2), Quiver([1, 2, 3], [("g1", 2, 1), ("g2", 3, 2)]))
+    arrows = [j for p, j in T.B._path_index.items() if p[1]]
+    expected = SpanAccumulator(field, T.flat.dim)
+    for rv in T.A.radical_basis():
+        for j in range(T.npaths):
+            expected.add(T.embed(list(rv), j))
+    for i in range(T.A.dim):
+        for j in arrows:
+            expected.add(T.embed(basis_vector(field, T.A.dim, i), j))
+    assert expected.dim == 33
+    assert T.flat.radical_basis() == expected.rows
+    assert has_minimal_covers(T.flat)
 
 
 def test_unsupported_characteristic():

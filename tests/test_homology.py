@@ -541,6 +541,27 @@ def test_semi_gp_of_x_family_screens_every_pair(monkeypatch):
     assert calls == []
 
 
+def test_semi_gp_screen_builds_no_degree_zero_coboundary(monkeypatch):
+    # the screen reads its complexes into Omega^j only through
+    # cocycle_dim(i) for i >= 1, so none of them builds Hom(P_0, Omega^j) ->
+    # Hom(P_1, Omega^j); the complex into the regular module does
+    flat = _x_family(Fraction(3, 2)).flatten()
+    first = resolution(flat, length=1).steps[0].slot_types
+    reg = regular_modules(flat.algebra)[0]
+    built = []
+    block = homology._slot_block_matrix
+
+    def spy(n, source_types, *args):
+        built.append((n is reg, source_types is first))
+        return block(n, source_types, *args)
+
+    monkeypatch.setattr(homology, "_slot_block_matrix", spy)
+    assert is_semi_gp(flat, 6).status == Verdict.UNKNOWN
+    assert (True, True) in built
+    assert (False, False) in built
+    assert (False, True) not in built
+
+
 def _kernels_by_invariant_columns(step):
     """The kernel of a step by the route it was read by before: one solve of
     a.K = K.X per algebra basis vector a.  The oracle for _kernel_module."""
@@ -673,7 +694,7 @@ def test_slot_blocks_match_per_vector_solves(lambda2, loop_arrow):
             for i in range(1, bound + 2):
                 ref = _blocks_by_solving(n, steps[i - 1].slot_types, steps[i].slot_types,
                                          lambda j2, j: steps[i].d_elems[j][j2])
-                assert C.deltas[i - 1].entries() == ref.entries(), (m.label, i)
+                assert C.delta(i - 1).entries() == ref.entries(), (m.label, i)
         for i in range(1, bound + 2):
             def lam(j, j2):
                 return steps[i].d_elems[j][j2]

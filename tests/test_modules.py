@@ -52,6 +52,20 @@ def test_validate_M1qc_matches_generic(lambda2):
     assert v.certificate.matrix.rank() == 3
 
 
+def test_module_maps_combine_only_on_their_own_modules(lambda2):
+    # two calls build two S(0) objects with equal actions; the identity of
+    # one does not compose with, add to or subtract from the other's
+    S = simples_and_projectives(lambda2)["simples"][0]
+    T = simples_and_projectives(lambda2)["simples"][0]
+    assert S is not T and S.actions == T.actions
+    f, g = ModuleMap.identity(S), ModuleMap.identity(T)
+    for combine in (f.compose, f.__add__, f.__sub__):
+        with pytest.raises(DimensionMismatch):
+            combine(g)
+    assert f.compose(f).matrix == f.matrix
+    assert (f - f).matrix == ModuleMap.zero(S, S).matrix
+
+
 def test_zero_module_valid(kx2):
     z = zero_module(kx2)
     assert z.dim == 0

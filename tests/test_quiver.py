@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from monomod.algebra import regular_modules
 from monomod.errors import ValidationError
 from monomod.gallery import lambda_q
 from monomod.homology import ext_dims, is_semi_gp, resolution
-from monomod.linalg import QQ, Matrix
+from monomod.linalg import GF, QQ, Matrix
 from monomod.modules import (
     Bimodule,
     ModuleMap,
@@ -366,6 +367,28 @@ def test_mon_membership_builds_no_flat_module(kx2, lambda2, monkeypatch):
     nonmonic = QuiverRep(build_tensor(kx2, A2), {1: reg, 2: reg}, {"g": ModuleMap.zero(reg, reg)})
     with pytest.raises(ValidationError, match="needs a monic representation"):
         mon_membership(nonmonic, free)
+
+
+@pytest.mark.parametrize("field", [GF(5), QQ], ids=["F5", "Q"])
+def test_identity_over_lambda2_tensor_a3(field):
+    # mon(B, perp A) = mon(B, A) & perp Lambda over Lambda(2) (x) kA3: the
+    # semi-GP verdict of a monic flat module equals its slices' verdict.
+    # The modules are the three projectives and six seeded cyclic
+    # submodules of the regular module, all monic; both status pairs occur
+    T = build_tensor(lambda_q(field, 2), A3)
+    reg = regular_modules(T.flat)[0]
+    rng = random.Random(17)
+    vectors = [T.vertex_idempotent(v) for v in T.quiver.vertices] + [
+        [field.of(rng.randint(-2, 2)) if rng.random() < 0.3 else field.zero
+         for _ in range(T.flat.dim)]
+        for _ in range(6)
+    ]
+    pairs = Counter()
+    for vec in vectors:
+        M = submodule_generated(reg, [vec])[0]
+        slices = mon_membership(module_to_rep(T, M), lambda Z: is_semi_gp(Z, 4), bound=4)
+        pairs[is_semi_gp(M, 4).status, slices.status] += 1
+    assert pairs == {(Verdict.HOLDS, Verdict.HOLDS): 3, (Verdict.FAILS, Verdict.FAILS): 6}
 
 
 def test_cartan_eilenberg_samples(kx2, rng):

@@ -1,8 +1,10 @@
-"""Static checks of the package source, with the stdlib alone (no linter is
-needed to run them)."""
+"""Checks of the package source, with the stdlib alone (no linter is needed
+to run them), and of the benchmark tracer, which wraps package names."""
 
 import ast
 import pathlib
+import subprocess
+import sys
 
 import monomod
 
@@ -46,3 +48,17 @@ def test_package_modules_import_nothing_unused():
         if names
     }
     assert found == {}
+
+
+def test_benchmark_tracer_installs():
+    # perfbench/spans.py wraps entry points of the package by name, so a
+    # rename or deletion under src/ must fail here, not only in a traced
+    # benchmark run; a fresh interpreter keeps the wrappers out of this one
+    root = pathlib.Path(__file__).resolve().parents[1]
+    code = ("import sys\n"
+            "sys.path[:0] = sys.argv[1:]\n"
+            "import spans\n"
+            "spans.install(spans.Recorder())\n")
+    r = subprocess.run([sys.executable, "-c", code, str(root / "src"), str(root / "perfbench")],
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
