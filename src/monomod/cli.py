@@ -38,11 +38,20 @@ def _load_workspace():
     if path:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise MonomodError("workspace config must be a JSON object")
         for k in ws:
             if k in data:
                 ws[k] = data[k]
+    for k in ("bound", "cap", "seed"):
+        if not isinstance(ws[k], int) or isinstance(ws[k], bool):
+            raise MonomodError(f"workspace config {k} must be an integer, got {ws[k]!r}")
     if ws["bound"] < 1 or ws["cap"] < 1:
         raise MonomodError("workspace config needs bound >= 1 and cap >= 1")
+    if not isinstance(ws["field"], str):
+        raise MonomodError(f"workspace config field must be a string, got {ws['field']!r}")
+    if ws["output"] not in ("json", "text"):
+        raise MonomodError(f"workspace config output must be json or text, got {ws['output']!r}")
     return ws
 
 

@@ -44,11 +44,24 @@ def _resolve(base_file, ref):
     return os.path.join(os.path.dirname(os.path.abspath(base_file)), ref)
 
 
+def _int(value, what):
+    """value, which a file must give as an int (a bool is not one)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _dim(value):
+    if _int(value, "dim") < 0:
+        raise ValidationError(f"dim must be >= 0, got {value}")
+    return value
+
+
 def _entries_to_matrix(field, entries, nrows, ncols):
     z = field.zero
     rows = [[z] * ncols for _ in range(nrows)]
     for r, c, val in entries:
-        if not (0 <= r < nrows and 0 <= c < ncols):
+        if not (0 <= _int(r, "entry row") < nrows and 0 <= _int(c, "entry column") < ncols):
             raise ValidationError(f"entry ({r},{c}) out of range for {nrows}x{ncols}")
         rows[r][c] = val
     return Matrix.from_rows(field, rows, ncols)
@@ -74,10 +87,11 @@ def load_algebra(path):
         return got[1]
     data = json.loads(raw.decode("utf-8"))
     field = Field.parse_spec(data["field"])
-    consts = [(i, j, k, field.of(v)) for (i, j, k, v) in data["struct_consts"]]
+    consts = [(*(_int(x, "struct const index") for x in (i, j, k)), field.of(v))
+              for (i, j, k, v) in data["struct_consts"]]
     pres = AlgebraPresentation(
         field,
-        data["dim"],
+        _dim(data["dim"]),
         data["labels"],
         [field.of(x) for x in data["unit"]],
         consts,
@@ -139,7 +153,7 @@ def load_module(path, algebra=None):
         if "algebra_ref" not in data:
             raise ValidationError(f"{path}: module file has no algebra_ref")
         algebra = load_algebra(_resolve(path, data["algebra_ref"]))
-    acts = _label_actions(path, algebra, data.get("actions", {}), data["dim"])
+    acts = _label_actions(path, algebra, data.get("actions", {}), _dim(data["dim"]))
     return validate_module(acts, data["side"], algebra, label=os.path.basename(path))
 
 
@@ -168,7 +182,7 @@ def load_bimodule(path):
     data = _read(path)
     A = load_algebra(_resolve(path, data["A_ref"]))
     B = load_algebra(_resolve(path, data["B_ref"]))
-    dim = data["dim"]
+    dim = _dim(data["dim"])
     lacts = _label_actions(path, A, data.get("left_actions", {}), dim)
     racts = _label_actions(path, B, data.get("right_actions", {}), dim)
     return validate_bimodule(A, B, lacts, racts, label=os.path.basename(path))

@@ -307,13 +307,21 @@ def module_on_invariant_columns(m, basis_matrix, label=""):
 def quotient_module(m, subspace_columns, label="", accumulator=None):
     """(quotient, projection, section_matrix) of m by an invariant subspace,
     given by its columns or, when subspace_columns is None, as a
-    SpanAccumulator."""
+    SpanAccumulator.  The projection Q and the section S have Q.S = I;
+    ValidationError(witness=i) unless Q.rho(b_i) vanishes on the subspace
+    for every basis vector b_i."""
     if accumulator is None:
         accumulator = SpanAccumulator(m.field, m.dim)
         accumulator.add_columns(subspace_columns)
     Q = accumulator.projection_matrix()
     S = accumulator.section_matrix()
-    acts = [Q * (m.actions[i] * S) for i in range(m.algebra.dim)]
+    basis = accumulator.basis_columns_matrix()
+    acts = []
+    for i, act in enumerate(m.actions):
+        Q_act = Q * act
+        if not (Q_act * basis).is_zero():
+            raise ValidationError("subspace is not action-invariant", witness=i)
+        acts.append(Q_act * S)
     quot = Module(m.algebra, m.side, Q.nrows, acts, label=label)
     proj = ModuleMap(m, quot, Q, check=False)
     return quot, proj, S
@@ -366,9 +374,21 @@ def restricted_action(m, vec, source, target, message):
 
 
 def cokernel(f):
-    """(Coker f, projection) of a ModuleMap."""
-    coker, proj, _ = quotient_module(f.target, f.matrix, label=f"coker({f.source.label})")
-    return coker, proj
+    """(Coker f, projection, section_matrix) of a ModuleMap, as
+    quotient_module gives them: the projection's matrix Q and the section S
+    have Q.S = I."""
+    return quotient_module(f.target, f.matrix, label=f"coker({f.source.label})")
+
+
+def factor_through(projection, section, block, message):
+    """The g with g.projection == block, for a surjective projection matrix
+    Q with section S (Q.S = I): g is block.S, and g.Q == block is checked
+    exactly, so that block vanishes on the kernel of Q; else
+    ValidationError(message)."""
+    g = block * section
+    if g * projection != block:
+        raise ValidationError(message)
+    return g
 
 
 def direct_sum(mods, label=""):
@@ -720,12 +740,15 @@ class TensorResult:
         self.module = module
 
 
-def tensor_over(u, y, validate=True):
+def tensor_over(u, y):
     """u (x)_B y for u a right B-module or an (A,B)-bimodule, y a left B-module.
 
-    Realized as the cokernel of the relation map
+    Realized as the quotient of u (x)_k y, with the pure tensor u_i (x) y_j
+    at coordinate i * dim y + j, by the relations
     (u, b, v) |-> u.b (x) v  -  u (x) b.v   over a generating set of B
-    (relations for products are consequences of relations for generators).
+    (relations for products are consequences of relations for generators):
+    the columns of R_u(g) (x) I - I (x) L_y(g), generator by generator.
+    The module of a bimodule u is built unchecked; validate_module checks it.
     """
     if isinstance(u, Bimodule):
         B = u.right_algebra
@@ -742,31 +765,14 @@ def tensor_over(u, y, validate=True):
     if y.algebra is not B or y.side != "left":
         raise DimensionMismatch("second tensor factor must be a left module over the same algebra")
     field = B.field
-    du, dy = u.dim, y.dim
-    N = du * dy
-    acc = SpanAccumulator(field, N)
+    eye_u, eye_y = Matrix.identity(field, u.dim), Matrix.identity(field, y.dim)
+    acc = SpanAccumulator(field, u.dim * y.dim)
     for g in B.generators():
-        Ru = right_acts[g]
-        Ly = y.actions[g]
-        for i in range(du):
-            ucol = Ru.column(i)
-            for j in range(dy):
-                vcol = Ly.column(j)
-                vec = {s * dy + j: a for s, a in enumerate(ucol) if a}
-                for t, b in enumerate(vcol):
-                    if b:
-                        idx = i * dy + t
-                        vec[idx] = field.sub(vec.get(idx, field.zero), b)
-                acc.add(vec)
+        acc.add_columns(right_acts[g].kronecker(eye_y) - eye_u.kronecker(y.actions[g]))
     Q = acc.projection_matrix()
     S = acc.section_matrix()
-    dim = Q.nrows
     module = None
     if left_acts is not None:
-        eye = Matrix.identity(field, dy)
-        acts = [Q * (left_acts[i].kronecker(eye) * S) for i in range(A.dim)]
-        if validate:
-            module = validate_module(acts, "left", A, label=f"{u.label}(x){y.label}")
-        else:
-            module = Module(A, "left", dim, acts, label=f"{u.label}(x){y.label}")
-    return TensorResult(dim, Q, S, module)
+        acts = [Q * (a.kronecker(eye_y) * S) for a in left_acts]
+        module = Module(A, "left", Q.nrows, acts, label=f"{u.label}(x){y.label}")
+    return TensorResult(Q.nrows, Q, S, module)

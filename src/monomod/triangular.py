@@ -8,7 +8,7 @@ from .algebra import AlgebraPresentation, regular_modules, validate_algebra
 from .duality import a_dual, canonical_map, classify, dual_map, left_add_approximation
 from .errors import DimensionMismatch, ValidationError
 from .homology import ext_comparison_table, resolution
-from .linalg import Eliminator, Matrix, basis_vector
+from .linalg import Matrix, basis_vector
 from .memo import memo
 from .modules import (
     Module,
@@ -16,6 +16,7 @@ from .modules import (
     TensorResult,
     Verdict,
     cokernel,
+    factor_through,
     idempotent_slices,
     regular_bimodule,
     restricted_action,
@@ -159,7 +160,8 @@ class TripleModule:
 
     @memo
     def coker(self):
-        """(Coker phi, projection from X); both point at X, not at the triple."""
+        """(Coker phi, projection from X, section), as cokernel gives them;
+        they point at X, not at the triple."""
         return cokernel(self.phi)
 
     def __repr__(self):
@@ -169,7 +171,7 @@ class TripleModule:
 @memo
 def _tensor_cached(Y, bimodule):
     """bimodule (x)_B Y, kept on Y."""
-    return tensor_over(bimodule, Y, validate=False)
+    return tensor_over(bimodule, Y)
 
 
 def _tensor(parent, Y):
@@ -207,10 +209,7 @@ def pure_tensor_phi(parent, Y, L, message):
     tensors m_k (x) y_j; raises ValidationError(message) unless L vanishes
     on the tensor relations."""
     tens = _tensor(parent, Y)
-    phi_matrix = L * tens.section
-    if phi_matrix * tens.pure_matrix != L:
-        raise ValidationError(message)
-    return phi_matrix
+    return factor_through(tens.pure_matrix, tens.section, L, message)
 
 
 def t2_triple(parent, X, Y, phibar):
@@ -342,15 +341,6 @@ def _dual_blocks(parent, F, first_dim):
             for part, rows in parent.parts.items() for s, cols in enumerate(summands)}
 
 
-def _factor_through(solver, block, message):
-    """g with g o p = block, for solver an Eliminator of the transpose of p;
-    raises ValidationError(message) when block does not factor through p."""
-    gt = solver.solve_matrix(block.transpose())
-    if gt is None:
-        raise ValidationError(message)
-    return gt.transpose()
-
-
 def _identification(source, target, cols, message):
     """The module map source -> target with the given columns, checked to
     intertwine and to be invertible (else ValidationError(message))."""
@@ -371,21 +361,19 @@ def t2_dual_bundle(t):
     field = parent.A.field
     X, Y = t.X, t.Y
     phibar = t.phibar()
-    coker, pi = t.coker()
+    coker, pi, pi_section = t.coker()
     dX = a_dual(X)
     dC = a_dual(coker)
     dY = a_dual(Y)
     pi_star = dual_map(pi)                       # (Coker phi)* -> X*
     if not pi_star.is_injective():
         raise ValidationError("pi* is not injective")
-    coker_pi_star, p = cokernel(pi_star)         # p: X* -> Coker pi*
+    coker_pi_star, p, p_section = cokernel(pi_star)  # p: X* -> Coker pi*
     # beta: Coker pi* -> Y* with beta o p = phibar*
     phis = dual_map(phibar)                      # X* -> Y*
-    pt = Eliminator(p.matrix.transpose())
-    bmat = _factor_through(pt, phis.matrix, "phibar* does not factor through p")
+    bmat = factor_through(p.matrix, p_section, phis.matrix,
+                          "phibar* does not factor through p")
     beta = ModuleMap(coker_pi_star, dY.dual, bmat, check=False)
-    if beta.matrix * p.matrix != phis.matrix:
-        raise ValidationError("beta o p differs from phibar*")
     # dual triple ((Coker phi)*, X*)_{pi*} and the identification h: each
     # dual basis element of the flat module is (alpha1, alpha2) on X with
     # Y component alpha2 o phibar, and alpha1 = g o pi
@@ -393,7 +381,6 @@ def t2_dual_bundle(t):
     Ndual = dual_triple.flatten()
     flat = t.flatten()
     ddflat = a_dual(flat)
-    pit = Eliminator(pi.matrix.transpose())
     hcols = []
     for f in ddflat.basis:
         blk = _dual_blocks(parent, f.matrix, X.dim)
@@ -403,13 +390,14 @@ def t2_dual_bundle(t):
             raise ValidationError("flat dual basis has a Y component outside e2.Lambda")
         if blk["B", 1] != blk["M", 0] * phibar.matrix:
             raise ValidationError("Y component is not alpha2 o phibar")
-        g = _factor_through(pit, blk["A", 0], "alpha1 does not factor through pi")
+        g = factor_through(pi.matrix, pi_section, blk["A", 0],
+                           "alpha1 does not factor through pi")
         hcols.append(list(dC.coords_of_map(g)) + list(dX.coords_of_map(blk["M", 0])))
     h = _identification(ddflat.dual, Ndual, hcols, "dual identification is not invertible")
     # double dual triple (X**, (Coker pi*)*)_{p*} and tilde_h
     p_star = dual_map(p)                         # (Coker pi*)* -> X**
     ddt = t2_triple(parent, a_dual(dX.dual).dual, a_dual(coker_pi_star).dual, p_star)
-    h2 = _right_dual_identification(dual_triple, Ndual, ddt, pt, coker_pi_star)
+    h2 = _right_dual_identification(dual_triple, Ndual, ddt, coker_pi_star, p, p_section)
     tilde_h = dual_map(h).compose(
         ModuleMap(ddt.flatten(), a_dual(Ndual).dual, h2.matrix.inverse(), check=False)
     )
@@ -429,10 +417,10 @@ def t2_dual_bundle(t):
     )
 
 
-def _right_dual_identification(rt, Nflat, ddt, p_solver, coker_psi):
+def _right_dual_identification(rt, Nflat, ddt, coker_psi, p_psi, section):
     """h2: Hom(Nflat, Lambda) -> flatten(ddt) for a right triple (U, V)_psi
     with flat module Nflat: each dual basis element splits as (beta1 o psi,
-    (beta1; g o p_psi)); p_solver is an Eliminator of the transpose of p_psi."""
+    (beta1; g o p_psi)), for (coker_psi, p_psi, section) the cokernel of psi."""
     ddn = a_dual(Nflat)
     dV_data = a_dual(rt.V)
     dCpsi = a_dual(coker_psi)
@@ -445,7 +433,8 @@ def _right_dual_identification(rt, Nflat, ddt, p_solver, coker_psi):
             raise ValidationError("V component escapes Lambda.e2")
         if blk["A", 0] != blk["M", 1] * rt.psibar.matrix:
             raise ValidationError("U component is not beta1 o psi")
-        g = _factor_through(p_solver, blk["B", 1], "beta2 does not factor through Coker psi")
+        g = factor_through(p_psi.matrix, section, blk["B", 1],
+                           "beta2 does not factor through Coker psi")
         cols.append(list(dV_data.coords_of_map(blk["M", 1])) + list(dCpsi.coords_of_map(g)))
     return _identification(ddn.dual, ddt.flatten(), cols,
                            "double-dual identification is not invertible")

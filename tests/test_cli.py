@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
 import monomod
+from monomod.errors import ValidationError
 
 
 def _cli_env(env=None):
@@ -311,6 +313,61 @@ def test_workspace_config_env(files, tmp_path, run_cli):
     assert r.stdout.count("dim:") == 3  # bound 2 -> rows 0..2, text mode
 
 
+@pytest.mark.parametrize("config, message", [
+    ({"bound": "4"}, "bound must be an integer"),
+    ({"cap": "600"}, "cap must be an integer"),
+    ({"bound": 2.5}, "bound must be an integer"),
+    ({"bound": True}, "bound must be an integer"),
+    ({"seed": "x"}, "seed must be an integer"),
+    ({"cap": 0}, "cap >= 1"),
+    ({"output": "xml"}, "output must be json or text"),
+    ({"field": 5}, "field must be a string"),
+    ([{"bound": 2}], "must be a JSON object"),
+], ids=["bound-str", "cap-str", "bound-float", "bound-bool", "seed-str", "cap-zero",
+        "output-xml", "field-int", "not-an-object"])
+def test_workspace_config_values_are_checked(config, message, files, tmp_path, run_cli):
+    cfg = tmp_path / "ws.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    r = run_cli(["ext", "simple.json", "regular.json"], files,
+                env={"MONOMOD_CONFIG": str(cfg)})
+    assert r.returncode == 3
+    assert message in json.loads(r.stdout)["error"]
+
+
+@pytest.mark.parametrize("name, data, message", [
+    ("dim_str.json", {"algebra_ref": "kx2.json", "side": "left", "dim": "2"},
+     "dim must be an integer"),
+    ("dim_bool.json", {"algebra_ref": "kx2.json", "side": "left", "dim": True},
+     "dim must be an integer"),
+    ("dim_negative.json", {"algebra_ref": "kx2.json", "side": "left", "dim": -1},
+     "dim must be >= 0"),
+    ("entry_float.json", {"algebra_ref": "kx2.json", "side": "left", "dim": 2,
+                          "actions": {"x": [[1.0, 0, "1"]]}},
+     "entry row must be an integer"),
+    ("entry_str.json", {"algebra_ref": "kx2.json", "side": "left", "dim": 2,
+                        "actions": {"x": [[1, "0", "1"]]}},
+     "entry column must be an integer"),
+    ("algebra_dim.json", {"field": "Q", "dim": 2.0, "labels": ["1", "x"],
+                          "unit": ["1", "0"], "struct_consts": []},
+     "dim must be an integer"),
+    ("algebra_const.json", {"field": "Q", "dim": 2, "labels": ["1", "x"],
+                            "unit": ["1", "0"],
+                            "struct_consts": [[0, 0, 0, "1"], [0, "1", 1, "1"]]},
+     "struct const index must be an integer"),
+], ids=["dim-str", "dim-bool", "dim-negative", "entry-float", "entry-str", "algebra-dim",
+        "algebra-const"])
+def test_file_sizes_and_indices_must_be_integers(name, data, message, files, run_cli):
+    import monomod.io as mio
+
+    (files / name).write_text(json.dumps(data), encoding="utf-8")
+    load = mio.load_algebra if "struct_consts" in data else mio.load_module
+    with pytest.raises(ValidationError, match=message):
+        load(str(files / name))
+    r = run_cli(["algebra" if "struct_consts" in data else "module", "validate", name], files)
+    assert r.returncode == 3
+    assert message in json.loads(r.stdout)["error"]
+
+
 def test_usage_error_exit3(files, run_cli):
     r = run_cli(["module", "validate", "does_not_exist.json"], files)
     assert r.returncode == 3
@@ -565,6 +622,7 @@ def test_racing_algebra_loads_get_one_object(tmp_path, monkeypatch):
 
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 
 
 @pytest.mark.parametrize("scenario", [
@@ -592,6 +650,34 @@ def test_verify_pinned_invocation_matches_golden_bytes(capsys, monkeypatch):
         assert cli.main(["verify", *args]) == 0
         with open(os.path.join(GOLDEN, "pinned", golden), "rb") as fh:
             assert capsys.readouterr().out.encode("utf-8") == fh.read()
+
+
+@pytest.mark.parametrize("args, golden, rc", [
+    (["t2", "dual", "triple.json"], "x_c3-2_dual.json", 0),
+    (["t2", "classify", "triple.json", "--bound", "4"], "x_c3-2_classify_bound4.json", 1),
+], ids=["dual", "classify"])
+def test_t2_output_on_x_c3_2_matches_golden_bytes(args, golden, rc, run_cli, monkeypatch):
+    # the h and tilde_h identifications and the classify_triple report of
+    # X(3/2), the triple of test_x_c3_2_fixture_is_the_gallery_triple; X(3/2)
+    # is not Gorenstein-projective, so classify exits 1
+    from monomod import cli
+
+    monkeypatch.delenv(cli.ENV_CONFIG, raising=False)
+    r = run_cli(args, os.path.join(FIXTURES, "x_c3-2"))
+    assert r.returncode == rc
+    with open(os.path.join(GOLDEN, "t2", golden), "rb") as fh:
+        assert r.stdout.encode("utf-8") == fh.read()
+
+
+def test_x_c3_2_fixture_is_the_gallery_triple():
+    import monomod.io as mio
+    from monomod.gallery import standard_family
+
+    t = mio.load_triple(os.path.join(FIXTURES, "x_c3-2", "triple.json"))
+    ref = standard_family(c=Fraction(3, 2))["X_c"]
+    assert t.parent.is_t2
+    assert t.X.actions == ref.X.actions and t.Y.actions == ref.Y.actions
+    assert t.phi.matrix == ref.phi.matrix
 
 
 _TWICE_IN_ONE_INTERPRETER = """

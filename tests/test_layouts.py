@@ -223,7 +223,7 @@ def test_triple_to_module_matches_oracle_one_point_extension(loop_arrow, trivial
     bim = validate_bimodule(A, trivial_k, list(P2.actions), [Matrix.identity(QQ, P2.dim)])
     parent = build_triangular(A, trivial_k, bim)
     Y = regular_modules(trivial_k)[0]
-    MY = tensor_over(bim, Y, validate=False).module   # M (x)_k k
+    MY = tensor_over(bim, Y).module   # M (x)_k k
     for X in loop_arrow["modules"] + [MY]:
         t = make_triple(parent, X, Y, random_map(rng, MY, X))
         assert list(triple_to_module(t).actions) == _triple_oracle(t)

@@ -16,7 +16,7 @@ from monomod.gallery import (
     lsgp_example,
     module_M1qc,
 )
-from monomod.linalg import GF, QQ, Matrix, SpanAccumulator
+from monomod.linalg import GF, QQ, Eliminator, Matrix, SpanAccumulator, basis_vector
 from monomod.modules import (
     Module,
     ModuleMap,
@@ -24,16 +24,19 @@ from monomod.modules import (
     _composites_in_trace_radical,
     cokernel,
     direct_sum,
+    factor_through,
     hom_space,
     hom_space_direct,
     is_isomorphic,
     k_dual,
     module_on_invariant_columns,
+    quotient_module,
     radical_image,
     regular_bimodule,
     simples_and_projectives,
     submodule_generated,
     tensor_over,
+    validate_bimodule,
     validate_module,
     zero_module,
 )
@@ -301,7 +304,7 @@ def _subquotient(f):
     module_on_invariant_columns and cokernel."""
     kernel, kincl = module_on_invariant_columns(f.source, f.matrix.kernel_matrix())
     image, iincl = module_on_invariant_columns(f.target, f.matrix.column_space_matrix())
-    coker, proj = cokernel(f)
+    coker, proj, _section = cokernel(f)
     return SimpleNamespace(kernel=kernel, kernel_inclusion=kincl, image=image,
                            image_inclusion=iincl, cokernel=coker, projection=proj)
 
@@ -413,6 +416,104 @@ def test_tensor_full_relation_oracle(lambda2):
                 acc.add(vec)
     assert t.dim == N - acc.dim
     assert t.dim == 2  # frozen from this oracle
+
+
+def _tensor_by_entries(u, y, right_actions):
+    """The projection and section of u (x)_B y from its relations built
+    entry by entry: for each generator g of B and each pair (i, j), the
+    vector u_i.g (x) y_j - u_i (x) g.y_j, at coordinates i * dim y + j."""
+    field = y.field
+    du, dy = u.dim, y.dim
+    acc = SpanAccumulator(field, du * dy)
+    for g in y.algebra.generators():
+        Ru, Ly = right_actions[g], y.actions[g]
+        for i in range(du):
+            ucol = Ru.column(i)
+            for j in range(dy):
+                vec = {s * dy + j: a for s, a in enumerate(ucol) if a}
+                for t, b in enumerate(Ly.column(j)):
+                    if b:
+                        idx = i * dy + t
+                        vec[idx] = field.sub(vec.get(idx, field.zero), b)
+                acc.add(vec)
+    return acc.projection_matrix(), acc.section_matrix()
+
+
+def test_tensor_relations_match_the_entrywise_relations(kx2, lambda2, loop_arrow, trivial_k,
+                                                        rng):
+    # bimodules (regular ones, which are also the bimodules of T2 parents,
+    # and the loop-arrow P(2) as an (A, k)-bimodule of a triangular
+    # algebra) and right modules (k_dual(S) and M'), each against left
+    # modules: the Kronecker columns give the same projection and section
+    simple = simples_and_projectives(kx2)["simples"][0]
+    A = loop_arrow["algebra"]
+    P2 = loop_arrow["modules"][2]
+    column = validate_bimodule(A, trivial_k, list(P2.actions), [Matrix.identity(QQ, P2.dim)])
+    Mp = generic_M_prime(lambda2, 1, Fraction(-1, 2), 0)
+    pairs = [(regular_bimodule(kx2), random_module(kx2, rng, max_dim=4)) for _ in range(4)]
+    pairs += [(t2_algebra(lambda2).bimodule, module_M1qc(lambda2, c))
+              for c in (Fraction(0), Fraction(3, 2))]
+    pairs += [(column, regular_modules(trivial_k)[0]), (k_dual(simple), simple),
+              (Mp, module_M1qc(lambda2, Fraction(1))),
+              (Mp, random_module(lambda2, rng, max_dim=5))]
+    for u, y in pairs:
+        t = tensor_over(u, y)
+        right = u.right_actions if hasattr(u, "right_actions") else u.actions
+        Q, S = _tensor_by_entries(u, y, right)
+        assert (t.pure_matrix, t.section, t.dim) == (Q, S, Q.nrows)
+    assert tensor_over(k_dual(simple), simple).module is None
+    # the induced module of a bimodule is built unchecked; it is a module
+    t = tensor_over(column, regular_modules(trivial_k)[0])
+    validate_module(t.module.actions, "left", A)
+
+
+def _factor_through_reference(projection, block):
+    """g with g.projection == block, solved through an Eliminator of the
+    transpose of the projection, or None."""
+    gt = Eliminator(projection.transpose()).solve_matrix(block.transpose())
+    return None if gt is None else gt.transpose()
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "F7"])
+def test_factor_through_matches_a_solve_through_the_transpose(field):
+    rng = random.Random(30)
+
+    def rand_rows(nrows, ncols):
+        return Matrix(field, [[field.of(rng.randint(-2, 2)) for _ in range(ncols)]
+                              for _ in range(nrows)], ncols)
+
+    for n in (1, 2, 4, 7):
+        for _ in range(8):
+            acc = SpanAccumulator(field, n)
+            for _ in range(rng.randint(0, n - 1)):
+                acc.add(rand_rows(1, n).sparse_rows[0])
+            Q, S = acc.projection_matrix(), acc.section_matrix()
+            g0 = rand_rows(rng.randint(1, 3), Q.nrows)
+            block = g0 * Q   # vanishes on the kernel of Q
+            g = factor_through(Q, S, block, "does not factor")
+            assert g == g0 == _factor_through_reference(Q, block)
+            if acc.dim:
+                # 1 at the first pivot: nonzero on the first kernel vector
+                bad = block + Matrix.from_columns(
+                    field, [{0: field.one} if j == acc.pivots[0] else {} for j in range(n)],
+                    g0.nrows)
+                assert _factor_through_reference(Q, bad) is None
+                with pytest.raises(ValidationError, match="does not factor"):
+                    factor_through(Q, S, bad, "does not factor")
+
+
+def test_quotient_by_a_subspace_that_is_not_invariant_is_refused(lambda2):
+    # the span of x is no left ideal of Lambda(2): y.x = yx lies outside it
+    reg = regular_modules(lambda2)[0]
+    x = Matrix.from_columns(QQ, [basis_vector(QQ, lambda2.dim, 1)], lambda2.dim)
+    with pytest.raises(ValidationError, match="not action-invariant") as exc:
+        quotient_module(reg, x)
+    assert lambda2.basis_labels[exc.value.witness] == "y"
+    # its left ideal is: the quotient by it is a module
+    ideal = submodule_generated(reg, [list(x.column(0))])[1].matrix
+    quot, proj, section = quotient_module(reg, ideal)
+    assert proj.matrix * section == Matrix.identity(QQ, quot.dim)
+    validate_module(quot.actions, "left", lambda2)
 
 
 def test_tensor_side_mismatch(kx2):

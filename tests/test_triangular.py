@@ -81,7 +81,8 @@ def test_second_column_projective(kx2):
     Q = regular_modules(kx2)[0]
     from monomod.modules import tensor_over
 
-    tens = tensor_over(T.bimodule, Q, validate=True)
+    tens = tensor_over(T.bimodule, Q)
+    validate_module(tens.module.actions, "left", T.A)
     t = make_triple(T, tens.module, Q, Matrix.identity(QQ, tens.dim))
     flat = t.flatten()
     assert flat.dim == tens.dim + Q.dim
@@ -268,7 +269,8 @@ def test_classify_triple_general_bimodule(loop_arrow, trivial_k):
     kmod = regular_modules(trivial_k)[0]
     from monomod.modules import tensor_over
 
-    tens = tensor_over(bim, kmod, validate=True)
+    tens = tensor_over(bim, kmod)
+    validate_module(tens.module.actions, "left", A)
     t = make_triple(tri, tens.module, kmod, Matrix.identity(QQ, tens.dim))
     rep = classify_triple_assert(t, bound=3, seed=0)
     assert rep["t2"] is False
@@ -348,7 +350,7 @@ def test_iterated_triangular_t3(kx2):
     phi1 = ModuleMap(X2, reg, Matrix.identity(field, nA).hstack(zAA))
     Xslot = t2_triple(T2, reg, X2, phi1).flatten()
     Y = reg
-    tens = tensor_over(tri3.bimodule, Y, validate=False)
+    tens = tensor_over(tri3.bimodule, Y)
     # phi on pure tensors: (u, v) (x) y  |->  (u.y | v.y, 0)
     cols = []
     for midx in range(2 * nA):
@@ -476,7 +478,7 @@ def test_classify_triple_conditions_name_their_modules(lambda2, loop_arrow):
     for t in _xc_and_approximation_triples(lambda2, loop_arrow):
         rep = classify_triple(t, bound=4, seed=3)
         b = t2_dual_bundle(t)
-        coker, _pi = cokernel(t.phi)
+        coker, _pi, _section = cokernel(t.phi)
         assert coker.actions == b.coker.actions
         conds = rep["double_sgp_conditions"]
         fresh = {
