@@ -51,6 +51,8 @@ class AlgebraPresentation:
         self.idempotents = None
         if idempotents is not None:
             self.idempotents = [[field.of(x) for x in e] for e in idempotents]
+            if any(len(e) != dim for e in self.idempotents):
+                raise ValidationError("idempotent vector length != dim")
         self.radical_basis = None
         if radical_basis is not None:
             self.radical_basis = [[field.of(x) for x in v] for v in radical_basis]

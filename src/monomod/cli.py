@@ -40,9 +40,10 @@ def _load_workspace():
             data = json.load(fh)
         if not isinstance(data, dict):
             raise MonomodError("workspace config must be a JSON object")
-        for k in ws:
-            if k in data:
-                ws[k] = data[k]
+        for k in sorted(data):
+            if k not in ws:
+                raise MonomodError(f"workspace config has unknown key {k!r}")
+        ws.update(data)
     for k in ("bound", "cap", "seed"):
         if not isinstance(ws[k], int) or isinstance(ws[k], bool):
             raise MonomodError(f"workspace config {k} must be an integer, got {ws[k]!r}")

@@ -24,11 +24,19 @@ The kernel of each differential, the next syzygy, is read off the slots too
 (_kernel_module), the first time something reads it: the next step's cover,
 a syzygy, or an outside reader.  So a resolution never builds the kernel of
 its last step, which nothing reads; its dimension alone is known at once.
-Its basis K is the kernel basis of the differential, which is the identity
-on the free (non-pivot) rows, so an algebra element acts on the kernel by
-the free rows of a.K.  a.K is formed one slot block at a time from the
-small slot modules' actions, and the pivot rows of a.K are checked exactly
-against K times that action, which holds exactly when K is invariant.
+Its basis K is read off the cover P_i -> Omega^i, not off the differential
+d_i = incl o cover: incl is injective, so the two have one row space and the
+same reduced echelon form, hence the same kernel basis, and the cover is the
+smaller matrix.  K is the identity on the free (non-pivot) rows, so an
+algebra element acts on the kernel by the free rows of a.K.  a.K is formed
+one slot block at a time from the small slot modules' actions, and the pivot
+rows of a.K are checked exactly against K times that action, which holds
+exactly when K is invariant.
+
+A periodic module reaches syzygies with the action matrices of a module its
+resolution has already covered.  Such a step reuses the earlier cover, and
+with it the earlier kernel: from there on the syzygies are the same module
+objects, so whatever is kept on them is computed once.
 """
 
 import threading
@@ -190,27 +198,36 @@ class _SlotSum(Module):
 
 
 class _Step:
-    """One term P_i = (+) slots (a _SlotSum), with its differential and the
-    kernel of that differential.  kernel_dim is dim P_i minus the dimension
-    of the module covered, known at once; the kernel module and its
-    inclusion are built on first read (_kernel_module), once, under the
-    step's lock, so concurrent readers get the same objects.  The kernel's
-    actions are the free rows of a.K, formed slot block by slot block, after
-    a check of the pivot rows."""
+    """One term P_i = (+) slots (a _SlotSum), with the cover of the module it
+    covers, its differential and the kernel of both.  kernel_dim is dim P_i
+    minus the dimension of the module covered, known at once; the kernel
+    module and its inclusion are read off the cover on first read
+    (_kernel_module), once, under the step's lock, so concurrent readers get
+    the same objects.  The kernel's actions are the free rows of a.K, formed
+    slot block by slot block, after a check of the pivot rows.  A step that
+    repeats an earlier cover (repeat) shares its slots, P_i, cover and kernel
+    and has a differential of its own."""
 
-    __slots__ = ("slot_types", "offsets", "proj", "d_matrix", "d_elems",
+    __slots__ = ("slot_types", "offsets", "proj", "cover", "d_matrix", "d_elems",
                  "kernel_dim", "_kernel", "_lock")
 
-    def __init__(self, slot_types, offsets, proj, d_matrix):
+    def __init__(self, slot_types, offsets, proj, cover):
         self.slot_types = slot_types
         self.offsets = offsets        # first coordinate of each slot block in P_i
         self.proj = proj
-        self.d_matrix = d_matrix      # P_i -> P_{i-1} (or -> target for i = 0)
+        self.cover = cover            # P_i -> the module covered, surjective
+        self.d_matrix = cover         # P_i -> P_{i-1} (or -> target for i = 0), set by the caller
         self.d_elems = None           # [slot of P_i][slot of P_{i-1}] A-vectors; None at step 0
-        # d_matrix is still the cover P_i -> m here, and it is surjective
-        self.kernel_dim = proj.dim - d_matrix.nrows
+        self.kernel_dim = proj.dim - cover.nrows
         self._kernel = None           # (kernel, inclusion) once read
         self._lock = threading.Lock()
+
+    def repeat(self):
+        """A new step with this step's slots, P_i, cover and kernel, for a
+        later module with the same actions: its kernel is this one's."""
+        step = _Step(self.slot_types, self.offsets, self.proj, self.cover)
+        step._kernel = self._kernel_pair()
+        return step
 
     @property
     def kernel(self):
@@ -246,11 +263,18 @@ class Resolution:
     of step n is built only if something reads it.  Step 0 covers the target
     that extend_to is handed, so the resolution keeps no reference to it:
     the module's cache holds the resolution, and a reference back would be
-    a cycle that only the cyclic garbage collector frees."""
+    a cycle that only the cyclic garbage collector frees.
+
+    A module with the actions of one that an earlier step covered (the
+    target counts) is not covered again: the new step repeats the earlier
+    one, so a periodic resolution builds one cover and one kernel per
+    distinct syzygy.  Only the action tuples are kept for that, never the
+    target itself."""
 
     def __init__(self, minimal):
         self.minimal = minimal
         self.steps = []
+        self._covered = []  # the actions of the module each step covers
         self._lock = threading.Lock()
 
     def proj(self, i):
@@ -266,8 +290,15 @@ class Resolution:
         return self
 
     def _add_step(self, m):
-        """Cover m, the target at step 0 and the last kernel after it."""
-        step = _build_cover_step(m, self.minimal)
+        """Cover m, the target at step 0 and the last kernel after it, or
+        repeat the step that covered a module with m's actions."""
+        for covered, earlier in zip(self._covered, self.steps):
+            if covered == m.actions:
+                step = earlier.repeat()
+                break
+        else:
+            step = _build_cover_step(m, self.minimal)
+        self._covered.append(m.actions)
         if self.steps:
             prev = self.steps[-1]
             # d_i = (kernel inclusion) o (cover of the kernel)
@@ -382,13 +413,14 @@ def _minimal_generators(m):
 def _kernel_module(step):
     """(ker d_i as a module, its inclusion into P_i), read from the slots.
 
-    K = d_matrix.kernel_matrix() is the identity on the free (non-pivot)
-    rows of d_matrix, so the action X of a basis vector a of the algebra on
+    K = cover.kernel_matrix() is ker d_i too, d_i being the cover followed
+    by an injective inclusion, and is the identity on the free (non-pivot)
+    rows of the cover, so the action X of a basis vector a of the algebra on
     the kernel is the free rows of a.K, and K is a-invariant exactly when
     the pivot rows of a.K equal those of K.X.  a acts on P_i slot by slot,
     so each slot block of a.K is the slot module's action on that block of
     K: no P_i-sized product and no solve."""
-    d = step.d_matrix
+    d = step.cover
     field = d.field
     canon = field.canon
     K = d.kernel_matrix()
@@ -792,6 +824,11 @@ def is_semi_gp(m, bound, seed=0):
     verdicts already computed, and the first isomorphic pair is the
     certificate.
 
+    Verdicts are kept by the pair of syzygy modules, not by their indices:
+    past the period of a periodic resolution the syzygies are the same
+    module objects (Resolution), so pairs such as (1, 2) and (1, bound)
+    share one is_isomorphic call, which is deterministic.
+
     Before a pair (i, j) of unequal modules reaches is_isomorphic it is
     screened by Hom dimensions read off the resolution.  The resolution
     holds exact sequences P_(i+1) -> P_i -> Omega^i -> 0, so Hom(Omega^i, N)
@@ -836,9 +873,9 @@ def is_semi_gp(m, bound, seed=0):
         return C.cocycle_dim(i)
 
     def pair(i, j):
-        v = verdicts.get((i, j))
+        si, sj = syzygies[i - 1], syzygies[j - 1]
+        v = verdicts.get((si, sj))
         if v is None:
-            si, sj = syzygies[i - 1], syzygies[j - 1]
             if si.actions != sj.actions and hom_dim(i, j) != hom_dim(j, j):
                 v = Verdict.fails({
                     "reason": "dim Hom(Omega^i, Omega^j) != dim End(Omega^j)",
@@ -846,7 +883,7 @@ def is_semi_gp(m, bound, seed=0):
                 })
             else:
                 v = is_isomorphic(si, sj, seed=seed)
-            verdicts[i, j] = v
+            verdicts[si, sj] = v
         return v
 
     # Omega^i ~ Omega^j gives Omega^(i+1) ~ Omega^(j+1) in a minimal

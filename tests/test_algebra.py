@@ -63,6 +63,16 @@ def test_bad_idempotents_witness(kx2):
         validate_algebra(pres2)
 
 
+@pytest.mark.parametrize("idempotent", [["1"], ["1", "0", "0"]], ids=["short", "long"])
+def test_idempotent_vector_length_is_checked(idempotent):
+    with pytest.raises(ValidationError, match="idempotent vector length != dim"):
+        AlgebraPresentation(
+            QQ, 2, ["1", "x"], [1, 0],
+            [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)],
+            idempotents=[idempotent],
+        )
+
+
 def test_multiply_relations(lambda2):
     A = lambda2
     x, y, z = (A.element_by_label(l) for l in ("x", "y", "z"))

@@ -323,8 +323,9 @@ def test_workspace_config_env(files, tmp_path, run_cli):
     ({"output": "xml"}, "output must be json or text"),
     ({"field": 5}, "field must be a string"),
     ([{"bound": 2}], "must be a JSON object"),
+    ({"bonud": 1}, "unknown key 'bonud'"),
 ], ids=["bound-str", "cap-str", "bound-float", "bound-bool", "seed-str", "cap-zero",
-        "output-xml", "field-int", "not-an-object"])
+        "output-xml", "field-int", "not-an-object", "unknown-key"])
 def test_workspace_config_values_are_checked(config, message, files, tmp_path, run_cli):
     cfg = tmp_path / "ws.json"
     cfg.write_text(json.dumps(config), encoding="utf-8")

@@ -594,6 +594,13 @@ def test_step_kernels_match_invariant_column_oracle(kx2, lambda2):
         v = [F5.of(rng.randint(-2, 2)) if rng.random() < 0.3 else 0 for _ in range(L.dim)]
         M, _ = submodule_generated(reg5, [v])
         cases.append(resolution(M, length=3))
+    # periodic resolutions, whose later steps repeat an earlier cover and
+    # read their kernel off it
+    periodic = [resolution(_fresh_simple_kx2(kx2), length=6),
+                resolution(_periodic_t2_quotient(kx2), length=5)]
+    for res in periodic:
+        assert len({id(step.cover) for step in res.steps}) < len(res.steps)
+    cases.extend(periodic)
     zero_kernels = 0
     for res in cases:
         for step in res.steps:
@@ -623,6 +630,94 @@ def test_step_kernels_match_invariant_column_oracle(kx2, lambda2):
             _kernel_module(bad)
         with pytest.raises(ValidationError, match="subspace is not action-invariant"):
             _kernels_by_invariant_columns(bad)
+
+
+def _fresh_simple_kx2(kx2):
+    """The simple k[x]/(x^2)-module, as a new module object with no
+    resolution cached on it."""
+    S = simples_and_projectives(kx2)["simples"][0]
+    return validate_module(list(S.actions), "left", kx2)
+
+
+def _periodic_t2_quotient(kx2):
+    """A seeded 2-dim quotient over T2(k[x]/(x^2)): P_1, P_2, ... all have
+    dimension 8 and Omega^2 has the actions of Omega^1."""
+    return random_module(t2_algebra(kx2).flat, random.Random(0), max_dim=6, allow_zero=False)
+
+
+def _spy_cover_builds(monkeypatch):
+    """The modules covered by _build_cover_step from now on, in order."""
+    covered = []
+    build = homology._build_cover_step
+
+    def spy(m, minimal):
+        covered.append(m)
+        return build(m, minimal)
+
+    monkeypatch.setattr(homology, "_build_cover_step", spy)
+    return covered
+
+
+def test_periodic_resolutions_cover_each_syzygy_once(monkeypatch, kx2):
+    covered = _spy_cover_builds(monkeypatch)
+    for m, distinct in ((_fresh_simple_kx2(kx2), 1), (_periodic_t2_quotient(kx2), 2)):
+        covered.clear()
+        res = resolution(m, length=8)
+        # steps 0..8 cover the target and Omega^1..Omega^8; one cover per
+        # distinct action tuple among them
+        contents = [m.actions] + [res.syzygy(i).actions for i in range(1, 9)]
+        assert len(covered) == len(set(contents)) == distinct
+        assert [n.actions for n in covered] == list(dict.fromkeys(contents))
+        assert res.syzygy(2) is res.syzygy(3)
+        assert res.syzygy(distinct) is res.syzygy(8)
+        assert resolve(m, 8).check_certificates()
+        # a repeated step keeps a differential of its own into the step before
+        for i in range(1, 9):
+            step, prev = res.steps[i], res.steps[i - 1]
+            assert step.d_matrix == prev.kernel_incl.matrix * step.cover
+            assert step.kernel_incl.target is step.proj
+
+
+def test_actions_one_entry_apart_get_their_own_cover(monkeypatch, kx2):
+    # Omega^1 of the periodic T2 quotient, with one entry of one action
+    # changed: the module of its basis with the second vector doubled.  Its
+    # own Omega^1 has the actions of the unchanged module, so step 1 is a
+    # new cover, and step 2 repeats step 1
+    omega = resolution(_periodic_t2_quotient(kx2), length=1).syzygy(1)
+    rows = [list(r) for r in omega.actions[1].rows]
+    assert rows[2][1] == 1
+    rows[2][1] = 2
+    acts = list(omega.actions)
+    acts[1] = Matrix.from_rows(QQ, rows)
+    m = validate_module(acts, "left", omega.algebra)
+    covered = _spy_cover_builds(monkeypatch)
+    res = resolution(m, length=4)
+    assert sum(a != b for a, b in zip(m.actions, omega.actions)) == 1
+    assert res.syzygy(1).actions == omega.actions
+    assert covered == [m, res.syzygy(1)]
+    assert res.steps[1].cover is not res.steps[0].cover
+    assert all(step.cover is res.steps[1].cover for step in res.steps[2:])
+    assert resolve(m, 4).check_certificates()
+
+
+def test_semi_gp_asks_is_isomorphic_once_per_syzygy_pair(monkeypatch, kx2):
+    # Omega^1, Omega^2, ... of the simple module are one module object, so
+    # the pairs (1, 6) and (1, 2) share one is_isomorphic call
+    calls = []
+    iso = homology.is_isomorphic
+
+    def spy(m, n, **kwargs):
+        calls.append((m, n))
+        return iso(m, n, **kwargs)
+
+    monkeypatch.setattr(homology, "is_isomorphic", spy)
+    S = _fresh_simple_kx2(kx2)
+    v = is_semi_gp(S, 6)
+    want = _semi_gp_by_every_pair(_fresh_simple_kx2(kx2), 6)
+    assert len(calls) == 1
+    assert v.status == want.status == Verdict.HOLDS
+    assert v.certificate["syzygy_period"] == want.certificate["syzygy_period"] == (1, 2)
+    assert v.certificate["isomorphism"].matrix == want.certificate["isomorphism"].matrix
 
 
 def _t2_kx2_gf2():
